@@ -24,8 +24,16 @@ Witness normals come from a deterministic quasi-random sequence
 computed exactly via integer square roots with an explicit ambiguity check
 (the floor is accepted only when the enclosure of the fractional part cannot
 straddle a grid line), searched in the order n ascending, +ρ(n) before
-−ρ(n).  Pairs that the sequence cannot separate within the search limits
-fall back to a small table of hand-picked normals.
+−ρ(n), for n below the pair kind's search limit (2000 for disjoint pairs,
+10⁵ for shared-vertex pairs).  Pairs that the sequence cannot separate fall
+back to a small table of hand-picked normals, tried ± in the same way.
+
+One search serves both sources.  Each pair's tests are built once, as
+(above, below) vertex sets whose margin is min⟨above,N⟩ − max⟨below,N⟩:
+(T1, T2) for a disjoint pair, ((V1,V2), (U,)) and ((U,), (W1,W2)) for a
+pair sharing U.  The vertex dots are computed once per candidate normal, and
+a :class:`SeparationWitness` (which re-checks its margins and cap) is built
+only when every margin clears 2δC.
 
 Certified margins transfer back to the undilated surface: δ-separation of
 the dilated surface at δ = 10²⁵ means λ-robust embeddedness of the original
@@ -37,21 +45,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .mesh import EmbeddedSurface, Face, Triangulation
 from .precision import CertificationError
 
 __all__ = [
-    "IntSurface",
     "PairClassification",
     "SeparationWitness",
     "EmbeddingCertificate",
     "classify_pairs",
     "rho",
-    "margin_disjoint",
-    "margin_shared",
-    "find_normal",
     "certify_embeddedness",
     "DEFAULT_SCALE",
     "DEFAULT_DELTA",
@@ -68,30 +72,6 @@ DEFAULT_DELTA = 10**25
 DEFAULT_CAP = 10**5
 DISJOINT_SEARCH_LIMIT = 2000
 SHARED_SEARCH_LIMIT = 10**5
-
-
-@dataclass(frozen=True)
-class IntSurface:
-    """A dilated surface with exact integer vertex coordinates."""
-
-    triangulation: Triangulation
-    coords: Tuple[IntVec3, ...]
-    scale: int
-
-    @classmethod
-    def from_surface(cls, S: EmbeddedSurface, scale: int) -> "IntSurface":
-        coords = []
-        for i, p in enumerate(S.coords):
-            row = []
-            for axis, c in zip("xyz", p):
-                v = c * scale
-                if v.denominator != 1:
-                    raise ValueError(
-                        f"vertex {i} {axis}-coordinate {c} is not integral at scale {scale}"
-                    )
-                row.append(int(v))
-            coords.append(tuple(row))
-        return cls(triangulation=S.triangulation, coords=tuple(coords), scale=scale)
 
 
 @dataclass(frozen=True)
@@ -208,114 +188,34 @@ def rho(n: int, cap: int = DEFAULT_CAP) -> IntVec3:
     )
 
 
-def _dot(p: IntVec3, q: IntVec3) -> int:
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
-
-
-def margin_disjoint(
-    T1: Sequence[IntVec3], T2: Sequence[IntVec3], N: IntVec3
-) -> int:
-    """min vertex dot of T1 minus max vertex dot of T2, exact integer."""
-    return min(_dot(p, N) for p in T1) - max(_dot(q, N) for q in T2)
-
-
-def margin_shared(
-    U: IntVec3, V1: IntVec3, V2: IntVec3, W1: IntVec3, W2: IntVec3, N: IntVec3
-) -> Tuple[int, int]:
-    """The two shared-vertex margins (m1, m2), exact integers.
-
-    m1 puts both non-shared vertices of the first triangle strictly above the
-    plane through the shared vertex; m2 puts both non-shared vertices of the
-    second strictly below.  The second condition uses the max over W1, W2 —
-    each ⟨U − W_i, N⟩ must clear the threshold individually, which is what
-    the separation argument consumes.
-    """
-    u = _dot(U, N)
-    m1 = min(_dot(V1, N), _dot(V2, N)) - u
-    m2 = u - max(_dot(W1, N), _dot(W2, N))
-    return m1, m2
-
-
-def _shared_vertex_layout(
-    f1: Face, f2: Face
-) -> Tuple[int, Tuple[int, int], Tuple[int, int]]:
-    """Split two one-vertex-sharing faces into (U, (V1, V2), (W1, W2))."""
-    common = set(f1) & set(f2)
-    if len(common) != 1:
-        raise ValueError(f"faces {f1} and {f2} do not share exactly one vertex")
-    u = common.pop()
-    v = tuple(x for x in f1 if x != u)
-    w = tuple(x for x in f2 if x != u)
-    return u, v, w
-
-
-def _test_normal(
-    ints: IntSurface, pair: PairIdx, kind: str, N: IntVec3, threshold: int
-) -> Optional[Tuple[int, ...]]:
-    """Margins if N separates the pair at the threshold, else None."""
-    f1 = ints.triangulation.faces[pair[0]]
-    f2 = ints.triangulation.faces[pair[1]]
-    if kind == "disjoint":
-        m = margin_disjoint(
-            [ints.coords[v] for v in f1], [ints.coords[v] for v in f2], N
-        )
-        return (m,) if m > threshold else None
-    u, (v1, v2), (w1, w2) = _shared_vertex_layout(f1, f2)
-    m1, m2 = margin_shared(
-        ints.coords[u],
-        ints.coords[v1],
-        ints.coords[v2],
-        ints.coords[w1],
-        ints.coords[w2],
-        N,
-    )
-    return (m1, m2) if m1 > threshold and m2 > threshold else None
-
-
+PairTests = Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
 ManualTable = Mapping[frozenset, IntVec3]
 
 
-def find_normal(
-    ints: IntSurface,
-    pair: PairIdx,
-    kind: str,
-    limit: int,
-    delta: int,
-    cap: int = DEFAULT_CAP,
-    manual_table: Optional[ManualTable] = None,
-) -> Optional[SeparationWitness]:
-    """First witness for one pair: n ascending, +ρ(n) before −ρ(n), then manual.
+def _pair_tests(f1: Face, f2: Face) -> PairTests:
+    """The (above, below) vertex sets whose margins must clear the threshold.
 
-    Returns None when no candidate separates the pair — absence of a witness
-    is a value here; :func:`certify_embeddedness` turns it into a failure.
+    A disjoint pair has one test, T1 above T2.  A pair sharing U has two: the
+    other vertices V of f1 above U, and U above the other vertices W of f2.
     """
-    threshold = 2 * delta * cap
-    faces = ints.triangulation.faces
-    face_pair = (faces[pair[0]], faces[pair[1]])
-    for n in range(1, limit):
-        base = rho(n, cap)
-        if max(abs(c) for c in base) >= cap:
-            continue  # cannot certify with a normal at the cap
-        for sign in (1, -1):
-            N = (sign * base[0], sign * base[1], sign * base[2])
-            margins = _test_normal(ints, pair, kind, N, threshold)
-            if margins is not None:
-                return SeparationWitness(
-                    pair=face_pair, kind=kind, source="rho", n=n, sign=sign,
-                    normal=N, margins=margins, threshold=threshold, cap=cap,
-                )
-    key = frozenset(face_pair)
-    if manual_table and key in manual_table:
-        base = manual_table[key]
-        for sign in (1, -1):
-            N = (sign * base[0], sign * base[1], sign * base[2])
-            margins = _test_normal(ints, pair, kind, N, threshold)
-            if margins is not None:
-                return SeparationWitness(
-                    pair=face_pair, kind=kind, source="manual", n=None, sign=sign,
-                    normal=N, margins=margins, threshold=threshold, cap=cap,
-                )
-    return None
+    common = set(f1) & set(f2)
+    if not common:
+        return ((f1, f2),)
+    (u,) = common
+    v = tuple(x for x in f1 if x != u)
+    w = tuple(x for x in f2 if x != u)
+    return ((v, (u,)), ((u,), w))
+
+
+def _margins(tests: PairTests, dots: Sequence[int], threshold: int) -> Optional[Tuple[int, ...]]:
+    """min⟨above,N⟩ − max⟨below,N⟩ for every test, or None at the first ≤ threshold."""
+    margins = ()
+    for above, below in tests:
+        m = min(map(dots.__getitem__, above)) - max(map(dots.__getitem__, below))
+        if m <= threshold:
+            return None
+        margins += (m,)
+    return margins
 
 
 def certify_embeddedness(
@@ -323,113 +223,92 @@ def certify_embeddedness(
     scale: int = DEFAULT_SCALE,
     delta: int = DEFAULT_DELTA,
     cap: int = DEFAULT_CAP,
-    disjoint_limit: int = DISJOINT_SEARCH_LIMIT,
-    shared_limit: int = SHARED_SEARCH_LIMIT,
     manual_normals: Optional[ManualTable] = None,
 ) -> EmbeddingCertificate:
     """Certify that S is (delta/scale)-robustly embedded.
 
     Every vertex-disjoint and every one-vertex-sharing face pair must obtain
     a separating-normal witness; edge-sharing pairs are covered by the
-    pair-reduction argument and are counted, not tested.  The candidate scan
-    walks n once and tests all still-unwitnessed pairs against ±ρ(n), which
-    reproduces exactly the per-pair first-(n, sign) witness that
-    :func:`find_normal` would return, in a single pass.
+    pair-reduction argument and are counted, not tested.  The scan walks n
+    once and tests every still-unwitnessed pair against +ρ(n), then −ρ(n),
+    so each pair gets its first (n, sign) below its kind's search limit;
+    pairs the scan leaves over try ± their manual normal.
 
-    Raises :class:`CertificationError` listing the unseparated pairs if any
-    pair exhausts its search limit and the manual table.
+    Raises :class:`ValueError` if some coordinate is not integral at
+    ``scale``, and :class:`CertificationError` listing the unseparated pairs
+    if any pair exhausts its search limit and the manual table.
     """
-    ints = IntSurface.from_surface(S, scale)
-    classes = classify_pairs(ints.triangulation)
+    coords = []
+    for i, p in enumerate(S.coords):
+        row = []
+        for axis, c in zip("xyz", p):
+            v = c * scale
+            if v.denominator != 1:
+                raise ValueError(
+                    f"vertex {i} {axis}-coordinate {c} is not integral at scale {scale}"
+                )
+            row.append(int(v))
+        coords.append(row)
+    faces = S.triangulation.faces
+    classes = classify_pairs(S.triangulation)
     threshold = 2 * delta * cap
-    faces = ints.triangulation.faces
 
-    pending: Dict[PairIdx, str] = {}
-    for p in classes.disjoint:
-        pending[p] = "disjoint"
-    for p in classes.shared_vertex:
-        pending[p] = "shared_vertex"
-
-    limits = {"disjoint": disjoint_limit, "shared_vertex": shared_limit}
+    kinds: Dict[PairIdx, str] = {p: "disjoint" for p in classes.disjoint}
+    kinds.update((p, "shared_vertex") for p in classes.shared_vertex)
+    tests = {(i, j): _pair_tests(faces[i], faces[j]) for i, j in kinds}
     witnesses: Dict[PairIdx, SeparationWitness] = {}
-    max_limit = max(
-        [limits[kind] for kind in set(pending.values())] or [1]
-    )
 
-    for n in range(1, max_limit):
-        if not pending:
-            break
-        if all(n >= limits[kind] for kind in set(pending.values())):
+    def separate(pairs: List[PairIdx], base: IntVec3, source: str, n: Optional[int]) -> bool:
+        """Witness each pair that +base, else −base, separates; True if any."""
+        plus = [x * base[0] + y * base[1] + z * base[2] for x, y, z in coords]
+        signed = ((1, plus), (-1, [-d for d in plus]))
+        found = False
+        for pair in pairs:
+            for sign, dots in signed:
+                margins = _margins(tests[pair], dots, threshold)
+                if margins is not None:
+                    witnesses[pair] = SeparationWitness(
+                        pair=(faces[pair[0]], faces[pair[1]]), kind=kinds[pair],
+                        source=source, n=n, sign=sign,
+                        normal=(sign * base[0], sign * base[1], sign * base[2]),
+                        margins=margins, threshold=threshold, cap=cap,
+                    )
+                    found = True
+                    break
+        return found
+
+    scan = sorted(kinds)
+    for n in range(1, SHARED_SEARCH_LIMIT):
+        if n == DISJOINT_SEARCH_LIMIT:
+            scan = [p for p in scan if kinds[p] != "disjoint"]
+        if not scan:
             break
         base = rho(n, cap)
         if max(abs(c) for c in base) >= cap:
-            continue
-        vertex_dots = tuple(_dot(c, base) for c in ints.coords)
-        for sign in (1, -1):
-            for pair, kind in list(pending.items()):
-                if n >= limits[kind]:
-                    continue
-                m = _margins_from_dots(faces, pair, kind, vertex_dots, sign)
-                if all(x > threshold for x in m):
-                    N = (sign * base[0], sign * base[1], sign * base[2])
-                    witnesses[pair] = SeparationWitness(
-                        pair=(faces[pair[0]], faces[pair[1]]), kind=kind,
-                        source="rho", n=n, sign=sign, normal=N,
-                        margins=m, threshold=threshold, cap=cap,
-                    )
-                    del pending[pair]
+            continue  # cannot certify with a normal at the cap
+        if separate(scan, base, "rho", n):
+            scan = [p for p in scan if p not in witnesses]
 
-    for pair, kind in list(pending.items()):
-        key = frozenset((faces[pair[0]], faces[pair[1]]))
+    for i, j in sorted(kinds.keys() - witnesses.keys()):
+        key = frozenset((faces[i], faces[j]))
         if manual_normals and key in manual_normals:
-            base = manual_normals[key]
-            for sign in (1, -1):
-                N = (sign * base[0], sign * base[1], sign * base[2])
-                margins = _test_normal(ints, pair, kind, N, threshold)
-                if margins is not None:
-                    witnesses[pair] = SeparationWitness(
-                        pair=(faces[pair[0]], faces[pair[1]]), kind=kind,
-                        source="manual", n=None, sign=sign, normal=N,
-                        margins=margins, threshold=threshold, cap=cap,
-                    )
-                    del pending[pair]
-                    break
+            separate([(i, j)], manual_normals[key], "manual", None)
 
+    pending = sorted(kinds.keys() - witnesses.keys())
     if pending:
         named = ", ".join(
-            f"{{{faces[i]}, {faces[j]}}} [{kind}]" for (i, j), kind in sorted(pending.items())
+            f"{{{faces[i]}, {faces[j]}}} [{kinds[(i, j)]}]" for i, j in pending
         )
         raise CertificationError(f"no separating normal found for: {named}")
 
-    ordered = tuple(witnesses[p] for p in sorted(witnesses))
     return EmbeddingCertificate(
         scale=scale,
         delta=delta,
         cap=cap,
         robustness=Fraction(delta, scale),
         threshold=threshold,
-        witnesses=ordered,
+        witnesses=tuple(witnesses[p] for p in sorted(witnesses)),
         n_disjoint=len(classes.disjoint),
         n_shared_vertex=len(classes.shared_vertex),
         n_shared_edge=len(classes.shared_edge),
     )
-
-
-def _margins_from_dots(
-    faces: Tuple[Face, ...],
-    pair: PairIdx,
-    kind: str,
-    vertex_dots: Tuple[int, ...],
-    sign: int,
-) -> Tuple[int, ...]:
-    """Margins for one pair from precomputed per-vertex dots with +ρ(n)."""
-    f1, f2 = faces[pair[0]], faces[pair[1]]
-    if kind == "disjoint":
-        d1 = [sign * vertex_dots[v] for v in f1]
-        d2 = [sign * vertex_dots[v] for v in f2]
-        return (min(d1) - max(d2),)
-    u, (v1, v2), (w1, w2) = _shared_vertex_layout(f1, f2)
-    du = sign * vertex_dots[u]
-    m1 = min(sign * vertex_dots[v1], sign * vertex_dots[v2]) - du
-    m2 = du - max(sign * vertex_dots[w1], sign * vertex_dots[w2])
-    return (m1, m2)

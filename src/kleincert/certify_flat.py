@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 
 from .klein import cos2_and_sign, klein_inner
 from .mesh import EmbeddedSurface, vertex_link
-from .precision import CertificationError
+from .precision import CertificationError, _fraction_exponent
 
 __all__ = [
     "LinkTable",
@@ -83,12 +83,6 @@ class LinkReference:
         seen = [t.vertex for t in self.tables]
         if len(set(seen)) != len(seen):
             raise ValueError("duplicate vertex in link reference")
-
-    def table_for(self, vertex: int) -> LinkTable:
-        for t in self.tables:
-            if t.vertex == vertex:
-                return t
-        raise KeyError(f"no reference link for vertex {vertex}")
 
 
 @dataclass(frozen=True)
@@ -186,27 +180,16 @@ def lipschitz_on_range(lo: Fraction, hi: Fraction) -> Fraction:
 
 def _widen_down_1_digit(x: Fraction) -> Fraction:
     """Round a positive rational down to one significant decimal digit."""
-    e = _exponent10(x)
+    e = _fraction_exponent(x)
     unit = Fraction(10) ** e
     return (x / unit).__floor__() * unit
 
 
 def _widen_up_2_digits(x: Fraction) -> Fraction:
     """Round a positive rational up to two significant decimal digits."""
-    e = _exponent10(x)
+    e = _fraction_exponent(x)
     unit = Fraction(10) ** (e - 1)
     return math.ceil(x / unit) * unit
-
-
-def _exponent10(x: Fraction) -> int:
-    if x <= 0:
-        raise ValueError("expected a positive rational")
-    e = len(str(x.numerator)) - len(str(x.denominator))
-    while Fraction(10) ** e > x:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= x:
-        e += 1
-    return e
 
 
 def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificate:

@@ -51,7 +51,7 @@ from .jacobian import (
 )
 from .klein import Point3
 from .mesh import EmbeddedSurface, Triangulation, validate
-from .precision import CertificationError
+from .precision import CertificationError, _fraction_exponent
 from .search import SearchConfig, hill_climb, newton_refine
 
 __all__ = [
@@ -137,11 +137,7 @@ def _directed_text(value: Fraction, round_up: bool, digits: int = 12) -> str:
     value = Fraction(value)
     if value == 0:
         return "0"
-    exponent = len(str(abs(value.numerator))) - len(str(value.denominator))
-    while Fraction(10) ** exponent > abs(value):
-        exponent -= 1
-    while Fraction(10) ** (exponent + 1) <= abs(value):
-        exponent += 1
+    exponent = _fraction_exponent(abs(value))
     quantum = Fraction(10) ** (exponent - digits + 1)
     steps = value / quantum
     floor_steps = steps.numerator // steps.denominator

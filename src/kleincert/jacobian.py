@@ -1,10 +1,10 @@
 """The cone-defect map, its certified Jacobian, and the expansion certificate.
 
-The cone-defect map sends the 10-vector z of vertex heights to the 10-vector
-of cone-angle defects Θ_i(z) = Σ θ_angles at vertex i − 2π (x and y vertex
-coordinates stay fixed).  A flat vertex has defect 0; the certified search
-for an exactly-flat surface near the candidate runs through four stages that
-live in this module:
+The cone-defect map sends the n-vector z of vertex heights (n = 10 for the
+candidate) to the n-vector of cone-angle defects Θ_i(z) = Σ θ_angles at
+vertex i − 2π (x and y vertex coordinates stay fixed).  A flat vertex has
+defect 0; the certified search for an exactly-flat surface near the candidate
+runs through four stages that live in this module:
 
 1. `dtheta_enclosure` / `dtheta_analytic` — the analytic Jacobian ∂Θ_i/∂z_l.
    Every angle partial reduces to (exact rational) / √(exact rational):
@@ -787,8 +787,9 @@ class ExpansionCertificate:
     ``sigma_min_bound`` lower-bounds the smallest singular value of the
     reference Jacobian; ``e_inf`` caps the entrywise deviation of the true
     Jacobian from it anywhere on the ball; ``frobenius_cap`` converts that to
-    an operator-norm cap (the recorded convention is the loose 10²·e_inf for
-    a 10×10 matrix; the sharper 10·e_inf is reported alongside).
+    an operator-norm cap for the n×n matrix, n = ``n_vertices`` (the recorded
+    convention is the loose n²·e_inf; the sharper n·e_inf is reported
+    alongside).
     """
 
     sigma_min_bound: Fraction
@@ -798,8 +799,13 @@ class ExpansionCertificate:
     angle_sine_bound: Fraction
     frobenius_cap: Fraction
     frobenius_cap_sharp: Fraction
+    n_vertices: int
 
     def __post_init__(self) -> None:
+        n = self.n_vertices
+        if not (self.frobenius_cap == n * n * self.e_inf
+                and self.frobenius_cap_sharp == n * self.e_inf):
+            raise ValueError(f"Frobenius caps must be {n}²·e_inf and {n}·e_inf")
         gap = self.sigma_min_bound - self.frobenius_cap
         if not gap > 2 * self.lam:
             raise ValueError(
@@ -826,8 +832,9 @@ def certify_expansion(
     When the optional enclosure of the Jacobian at the center and the
     second-order cap are supplied, the two premises that justify ``e_inf``
     are re-checked: entrywise center deviation < e_inf/2 and curvature drift
-    10·radius·cap ≤ e_inf/2 across the ball.
+    n·radius·cap ≤ e_inf/2 across the ball, with n = len(M) vertices.
     """
+    n = len(M)
     half = e_inf / 2
     if dtheta_center is not None:
         for i, row in enumerate(dtheta_center):
@@ -840,13 +847,13 @@ def certify_expansion(
                         f" ≥ {half} from the reference"
                     )
     if second_order_cap is not None:
-        drift = 10 * radius * second_order_cap
+        drift = n * radius * second_order_cap
         if not drift <= half:
             raise CertificationError(
-                f"curvature drift 10·radius·cap = {drift} exceeds {half}"
+                f"curvature drift {n}·radius·cap = {drift} exceeds {half}"
             )
     sigma = singular_lower_bound(M)
-    fro = 100 * e_inf
+    fro = n * n * e_inf
     gap = sigma - fro
     if not gap > 2 * lam:
         raise CertificationError(
@@ -863,7 +870,8 @@ def certify_expansion(
         radius=radius,
         angle_sine_bound=sine,
         frobenius_cap=fro,
-        frobenius_cap_sharp=10 * e_inf,
+        frobenius_cap_sharp=n * e_inf,
+        n_vertices=n,
     )
 
 
@@ -902,18 +910,19 @@ def conclude_existence(
     budget; and the defect cap fits inside the ball the expansion covers.
     """
     checks: List[str] = []
+    n = expansion.n_vertices
 
-    if not 10 * flat.epsilon**2 <= defect_norm_cap**2:
+    if not n * flat.epsilon**2 <= defect_norm_cap**2:
         raise CertificationError(
             f"flatness epsilon {float(flat.epsilon):.3e} does not force the "
             f"defect norm below {float(defect_norm_cap):.3e}"
         )
     checks.append("defect norm cap")
 
-    drift = 10 * expansion.radius * second_order_cap
+    drift = n * expansion.radius * second_order_cap
     if not drift <= Fraction(1, 1000):
         raise CertificationError(
-            f"second-order premise fails: 10·radius·cap = {float(drift):.3e} > 0.001"
+            f"second-order premise fails: {n}·radius·cap = {float(drift):.3e} > 0.001"
         )
     checks.append("second-order premise")
 

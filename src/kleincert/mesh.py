@@ -62,9 +62,6 @@ class Triangulation:
             out.update((frozenset((a, b)), frozenset((b, c)), frozenset((c, a))))
         return out
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges() if i in e)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -177,10 +174,6 @@ class EmbeddedSurface:
         for i, p in enumerate(self.coords):
             if not p.in_unit_ball():
                 raise ValueError(f"vertex {i} lies outside the open unit ball")
-
-    def face_points(self, face: Face) -> Tuple[Point3, Point3, Point3]:
-        a, b, c = face
-        return self.coords[a], self.coords[b], self.coords[c]
 
 
 def cone_angle(S: EmbeddedSurface, i: int, precision: int = DEFAULT_PRECISION) -> Decimal:

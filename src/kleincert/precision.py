@@ -168,16 +168,6 @@ class Bound:
         xf = as_fraction(x)
         return Fraction(self.lo) <= xf <= Fraction(self.hi)
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
-    def width(self, precision: int = DEFAULT_PRECISION) -> Decimal:
-        with localcontext(_context(precision, ROUND_CEILING)):
-            return self.hi - self.lo
-
     def width_fraction(self) -> Fraction:
         return Fraction(self.hi) - Fraction(self.lo)
 
@@ -222,9 +212,6 @@ class Bound:
             ctx.divide(self.hi, other.hi),
         ]
         return self._outward(quotients, quotients, ctx)
-
-    def neg(self) -> "Bound":
-        return Bound(-self.hi, -self.lo)
 
     def __repr__(self) -> str:  # compact: full precision stays available via .lo/.hi
         return f"Bound({self.lo}, {self.hi})"

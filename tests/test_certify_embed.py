@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,11 @@ from kleincert.certify_embed import (
     DEFAULT_DELTA,
     DEFAULT_SCALE,
     EmbeddingCertificate,
-    IntSurface,
     SeparationWitness,
+    _margins,
+    _pair_tests,
     certify_embeddedness,
     classify_pairs,
-    find_normal,
-    margin_disjoint,
-    margin_shared,
     rho,
 )
 from kleincert.klein import Point3
@@ -42,6 +41,35 @@ from oracles import (
 )
 
 THRESHOLD = 2 * DEFAULT_DELTA * DEFAULT_CAP  # 2e30
+
+
+def _dilated(surface, scale=DEFAULT_SCALE):
+    """Integer vertex coordinates of the surface scaled by ``scale``."""
+    coords = []
+    for p in surface.coords:
+        row = tuple(c * scale for c in p)
+        assert all(c.denominator == 1 for c in row)
+        coords.append(tuple(int(c) for c in row))
+    return coords
+
+
+def _dot(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def _written_margins(coords, witness_pair, N):
+    """The margins as the module docstring writes them, from coordinates."""
+    f1, f2 = witness_pair
+    shared = set(f1) & set(f2)
+    if not shared:
+        return (
+            min(_dot(coords[v], N) for v in f1) - max(_dot(coords[v], N) for v in f2),
+        )
+    (u,) = shared
+    U = _dot(coords[u], N)
+    V = [_dot(coords[v], N) for v in f1 if v != u]
+    W = [_dot(coords[w], N) for w in f2 if w != u]
+    return (min(V) - U, U - max(W))
 
 
 # ---------------------------------------------------------------------------
@@ -103,34 +131,34 @@ def test_rho_rejects_nonpositive_index():
 
 
 # ---------------------------------------------------------------------------
-# Margin primitives (hand-checkable integer examples)
+# The margin routine (hand-checkable integer examples)
 # ---------------------------------------------------------------------------
 
 
 def test_margin_disjoint_simple():
-    T1 = [(0, 0, 10), (1, 0, 11), (0, 1, 12)]
-    T2 = [(0, 0, 0), (1, 0, 1), (0, 1, 2)]
-    assert margin_disjoint(T1, T2, (0, 0, 1)) == 10 - 2
-    assert margin_disjoint(T2, T1, (0, 0, 1)) == 0 - 12
+    # vertices 0-2 form T1 at heights 10..12, vertices 3-5 form T2 at 0..2
+    dots = [10, 11, 12, 0, 1, 2]
+    assert _margins(_pair_tests((0, 1, 2), (3, 4, 5)), dots, 0) == (10 - 2,)
+    assert _margins(_pair_tests((0, 1, 2), (3, 4, 5)), dots, 8) is None
+    assert _margins(_pair_tests((3, 4, 5), (0, 1, 2)), dots, -13) == (0 - 12,)
 
 
 def test_margin_shared_uses_max_on_far_side():
-    U = (0, 0, 0)
-    V1, V2 = (1, 0, 5), (0, 1, 7)
-    W1, W2 = (1, 0, -4), (0, 1, -6)
-    m1, m2 = margin_shared(U, V1, V2, W1, W2, (0, 0, 1))
-    assert m1 == 5
+    # U = 0 at height 0, V = 1, 2 above it at 5, 7, W = 3, 4 below at -4, -6
+    dots = [0, 5, 7, -4, -6]
+    tests = _pair_tests((0, 1, 2), (0, 3, 4))
+    assert tests == (((1, 2), (0,)), ((0,), (3, 4)))
     # the far-side margin must clear the *nearest* far vertex (the max dot),
     # not the farthest one: 0 − max(−4, −6) = 4
-    assert m2 == 4
+    assert _margins(tests, dots, 0) == (5, 4)
+    assert _margins(tests, dots, 4) is None
 
 
 def test_margin_shared_negated_normal_swaps_roles():
-    U = (0, 0, 0)
-    V1, V2 = (1, 0, 5), (0, 1, 7)
-    W1, W2 = (1, 0, -4), (0, 1, -6)
-    m1, m2 = margin_shared(U, W1, W2, V1, V2, (0, 0, -1))
-    assert (m1, m2) == (4, 5)
+    dots = [0, 5, 7, -4, -6]
+    negated = [-d for d in dots]
+    assert _margins(_pair_tests((0, 3, 4), (0, 1, 2)), negated, 0) == (4, 5)
+    assert _margins(_pair_tests((0, 1, 2), (0, 3, 4)), negated, -100) == (-7, -6)
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +166,9 @@ def test_margin_shared_negated_normal_swaps_roles():
 # ---------------------------------------------------------------------------
 
 
-def test_int_surface_dilation_is_exact(candidate_surface):
-    ints = IntSurface.from_surface(candidate_surface, DEFAULT_SCALE)
-    assert len(ints.coords) == 10
-    for p, q in zip(candidate_surface.coords, ints.coords):
-        for c, i in zip(p, q):
-            assert c * DEFAULT_SCALE == i
-
-
-def test_int_surface_rejects_insufficient_scale(candidate_surface):
-    with pytest.raises(ValueError, match="not integral"):
-        IntSurface.from_surface(candidate_surface, 10**31)
+def test_certify_rejects_insufficient_scale(candidate_surface):
+    with pytest.raises(ValueError, match=f"is not integral at scale {10**31}$"):
+        certify_embeddedness(candidate_surface, scale=10**31)
 
 
 # ---------------------------------------------------------------------------
@@ -211,60 +231,38 @@ def test_thin_cone_pair_uses_sequence_element(certificate, manual_normals):
     assert all(m > THRESHOLD for m in witness.margins)
 
 
-def test_find_normal_agrees_with_batched_scan(certificate, candidate_surface):
-    ints = IntSurface.from_surface(candidate_surface, DEFAULT_SCALE)
-    classes = classify_pairs(ints.triangulation)
-    index_of = {
-        (ints.triangulation.faces[i], ints.triangulation.faces[j]): (i, j)
-        for i in range(24)
-        for j in range(24)
-        if i < j
-    }
-    # pick cheap witnesses of each kind (small n) and re-derive them per-pair
-    chosen = [
-        w
-        for w in sorted(certificate.witnesses, key=lambda w: w.n or 10**9)[:6]
-        if w.source == "rho"
-    ]
-    assert len(chosen) >= 4
-    kinds = {w.kind for w in chosen}
-    for w in chosen:
-        pair = index_of[w.pair]
-        solo = find_normal(
-            ints, pair, w.kind, limit=w.n + 1, delta=DEFAULT_DELTA, cap=DEFAULT_CAP
-        )
-        assert solo is not None
-        assert (solo.n, solo.sign, solo.normal, solo.margins) == (
-            w.n,
-            w.sign,
-            w.normal,
-            w.margins,
-        )
+def test_witnesses_are_first_and_recomputable(certificate, candidate_surface):
+    coords = _dilated(candidate_surface)
+    rho_cache = {}
+
+    def base(n):
+        if n not in rho_cache:
+            rho_cache[n] = rho(n)
+        return rho_cache[n]
+
+    for w in certificate.witnesses:
+        assert _written_margins(coords, w.pair, w.normal) == w.margins
+    cheap = [w for w in certificate.witnesses if w.source == "rho" and w.n <= 200]
+    assert {w.kind for w in cheap} == {"disjoint", "shared_vertex"}
+    assert len(cheap) >= 200
+    for w in cheap:
+        assert w.normal == tuple(w.sign * c for c in base(w.n))
+        order = [(n, sign) for n in range(1, w.n + 1) for sign in (1, -1)]
+        for n, sign in order[: order.index((w.n, w.sign))]:
+            if max(abs(c) for c in base(n)) >= DEFAULT_CAP:
+                continue
+            N = tuple(sign * c for c in base(n))
+            assert min(_written_margins(coords, w.pair, N)) <= THRESHOLD, (w.pair, n, sign)
 
 
-def test_find_normal_returns_none_when_exhausted(candidate_surface, manual_normals):
-    ints = IntSurface.from_surface(candidate_surface, DEFAULT_SCALE)
-    key = frozenset(((1, 3, 7), (2, 3, 8)))
-    faces = ints.triangulation.faces
-    pair = next(
-        (i, j)
-        for i in range(24)
-        for j in range(i + 1, 24)
-        if frozenset((faces[i], faces[j])) == key
-    )
-    assert (
-        find_normal(ints, pair, "shared_vertex", limit=50, delta=DEFAULT_DELTA)
-        is None
-    )
-    witness = find_normal(
-        ints,
-        pair,
-        "shared_vertex",
-        limit=50,
-        delta=DEFAULT_DELTA,
-        manual_table=manual_normals,
-    )
-    assert witness is not None and witness.source == "manual"
+def test_scan_alone_leaves_exactly_the_manual_pairs(candidate_surface, manual_normals):
+    with pytest.raises(CertificationError, match="no separating normal") as info:
+        certify_embeddedness(candidate_surface)
+    face = r"\((\d+), (\d+), (\d+)\)"
+    named = re.findall(r"\{" + face + ", " + face + r"\}", str(info.value))
+    unseparated = {frozenset((tuple(map(int, g[:3])), tuple(map(int, g[3:])))) for g in named}
+    assert len(named) == 11
+    assert unseparated == set(manual_normals)
 
 
 def test_witness_invariants_are_enforced():
@@ -293,12 +291,12 @@ def test_witness_invariants_are_enforced():
 # ---------------------------------------------------------------------------
 
 
-def _perturbed_triangles(ints, witness, rng, delta):
+def _perturbed_triangles(coords, witness, rng, delta):
     f1, f2 = witness.pair
     offsets = {v: rng.randrange(-delta, delta + 1) for v in set(f1) | set(f2)}
 
     def pert(v):
-        x, y, z = ints.coords[v]
+        x, y, z = coords[v]
         return (x, y, z + offsets[v])
 
     return tuple(pert(v) for v in f1), tuple(pert(v) for v in f2), pert
@@ -307,16 +305,13 @@ def _perturbed_triangles(ints, witness, rng, delta):
 def test_witness_soundness_under_sampled_perturbations(
     certificate, candidate_surface
 ):
-    ints = IntSurface.from_surface(candidate_surface, DEFAULT_SCALE)
-    vertex_index = {
-        f: i for i, f in enumerate(candidate_surface.triangulation.faces)
-    }
+    coords = _dilated(candidate_surface)
     rng = random.Random(0x5EEDED)
     delta = certificate.delta
     for witness in certificate.witnesses:
         for _ in range(100):
             for _attempt in range(8):
-                t1, t2, pert = _perturbed_triangles(ints, witness, rng, delta)
+                t1, t2, pert = _perturbed_triangles(coords, witness, rng, delta)
                 try:
                     if witness.kind == "disjoint":
                         assert triangles_disjoint(t1, t2)
@@ -358,7 +353,7 @@ def _two_tetra_surface(shift):
 
 def test_separated_toy_mesh_certifies():
     S = _two_tetra_surface((0, 0, Fraction(9, 16)))
-    cert = certify_embeddedness(S, scale=16, delta=0, disjoint_limit=2000)
+    cert = certify_embeddedness(S, scale=16, delta=0)
     assert cert.n_disjoint == 16
     assert cert.n_shared_vertex == 0
     assert cert.n_shared_edge == 12
@@ -368,17 +363,18 @@ def test_separated_toy_mesh_certifies():
 
 def test_interpenetrating_toy_mesh_fails():
     S = _two_tetra_surface((Fraction(1, 16), Fraction(1, 16), Fraction(1, 16)))
-    ints = IntSurface.from_surface(S, 16)
+    coords = _dilated(S, 16)
+    faces = S.triangulation.faces
     # the oracle confirms a genuine crossing exists, so failure is honest
     crossing = []
     for i in range(4):
         for j in range(4, 8):
-            t1 = tuple(ints.coords[v] for v in ints.triangulation.faces[i])
-            t2 = tuple(ints.coords[v] for v in ints.triangulation.faces[j])
+            t1 = tuple(coords[v] for v in faces[i])
+            t2 = tuple(coords[v] for v in faces[j])
             try:
                 crossing.extend(triangle_intersection_points(t1, t2))
             except DegenerateConfiguration:
                 crossing.append("degenerate-touch")
     assert crossing
     with pytest.raises(CertificationError, match="no separating normal"):
-        certify_embeddedness(S, scale=16, delta=0, disjoint_limit=60, shared_limit=60)
+        certify_embeddedness(S, scale=16, delta=0)

@@ -590,6 +590,20 @@ def test_expansion_drift_precheck_boundary(reference_matrix):
         )
 
 
+def test_expansion_caps_scale_with_matrix_size():
+    # an 11×11 matrix gets n = 11 in every cap, not the candidate's 10
+    M = [[Fraction(3) if i == j else Fraction(0) for j in range(11)] for i in range(11)]
+    e_inf = Fraction(1, 1000)
+    cert = certify_expansion(M, e_inf=e_inf)
+    assert cert.n_vertices == 11
+    assert cert.sigma_min_bound == 3
+    assert cert.frobenius_cap == 121 * e_inf
+    assert cert.frobenius_cap_sharp == 11 * e_inf
+    # 10 · 10⁻¹⁸ · 10¹⁴ meets the 10⁻³ drift budget exactly; 11 overshoots it
+    with pytest.raises(CertificationError, match="11·radius·cap"):
+        certify_expansion(M, e_inf=Fraction(2, 1000), second_order_cap=SECOND_ORDER_CAP)
+
+
 def test_expansion_certificate_invariants():
     good = dict(
         sigma_min_bound=Fraction(3),
@@ -599,8 +613,11 @@ def test_expansion_certificate_invariants():
         angle_sine_bound=Fraction(2, 29),
         frobenius_cap=Fraction(1, 10),
         frobenius_cap_sharp=Fraction(1, 100),
+        n_vertices=10,
     )
     ExpansionCertificate(**good)
+    with pytest.raises(ValueError, match="Frobenius caps"):
+        ExpansionCertificate(**{**good, "n_vertices": 11})
     with pytest.raises(ValueError, match="gap"):
         ExpansionCertificate(**{**good, "lam": Fraction(3, 2)})
     with pytest.raises(ValueError, match="sine bound must equal"):
@@ -613,6 +630,7 @@ def test_expansion_certificate_invariants():
         angle_sine_bound=Fraction(100, 101) * 2 * Fraction(1, 2),
         frobenius_cap=Fraction(1, 2),
         frobenius_cap_sharp=Fraction(1, 20),
+        n_vertices=10,
     )
     with pytest.raises(ValueError, match="sqrt"):
         ExpansionCertificate(**steep)
