@@ -231,7 +231,17 @@ def test_thin_cone_pair_uses_sequence_element(certificate, manual_normals):
     assert all(m > THRESHOLD for m in witness.margins)
 
 
-def test_witnesses_are_first_and_recomputable(certificate, candidate_surface):
+def test_dilated_margins_are_exact(certificate, candidate_surface):
+    coords = _dilated(candidate_surface)
+    assert len(coords) == 10
+    for p, q in zip(candidate_surface.coords, coords):
+        for c, i in zip(p, q):
+            assert c * DEFAULT_SCALE == i
+    for w in certificate.witnesses:
+        assert _written_margins(coords, w.pair, w.normal) == w.margins
+
+
+def test_witnesses_are_first_in_scan_order(certificate, candidate_surface):
     coords = _dilated(candidate_surface)
     rho_cache = {}
 
@@ -240,8 +250,6 @@ def test_witnesses_are_first_and_recomputable(certificate, candidate_surface):
             rho_cache[n] = rho(n)
         return rho_cache[n]
 
-    for w in certificate.witnesses:
-        assert _written_margins(coords, w.pair, w.normal) == w.margins
     cheap = [w for w in certificate.witnesses if w.source == "rho" and w.n <= 200]
     assert {w.kind for w in cheap} == {"disjoint", "shared_vertex"}
     assert len(cheap) >= 200
