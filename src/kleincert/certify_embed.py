@@ -21,12 +21,11 @@ Witness normals come from a deterministic quasi-random sequence
 
     ρ(n) = (⌊10⁵·L(n√2)⌋, ⌊10⁵·L(n√3)⌋, ⌊10⁵·L(n√5)⌋),   L(x) = 2(x−⌊x⌋)−1,
 
-computed exactly via integer square roots with an explicit ambiguity check
-(the floor is accepted only when the enclosure of the fractional part cannot
-straddle a grid line), searched in the order n ascending, +ρ(n) before
-−ρ(n), for n below the pair kind's search limit (2000 for disjoint pairs,
-10⁵ for shared-vertex pairs).  Pairs that the sequence cannot separate fall
-back to a small table of hand-picked normals, tried ± in the same way.
+computed in closed form by integer square roots (⌊2·10⁵·n√k⌋ is one isqrt).
+A small table of hand-picked normals is tried first, ± for each pair it
+names; every pair still unwitnessed is then searched in the order n
+ascending, +ρ(n) before −ρ(n), for n below the pair kind's search limit
+(2000 for disjoint pairs, 10⁵ for shared-vertex pairs).
 
 One search serves both sources.  Each pair's tests are built once, as
 (above, below) vertex sets whose margin is min⟨above,N⟩ − max⟨below,N⟩:
@@ -155,26 +154,13 @@ def classify_pairs(T: Triangulation) -> PairClassification:
     )
 
 
-def _floor_scaled_sawtooth(k: int, n: int, scale: int, digits: int = 60) -> int:
+def _floor_scaled_sawtooth(k: int, n: int, scale: int) -> int:
     """⌊scale · L(n·√k)⌋ with L(x) = 2(x − ⌊x⌋) − 1, exactly.
 
-    Uses t = isqrt(k·n²·10^(2m)) = ⌊n√k·10^m⌋, so f = t mod 10^m encloses the
-    fractional part in [f/10^m, (f+1)/10^m).  The floor of 2·scale·frac is
-    accepted only when both interval endpoints give the same floor; otherwise
-    the working precision m is raised and the computation retried (n√k is
-    irrational, so some m always separates).
+    scale·L(x) = 2·scale·x − (2·scale·⌊x⌋ + scale) with an integer in the
+    parentheses, and ⌊2·scale·n√k⌋ = isqrt(4·scale²·n²·k), ⌊n√k⌋ = isqrt(n²·k).
     """
-    for m in (digits, digits + 30, digits + 90, digits + 210, digits + 450):
-        pow10 = 10**m
-        t = isqrt(k * n * n * pow10 * pow10)
-        f = t % pow10
-        lo = (2 * scale * f) // pow10
-        hi = (2 * scale * (f + 1) - 1) // pow10
-        if lo == hi:
-            return lo - scale
-    raise CertificationError(
-        f"could not disambiguate the floor for sqrt({k})·{n} at {digits + 450} digits"
-    )
+    return isqrt(4 * scale * scale * n * n * k) - 2 * scale * isqrt(n * n * k) - scale
 
 
 def rho(n: int, cap: int = DEFAULT_CAP) -> IntVec3:
@@ -229,14 +215,15 @@ def certify_embeddedness(
 
     Every vertex-disjoint and every one-vertex-sharing face pair must obtain
     a separating-normal witness; edge-sharing pairs are covered by the
-    pair-reduction argument and are counted, not tested.  The scan walks n
+    pair-reduction argument and are counted, not tested.  Pairs named in the
+    manual table try ± their manual normal first.  The scan then walks n
     once and tests every still-unwitnessed pair against +ρ(n), then −ρ(n),
-    so each pair gets its first (n, sign) below its kind's search limit;
-    pairs the scan leaves over try ± their manual normal.
+    so each gets its first (n, sign) below its kind's search limit; it stops
+    as soon as no pair is left.
 
     Raises :class:`ValueError` if some coordinate is not integral at
     ``scale``, and :class:`CertificationError` listing the unseparated pairs
-    if any pair exhausts its search limit and the manual table.
+    if any pair is separated neither by its manual normal nor by the scan.
     """
     coords = []
     for i, p in enumerate(S.coords):
@@ -277,7 +264,12 @@ def certify_embeddedness(
                     break
         return found
 
-    scan = sorted(kinds)
+    for i, j in sorted(kinds):
+        key = frozenset((faces[i], faces[j]))
+        if manual_normals and key in manual_normals:
+            separate([(i, j)], manual_normals[key], "manual", None)
+
+    scan = sorted(kinds.keys() - witnesses.keys())
     for n in range(1, SHARED_SEARCH_LIMIT):
         if n == DISJOINT_SEARCH_LIMIT:
             scan = [p for p in scan if kinds[p] != "disjoint"]
@@ -288,11 +280,6 @@ def certify_embeddedness(
             continue  # cannot certify with a normal at the cap
         if separate(scan, base, "rho", n):
             scan = [p for p in scan if p not in witnesses]
-
-    for i, j in sorted(kinds.keys() - witnesses.keys()):
-        key = frozenset((faces[i], faces[j]))
-        if manual_normals and key in manual_normals:
-            separate([(i, j)], manual_normals[key], "manual", None)
 
     pending = sorted(kinds.keys() - witnesses.keys())
     if pending:

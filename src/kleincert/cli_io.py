@@ -43,10 +43,11 @@ from . import __version__
 from .certify_embed import certify_embeddedness
 from .certify_flat import LinkReference, LinkTable, certify_flatness
 from .jacobian import (
-    SECOND_ORDER_CAP,
     certify_expansion,
     conclude_existence,
+    crude_bounds,
     dtheta_enclosure,
+    second_partial_bound,
     theta_map,
 )
 from .klein import Point3
@@ -629,7 +630,7 @@ def _run_expansion(surface):
     certificate = certify_expansion(
         rounded,
         dtheta_center=enclosure,
-        second_order_cap=SECOND_ORDER_CAP,
+        second_order_cap=second_partial_bound(crude_bounds(surface)),
     )
     return {
         "sigma_lower_bound": _directed_text(certificate.sigma_min_bound, round_up=False),

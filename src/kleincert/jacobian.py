@@ -25,16 +25,15 @@ runs through four stages that live in this module:
 
 4. `singular_lower_bound` / `certify_expansion` / `conclude_existence` — an
    exact-arithmetic lower bound on the smallest singular value of the
-   reference Jacobian via the characteristic polynomial of MᵀM (coefficients
-   by Faddeev–LeVerrier, square-free reduction, sign-change root isolation on
-   a 1/64 grid, bisection refinement), combined with the deviation caps into
-   a 1/2-expansivity certificate and the final existence report.
+   reference Jacobian: bisection on the 2⁻²⁰ grid for the largest x with
+   MᵀM − x·I positive definite, each test one exact LDLᵀ (Sylvester's
+   criterion), combined with the deviation caps into a 1/2-expansivity
+   certificate and the final existence report.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -70,8 +69,6 @@ __all__ = [
     "ChainInequality",
     "second_order_inequalities",
     "second_partial_bound",
-    "characteristic_polynomial",
-    "square_free_part",
     "smallest_gram_root_bracket",
     "singular_lower_bound",
     "certify_expansion",
@@ -587,120 +584,46 @@ def second_partial_bound(crude: CrudeBounds) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact polynomial helpers and the singular-value floor
+# The singular-value floor
 # ---------------------------------------------------------------------------
 
 
-def characteristic_polynomial(A: RationalMatrix) -> List[Fraction]:
-    """Coefficients [c_0, …, c_n] of det(xI − A), c_n = 1, by Faddeev–LeVerrier."""
+def _definiteness(A: RationalMatrix, x: Fraction) -> int:
+    """Definiteness of the symmetric matrix A − x·I by exact LDLᵀ.
+
+    Returns +1 if every pivot is positive (positive definite), 0 if A − x·I
+    is positive semidefinite and singular, −1 otherwise.  A zero pivot is
+    admissible only when the rest of its column is zero too; otherwise the
+    Schur complement has a 2×2 principal minor below zero.
+    """
     n = len(A)
-    A = [[Fraction(x) for x in row] for row in A]
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Mk = [row[:] for row in ident]
-    for k in range(1, n + 1):
-        Mk = _mat_mul(A, Mk)
-        ck = -_trace(Mk) / k
-        coeffs[n - k] = ck
-        Mk = _mat_add(Mk, _mat_scale(ident, ck))
-    return coeffs
-
-
-def _mat_mul(A: RationalMatrix, B: RationalMatrix) -> List[List[Fraction]]:
-    n = len(A)
-    return [
-        [sum((A[i][t] * B[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _mat_add(A: RationalMatrix, B: RationalMatrix) -> List[List[Fraction]]:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_scale(A: RationalMatrix, s: Fraction) -> List[List[Fraction]]:
-    return [[s * x for x in row] for row in A]
-
-
-def _trace(A: RationalMatrix) -> Fraction:
-    return sum((A[i][i] for i in range(len(A))), Fraction(0))
-
-
-def _poly_norm(p: List[Fraction]) -> List[Fraction]:
-    q = list(p)
-    while len(q) > 1 and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _poly_deriv(p: List[Fraction]) -> List[Fraction]:
-    return _poly_norm([i * c for i, c in enumerate(p)][1:] or [Fraction(0)])
-
-
-def _poly_divmod(a: List[Fraction], b: List[Fraction]):
-    a = list(a)
-    b = _poly_norm(b)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        a = _poly_norm(a)
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        s = len(a) - len(b)
-        q[s] = f
-        for i, c in enumerate(b):
-            a[s + i] -= f * c
-        a.pop()
-    return _poly_norm(q), _poly_norm(a)
-
-
-def _poly_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    a, b = _poly_norm(a), _poly_norm(b)
-    while b != [Fraction(0)] and any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]  # monic
-    return a
-
-
-def square_free_part(p: List[Fraction]) -> List[Fraction]:
-    """p / gcd(p, p′): same roots as p, all simple."""
-    g = _poly_gcd(p, _poly_deriv(p))
-    if len(g) == 1:
-        return _poly_norm(p)
-    q, r = _poly_divmod(p, g)
-    if any(r):
-        raise CertificationError("square-free reduction left a remainder")
-    return q
-
-
-def _integer_coefficients(p: List[Fraction]) -> List[int]:
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p]
-
-
-def _sign_at(coeffs_int: List[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den via integer Horner."""
-    acc = 0
-    d = len(coeffs_int) - 1
-    for i in range(d, -1, -1):
-        acc = acc * num + coeffs_int[i] * den ** (d - i)
-    return (acc > 0) - (acc < 0)
+    a = [[A[i][j] - (x if i == j else 0) for j in range(n)] for i in range(n)]
+    singular = False
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0:
+            return -1
+        if pivot == 0:
+            if any(a[i][k] for i in range(k + 1, n)):
+                return -1
+            singular = True
+            continue
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            if factor:
+                for j in range(k + 1, i + 1):
+                    a[i][j] -= factor * a[j][k]
+    return 0 if singular else 1
 
 
 def smallest_gram_root_bracket(M: RationalMatrix) -> Tuple[Fraction, Fraction]:
-    """Isolating bracket for the smallest eigenvalue of MᵀM, width < 10⁻⁶.
+    """Bracket [lo, lo + 2⁻²⁰] of the smallest eigenvalue λ of MᵀM.
 
-    Forms the Gram matrix exactly, takes the square-free part of its
-    characteristic polynomial, isolates every root by sign changes on a
-    1/64-pitch grid, and refines the smallest bracket by bisection.  An
-    exact grid root yields a degenerate (point) bracket.  Raises if the
-    count of exact roots plus sign-change brackets falls short of the
-    square-free degree.
+    Forms the Gram matrix exactly and bisects on the 2⁻²⁰ grid over
+    [0, Gershgorin + 2], testing MᵀM − x·I for definiteness (Sylvester's
+    criterion by exact LDLᵀ), so lo = ⌊λ·2²⁰⌋/2²⁰.  A grid point that is
+    itself an eigenvalue yields the point bracket (λ, λ); a singular Gram
+    matrix yields (0, 0).
     """
     n = len(M)
     M = [[Fraction(x) for x in row] for row in M]
@@ -708,61 +631,28 @@ def smallest_gram_root_bracket(M: RationalMatrix) -> Tuple[Fraction, Fraction]:
         [sum((M[k][i] * M[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
         for i in range(n)
     ]
-    p = characteristic_polynomial(A)
-    q = square_free_part(p)
-    deg = len(q) - 1
-    Q = _integer_coefficients(q)
+    if _definiteness(A, Fraction(0)) <= 0:
+        return Fraction(0), Fraction(0)
 
     gersh = max(sum(abs(x) for x in row) for row in A)
-    top = int(gersh) + 2
-    pitch = 64  # grid points at k/64
-
-    roots_exact: List[Fraction] = []
-    brackets: List[Tuple[Fraction, Fraction]] = []
-    prev_sign = None
-    prev_x = None
-    for kk in range(0, top * pitch + 1):
-        s = _sign_at(Q, kk, pitch)
-        x = Fraction(kk, pitch)
-        if s == 0:
-            roots_exact.append(x)
-            prev_sign, prev_x = None, None  # restart across the exact root
-            continue
-        if prev_sign is not None and s != prev_sign:
-            brackets.append((prev_x, x))
-        prev_sign, prev_x = s, x
-
-    if len(roots_exact) + len(brackets) != deg:
-        raise CertificationError(
-            f"root isolation incomplete: found {len(roots_exact)} exact roots and "
-            f"{len(brackets)} sign-change brackets for degree {deg}"
-        )
-
-    # refine every bracket until width < 1e−6
-    refined: List[Tuple[Fraction, Fraction]] = [(x, x) for x in roots_exact]
-    tol = Fraction(1, 10**6)
-    for lo, hi in brackets:
-        slo = _sign_at(Q, lo.numerator, lo.denominator)
-        while hi - lo >= tol:
-            mid = (lo + hi) / 2
-            sm = _sign_at(Q, mid.numerator, mid.denominator)
-            if sm == 0:
-                lo = hi = mid
-                break
-            if sm == slo:
-                lo = mid
-            else:
-                hi = mid
-        refined.append((lo, hi))
-
-    return min(refined)
+    grid = 2**20
+    lo, hi = 0, (int(gersh) + 2) * grid  # A − lo·I is definite, A − hi·I is not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _definiteness(A, Fraction(mid, grid)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    if _definiteness(A, Fraction(hi, grid)) == 0:
+        return Fraction(hi, grid), Fraction(hi, grid)
+    return Fraction(lo, grid), Fraction(hi, grid)
 
 
 def singular_lower_bound(M: RationalMatrix) -> Fraction:
     """Certified rational lower bound on the smallest singular value of M.
 
-    The square root of the lower end of the smallest isolated root bracket
-    of the Gram characteristic polynomial, rounded down.
+    The square root of the lower end of the smallest-eigenvalue bracket of
+    the Gram matrix, rounded down.
     """
     lo, _ = smallest_gram_root_bracket(M)
     if lo < 0:

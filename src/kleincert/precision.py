@@ -19,8 +19,8 @@ by the geometry layers:
 * :func:`taylor_exp_partial` — partial sums S_n(x) of the Taylor series of e^x,
 * :func:`exp_bounds` — enclosure of e^x from S_n(x) plus the remainder
   a^(n+1)·3^a/(n+1)! valid on |x| ≤ a,
-* :func:`ln_bounds` — enclosure of ln x by bisection, each trial point t
-  certified via e^t ≶ x with exact rational comparisons,
+* :func:`ln_bounds` — enclosure of ln x around the library logarithm, its two
+  endpoints t certified via e^t ≶ x with exact rational comparisons,
 * :func:`sqrt_bounds` — enclosure [x1, x2] of √x verified by exact rational
   squaring (x1² ≤ x ≤ x2²),
 * :func:`hyp_bounds` — sinh/cosh/tanh enclosures from the degree-20 partial
@@ -311,9 +311,11 @@ def _classify_exp(t: Decimal, x: Fraction, precision: int) -> int:
 def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_PRECISION) -> Bound:
     """Certified enclosure [a, b] of ln x with b − a ≤ target_width.
 
-    Starts from an integer bracket and bisects; a trial point t is accepted on
-    the left iff e^t ≤ x and on the right iff e^t ≥ x, both certified through
-    :func:`exp_bounds` with exact rational comparisons.
+    The untrusted candidate is the library logarithm h at ten digits beyond
+    the width's resolution.  The endpoints a = h − w/3 and b = h + w/3,
+    w = target_width, are rounded outward at that precision and certified by
+    e^a ≤ x ≤ e^b through :func:`_classify_exp`; if either check fails the
+    candidate is rejected with :class:`CertificationError`.
     """
     xf = as_fraction(x)
     if xf <= 0:
@@ -323,38 +325,16 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
         raise ValueError(f"target width must be positive, got {target_width}")
     if tw < Fraction(10) ** (10 - precision):
         raise ValueError(
-            f"target width {target_width} is below what precision {precision} can bisect"
+            f"target width {target_width} is below what precision {precision} can resolve"
         )
 
-    # Integer bracket around ln x, seeded by the (correctly rounded, but here
-    # untrusted) library logarithm and then verified by certified comparisons.
-    with localcontext(_context(30)):
-        hint = (Decimal(xf.numerator) / Decimal(xf.denominator)).ln()
-    a = int(hint.to_integral_value(rounding=ROUND_FLOOR)) - 1
-    b = int(hint.to_integral_value(rounding=ROUND_CEILING)) + 1
-    while _classify_exp(Decimal(a), xf, precision) > 0:
-        a -= 1
-    while _classify_exp(Decimal(b), xf, precision) < 0:
-        b += 1
-
-    lo, hi = Decimal(a), Decimal(b)
-    # Bisect with trial points quantized to just enough digits; this keeps
-    # the exact rational Taylor sums small without affecting correctness.
-    trial_digits = max(20, 10 - _fraction_exponent(tw))
-    while Fraction(hi) - Fraction(lo) > tw:
-        with localcontext(_context(min(precision, trial_digits))):
-            mid = (lo + hi) / 2
-        if not (lo < mid < hi):
-            with localcontext(_context(precision)):
-                mid = (lo + hi) / 2
-            if not (lo < mid < hi):
-                raise CertificationError(
-                    f"bisection for ln {x} stalled at [{lo}, {hi}] before reaching width {target_width}"
-                )
-        if _classify_exp(mid, xf, precision) <= 0:
-            lo = mid
-        else:
-            hi = mid
+    digits = max(0, -_fraction_exponent(tw)) + 10
+    with localcontext(_context(digits)):
+        hint = Fraction((Decimal(xf.numerator) / Decimal(xf.denominator)).ln())
+    lo = decimal_from_fraction(hint - tw / 3, digits, ROUND_FLOOR)
+    hi = decimal_from_fraction(hint + tw / 3, digits, ROUND_CEILING)
+    if _classify_exp(lo, xf, precision) > 0 or _classify_exp(hi, xf, precision) < 0:
+        raise CertificationError(f"candidate enclosure [{lo}, {hi}] of ln {x} failed verification")
     return Bound(lo, hi)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from kleincert import certify_embed
 from kleincert.certify_embed import (
     DEFAULT_CAP,
     DEFAULT_DELTA,
@@ -271,6 +272,22 @@ def test_scan_alone_leaves_exactly_the_manual_pairs(candidate_surface, manual_no
     unseparated = {frozenset((tuple(map(int, g[:3])), tuple(map(int, g[3:])))) for g in named}
     assert len(named) == 11
     assert unseparated == set(manual_normals)
+
+
+def test_manual_pairs_skip_the_scan(candidate_surface, manual_normals, monkeypatch):
+    # the table pairs are witnessed before the scan, which then stops at the
+    # last rho witness (n = 69,265) instead of running to the 10⁵ limit
+    real = certify_embed.rho
+    calls = []
+
+    def counting(n, cap=DEFAULT_CAP):
+        calls.append(n)
+        return real(n, cap)
+
+    monkeypatch.setattr(certify_embed, "rho", counting)
+    cert = certify_embeddedness(candidate_surface, manual_normals=manual_normals)
+    assert len(calls) <= 69265
+    assert max(w.n for w in cert.witnesses if w.source == "rho") == 69265
 
 
 def test_witness_invariants_are_enforced():

@@ -447,6 +447,23 @@ def test_cli_verify_expansion_certifies(tmp_path):
     assert Fraction(payload["details"]["angle_sine_bound"]) ** 2 < Fraction(3, 4)
 
 
+def test_cli_verify_expansion_checks_second_order_premise(tmp_path, candidate_bytes):
+    # scaling by 1.03 puts vertex 0 at norm ≈ 0.81, outside the 0.79 ball the
+    # second-order chain is proved on; the Jacobian floor alone would pass
+    doc = json.loads(candidate_bytes)
+    doc["vertices"] = [
+        [fraction_to_text(Fraction(c) * Fraction(103, 100)) for c in v]
+        for v in doc["vertices"]
+    ]
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code = main(["verify-expansion", "--mesh", str(scaled), "--report", str(report)])
+    assert code == 1
+    payload = json.loads(report.read_text())
+    assert "crude bound failed: vertex 0" in payload["outcome"]
+
+
 def test_cli_verify_all_reports_existence(tmp_path):
     report = tmp_path / "all.json"
     assert main(["verify-all", "--report", str(report)]) == 0

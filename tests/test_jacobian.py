@@ -2,7 +2,7 @@
 
 Layers covered: the packaged reference matrix and its sparsity; the defect
 map and its equivariance; analytic vs central-difference Jacobians; the
-crude geometric bounds; the second-order constant chain; exact-polynomial
+crude geometric bounds; the second-order constant chain; exact LDLᵀ
 singular-value floors (cross-checked against an independent computer-algebra
 oracle); and the expansion/existence certificates with their failure modes.
 """
@@ -30,8 +30,8 @@ from kleincert.jacobian import (
     ExpansionCertificate,
     JacobianMatrix,
     SECOND_ORDER_CAP,
+    _definiteness,
     certify_expansion,
-    characteristic_polynomial,
     conclude_existence,
     crude_bounds,
     dtheta_analytic,
@@ -41,7 +41,7 @@ from kleincert.jacobian import (
     second_order_inequalities,
     second_partial_bound,
     singular_lower_bound,
-    square_free_part,
+    smallest_gram_root_bracket,
     surface_with_heights,
     theta_map,
 )
@@ -444,49 +444,8 @@ def test_chain_failure_names_the_inequality(candidate_crude):
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomial and singular floors
+# Singular floors
 # ---------------------------------------------------------------------------
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def test_characteristic_polynomial_of_diagonal():
-    diag = [2, -1, 3]
-    A = [[Fraction(diag[i]) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
-    expected = [Fraction(1)]
-    for d in diag:
-        expected = _poly_mul(expected, [Fraction(-d), Fraction(1)])
-    assert characteristic_polynomial(A) == expected
-
-
-def test_characteristic_polynomial_matches_algebra_oracle():
-    import sympy
-
-    rng = Random(8 * 10**6 + 14)
-    A = [[Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(4)]
-         for _ in range(4)]
-    got = characteristic_polynomial(A)
-    x = sympy.symbols("x")
-    expr = sympy.Matrix(
-        [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in A]
-    ).charpoly(x).as_expr()
-    want = [Fraction(str(sympy.Rational(expr.coeff(x, k)))) for k in range(5)]
-    assert got == want
-
-
-def test_square_free_part_drops_multiplicity():
-    single = _poly_mul([Fraction(-1), Fraction(1)], [Fraction(-2), Fraction(1)])
-    squared = _poly_mul(_poly_mul([Fraction(-1), Fraction(1)], [Fraction(-1), Fraction(1)]),
-                        [Fraction(-2), Fraction(1)])
-    got = square_free_part(squared)
-    lead = got[-1]
-    assert [c / lead for c in got] == single
 
 
 def test_singular_floor_identity_is_one():
@@ -504,6 +463,20 @@ def test_singular_floor_reference_exceeds_three_halves(reference_matrix):
     sigma = singular_lower_bound(reference_matrix)
     assert sigma > Fraction(3, 2)
     assert sigma**2 > Fraction(9, 4)  # smallest Gram root beyond 2.25
+    assert smallest_gram_root_bracket(reference_matrix) == (
+        Fraction(2403459, 2**20),
+        Fraction(2403460, 2**20),
+    )
+
+
+def test_definiteness_zero_pivot_rule():
+    F = Fraction
+    assert _definiteness([[F(2), F(1)], [F(1), F(2)]], F(0)) == 1
+    assert _definiteness([[F(2), F(1)], [F(1), F(2)]], F(1)) == 0  # eigenvalues 1, 3
+    assert _definiteness([[F(2), F(1)], [F(1), F(2)]], F(2)) == -1
+    # a zero pivot is semidefinite only when its column below is zero
+    assert _definiteness([[F(0), F(0)], [F(0), F(1)]], F(0)) == 0
+    assert _definiteness([[F(0), F(1)], [F(1), F(5)]], F(0)) == -1
 
 
 def test_singular_floor_zero_for_rank_deficient():
@@ -511,10 +484,12 @@ def test_singular_floor_zero_for_rank_deficient():
     assert singular_lower_bound(M) == 0
 
 
-def test_singular_floor_incomplete_isolation_raises():
+def test_singular_floor_certifies_clustered_eigenvalues():
+    # eigenvalues 1 and (1 + 10⁻⁹)² lie 2·10⁻⁹ apart, far inside one grid cell;
+    # the definiteness test at x = 1 is singular, so the bracket is a point
     close = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1) + Fraction(1, 10**9)]]
-    with pytest.raises(CertificationError, match="isolation incomplete"):
-        singular_lower_bound(close)
+    assert smallest_gram_root_bracket(close) == (Fraction(1), Fraction(1))
+    assert singular_lower_bound(close) == 1
 
 
 def test_singular_floor_below_oracle_on_random_matrices():

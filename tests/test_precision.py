@@ -14,7 +14,10 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kleincert.precision as precision_module
 from kleincert.precision import (
     Bound,
     CertificationError,
@@ -165,6 +168,40 @@ def test_ln_bounds_rejects_nonpositive():
 def test_ln_bounds_rejects_unreachable_width():
     with pytest.raises(ValueError):
         ln_bounds(2, "1e-60", precision=40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    k=st.integers(min_value=2, max_value=30),
+)
+def test_ln_bounds_contains_ln_on_generated_inputs(x, k):
+    tw = Fraction(1, 10**k)
+    b = ln_bounds(x, tw)
+    assert b.width_fraction() <= tw
+    _, exp_lo_hi = oracles.exp_enclosure(Fraction(b.lo))
+    exp_hi_lo, _ = oracles.exp_enclosure(Fraction(b.hi))
+    assert exp_lo_hi <= x <= exp_hi_lo
+
+
+def test_ln_bounds_certifies_exactly_two_endpoints(monkeypatch):
+    calls = []
+    real = precision_module._classify_exp
+
+    def counting(t, x, precision):
+        calls.append(t)
+        return real(t, x, precision)
+
+    monkeypatch.setattr(precision_module, "_classify_exp", counting)
+    b = ln_bounds(2, "1e-30")
+    assert calls == [b.lo, b.hi]
+
+
+def test_ln_bounds_rejects_a_candidate_that_fails_verification(monkeypatch):
+    # claim e^t > x for every t: the lower endpoint can no longer be certified
+    monkeypatch.setattr(precision_module, "_classify_exp", lambda t, x, precision: 1)
+    with pytest.raises(CertificationError, match="ln 2"):
+        ln_bounds(2, "1e-10")
 
 
 def test_ln_exp_roundtrip():
