@@ -34,6 +34,14 @@ pair sharing U.  The vertex dots are computed once per candidate normal, and
 a :class:`SeparationWitness` (which re-checks its margins and cap) is built
 only when every margin clears 2δC.
 
+Before the scan, every one-vertex-sharing pair that no normal can witness
+leaves it (and stays unwitnessed).  With D the differences a − b of an above
+vertex a and a below vertex b of one test, a witness needs ⟨d,N⟩ > 2δC ≥ 0
+for all d ∈ D, which Gordan's theorem rules out exactly when 0 ∈ conv(D);
+Carathéodory's theorem reduces that to at most four of the d, decided by
+exact integer determinants.  Disjoint pairs are not tested: their scan ends at
+the lower search limit anyway.
+
 Certified margins transfer back to the undilated surface: δ-separation of
 the dilated surface at δ = 10²⁵ means λ-robust embeddedness of the original
 at λ = δ/scale = 10⁻⁷.
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -204,6 +213,60 @@ def _margins(tests: PairTests, dots: Sequence[int], threshold: int) -> Optional[
     return margins
 
 
+def _cross(a: Sequence[int], b: Sequence[int]) -> IntVec3:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _origin_in_simplex(vs: Sequence[IntVec3]) -> bool:
+    """Is 0 in the convex hull of 1–4 vectors that are affinely independent?
+
+    Affinely dependent inputs return False (a smaller subset decides them).
+    Three vectors need 0 in their plane and three nonnegative barycentric
+    weights n·(b×c), n·(c×a), n·(a×b), which sum to |n|² for n = (b−a)×(c−a);
+    four need the signed volumes of the faces seen from 0 to agree in sign
+    with their sum, orient3d(a, b, c, d).
+    """
+    if len(vs) == 1:
+        return not any(vs[0])
+    if len(vs) == 2:
+        a, b = vs
+        return not any(_cross(a, b)) and _dot(a, b) < 0
+    if len(vs) == 3:
+        a, b, c = vs
+        weights = (_cross(b, c), _cross(c, a), _cross(a, b))
+        n = tuple(map(sum, zip(*weights)))
+        coplanar_with_origin = _dot(a, weights[0]) == 0
+        return any(n) and coplanar_with_origin and all(_dot(n, w) >= 0 for w in weights)
+    a, b, c, d = vs
+    weights = (
+        _dot(b, _cross(c, d)),
+        -_dot(a, _cross(c, d)),
+        _dot(a, _cross(b, d)),
+        -_dot(a, _cross(b, c)),
+    )
+    total = sum(weights)
+    return total != 0 and all(w * total >= 0 for w in weights)
+
+
+def _unwitnessable(tests: PairTests, coords: Sequence[Sequence[int]]) -> bool:
+    """True when no normal gives every test a positive margin: 0 ∈ conv(D).
+
+    D holds a − b for each above vertex a and below vertex b of one test; a
+    margin is positive for N exactly when every such ⟨a − b, N⟩ > 0.
+    """
+    D = [
+        tuple(p - q for p, q in zip(coords[a], coords[b]))
+        for above, below in tests
+        for a in above
+        for b in below
+    ]
+    return any(_origin_in_simplex(s) for k in range(1, 5) for s in combinations(D, k))
+
+
 def certify_embeddedness(
     S: EmbeddedSurface,
     scale: int = DEFAULT_SCALE,
@@ -219,12 +282,18 @@ def certify_embeddedness(
     manual table try ± their manual normal first.  The scan then walks n
     once and tests every still-unwitnessed pair against +ρ(n), then −ρ(n),
     so each gets its first (n, sign) below its kind's search limit; it stops
-    as soon as no pair is left.
+    as soon as no pair is left.  A one-vertex-sharing pair whose differences
+    D (above minus below vertex) have 0 in their convex hull is left out of
+    the scan: for every N some ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.
 
-    Raises :class:`ValueError` if some coordinate is not integral at
-    ``scale``, and :class:`CertificationError` listing the unseparated pairs
-    if any pair is separated neither by its manual normal nor by the scan.
+    Raises :class:`ValueError` if ``scale`` or ``cap`` is below 1, ``delta``
+    is negative, or some coordinate is not integral at ``scale``, and
+    :class:`CertificationError` listing the unseparated pairs if any pair is
+    separated neither by its manual normal nor by the scan.
     """
+    for name, value, least in (("scale", scale, 1), ("delta", delta, 0), ("cap", cap, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     coords = []
     for i, p in enumerate(S.coords):
         row = []
@@ -269,7 +338,10 @@ def certify_embeddedness(
         if manual_normals and key in manual_normals:
             separate([(i, j)], manual_normals[key], "manual", None)
 
-    scan = sorted(kinds.keys() - witnesses.keys())
+    scan = [
+        p for p in sorted(kinds.keys() - witnesses.keys())
+        if kinds[p] == "disjoint" or not _unwitnessable(tests[p], coords)
+    ]
     for n in range(1, SHARED_SEARCH_LIMIT):
         if n == DISJOINT_SEARCH_LIMIT:
             scan = [p for p in scan if kinds[p] != "disjoint"]

@@ -627,17 +627,14 @@ def _run_expansion(surface):
         [Fraction(round(Fraction(b.midpoint(60)) * 1000), 1000) for b in row]
         for row in enclosure
     ]
-    certificate = certify_expansion(
-        rounded,
-        dtheta_center=enclosure,
-        second_order_cap=second_partial_bound(crude_bounds(surface)),
-    )
+    cap = second_partial_bound(crude_bounds(surface))
+    certificate = certify_expansion(rounded, dtheta_center=enclosure, second_order_cap=cap)
     return {
         "sigma_lower_bound": _directed_text(certificate.sigma_min_bound, round_up=False),
         "expansion_lambda": fraction_to_text(certificate.lam),
         "ball_radius": fraction_to_text(certificate.radius),
         "angle_sine_bound": _directed_text(certificate.angle_sine_bound, round_up=True),
-    }, certificate
+    }, (certificate, cap)  # verify-all's existence chain reuses the checked cap
 
 
 def _cmd_validate(args) -> int:
@@ -734,8 +731,8 @@ def _cmd_verify_all(args) -> int:
     def runner():
         flat_details, flat = _run_flatness(surface, links)
         embed_details, embed = _run_embeddedness(surface)
-        expansion_details, expansion = _run_expansion(surface)
-        existence = conclude_existence(flat, embed, expansion)
+        expansion_details, (expansion, cap) = _run_expansion(surface)
+        existence = conclude_existence(flat, embed, expansion, cap)
         return {
             "flatness": flat_details,
             "embeddedness": embed_details,

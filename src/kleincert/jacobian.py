@@ -789,15 +789,17 @@ def conclude_existence(
     flat: FlatnessCertificate,
     embed: EmbeddingCertificate,
     expansion: ExpansionCertificate,
+    second_order_cap: Fraction,
     defect_norm_cap: Fraction = Fraction(1, 10**27),
-    second_order_cap: Fraction = SECOND_ORDER_CAP,
 ) -> ExistenceReport:
     """Chain the three certificates into the existence conclusion.
 
-    Checks, in order: the flatness certificate forces ‖Θ(center)‖ below the
-    defect cap; the curvature premise of the expansion ball holds; the flat
-    solution's height displacement fits inside the embeddedness robustness
-    budget; and the defect cap fits inside the ball the expansion covers.
+    ``second_order_cap`` is the cap that :func:`second_partial_bound` checked
+    on the crude bounds of the same surface.  Checks, in order: the flatness
+    certificate forces ‖Θ(center)‖ below the defect cap; the curvature premise
+    of the expansion ball holds; the flat solution's height displacement fits
+    inside the embeddedness robustness budget; and the defect cap fits inside
+    the ball the expansion covers.
     """
     checks: List[str] = []
     n = expansion.n_vertices

@@ -15,6 +15,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleincert import certify_embed
 from kleincert.certify_embed import (
@@ -25,6 +27,7 @@ from kleincert.certify_embed import (
     SeparationWitness,
     _margins,
     _pair_tests,
+    _unwitnessable,
     certify_embeddedness,
     classify_pairs,
     rho,
@@ -71,6 +74,13 @@ def _written_margins(coords, witness_pair, N):
     V = [_dot(coords[v], N) for v in f1 if v != u]
     W = [_dot(coords[w], N) for w in f2 if w != u]
     return (min(V) - U, U - max(W))
+
+
+def _named_pairs(error, kind=r"\w+"):
+    """The face pairs of one kind that a CertificationError names."""
+    face = r"\((\d+), (\d+), (\d+)\)"
+    named = re.findall(r"\{" + face + ", " + face + r"\} \[" + kind + r"\]", str(error))
+    return {(tuple(map(int, g[:3])), tuple(map(int, g[3:]))) for g in named}
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +182,18 @@ def test_certify_rejects_insufficient_scale(candidate_surface):
         certify_embeddedness(candidate_surface, scale=10**31)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("scale", 0), ("scale", -16), ("delta", -1), ("cap", 0)]
+)
+def test_certify_rejects_invalid_parameters(name, value):
+    # with delta = -1 the threshold is negative, and the interpenetrating toy
+    # mesh would get a "witness" for every pair
+    S = _two_tetra_surface((Fraction(1, 16), Fraction(1, 16), Fraction(1, 16)))
+    params = {"scale": 16, "delta": 0, **{name: value}}
+    with pytest.raises(ValueError, match=f"^{name} must be >= "):
+        certify_embeddedness(S, **params)
+
+
 # ---------------------------------------------------------------------------
 # The full candidate certificate
 # ---------------------------------------------------------------------------
@@ -267,11 +289,8 @@ def test_witnesses_are_first_in_scan_order(certificate, candidate_surface):
 def test_scan_alone_leaves_exactly_the_manual_pairs(candidate_surface, manual_normals):
     with pytest.raises(CertificationError, match="no separating normal") as info:
         certify_embeddedness(candidate_surface)
-    face = r"\((\d+), (\d+), (\d+)\)"
-    named = re.findall(r"\{" + face + ", " + face + r"\}", str(info.value))
-    unseparated = {frozenset((tuple(map(int, g[:3])), tuple(map(int, g[3:])))) for g in named}
-    assert len(named) == 11
-    assert unseparated == set(manual_normals)
+    assert str(info.value).count("{") == 11
+    assert {frozenset(pair) for pair in _named_pairs(info.value)} == set(manual_normals)
 
 
 def test_manual_pairs_skip_the_scan(candidate_surface, manual_normals, monkeypatch):
@@ -288,6 +307,85 @@ def test_manual_pairs_skip_the_scan(candidate_surface, manual_normals, monkeypat
     cert = certify_embeddedness(candidate_surface, manual_normals=manual_normals)
     assert len(calls) <= 69265
     assert max(w.n for w in cert.witnesses if w.source == "rho") == 69265
+
+
+# ---------------------------------------------------------------------------
+# Pairs no normal can witness
+# ---------------------------------------------------------------------------
+
+
+def _shared_vertex_tests(surface):
+    faces = surface.triangulation.faces
+    return {
+        (faces[i], faces[j]): _pair_tests(faces[i], faces[j])
+        for i, j in classify_pairs(surface.triangulation).shared_vertex
+    }
+
+
+@pytest.fixture(scope="module")
+def corrupt_surface(candidate_surface):
+    """The candidate with vertex 3 moved onto vertex 5."""
+    coords = list(candidate_surface.coords)
+    coords[3] = coords[5]
+    return EmbeddedSurface(triangulation=candidate_surface.triangulation, coords=tuple(coords))
+
+
+def test_unwitnessable_is_false_on_the_candidate(candidate_surface):
+    coords = _dilated(candidate_surface)
+    tests = _shared_vertex_tests(candidate_surface)
+    assert len(tests) == 158
+    assert not any(_unwitnessable(t, coords) for t in tests.values())
+
+
+def test_unwitnessable_marks_the_corrupt_mesh_pairs(corrupt_surface, manual_normals):
+    coords = _dilated(corrupt_surface)
+    marked = {
+        pair for pair, t in _shared_vertex_tests(corrupt_surface).items()
+        if _unwitnessable(t, coords)
+    }
+    assert len(marked) == 40
+    # the shared-vertex pairs of the failure, whose text is pinned to the
+    # exhaustive scan in tests/test_cli_io.py
+    with pytest.raises(CertificationError) as info:
+        certify_embeddedness(corrupt_surface, manual_normals=manual_normals)
+    assert marked == _named_pairs(info.value, "shared_vertex")
+
+
+def test_corrupt_mesh_scan_stops_at_the_last_rho_witness(
+    corrupt_surface, manual_normals, monkeypatch
+):
+    # without the unwitnessable pairs the scan ends with the last separable
+    # pair, (0, 6, 4)/(4, 5, 9) at n = 33,018, instead of running to 10⁵
+    real = certify_embed.rho
+    calls = []
+
+    def counting(n, cap=DEFAULT_CAP):
+        calls.append(n)
+        return real(n, cap)
+
+    monkeypatch.setattr(certify_embed, "rho", counting)
+    with pytest.raises(CertificationError, match="no separating normal") as info:
+        certify_embeddedness(corrupt_surface, manual_normals=manual_normals)
+    assert len(calls) <= 33018
+    assert len(_named_pairs(info.value, "shared_vertex")) == 40
+    assert len(_named_pairs(info.value, "disjoint")) == 21
+
+
+_small_point = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=st.tuples(*[_small_point] * 5))
+def test_unwitnessable_agrees_with_the_intersection_oracle(points):
+    # triangles (U, V1, V2) and (U, W1, W2) share U = points[0]
+    u = points[0]
+    t1 = (u, points[1], points[2])
+    t2 = (u, points[3], points[4])
+    try:
+        meet_only_at_u = triangles_meet_only_at(t1, t2, u)
+    except DegenerateConfiguration:
+        return
+    assert _unwitnessable(_pair_tests((0, 1, 2), (0, 3, 4)), points) == (not meet_only_at_u)
 
 
 def test_witness_invariants_are_enforced():

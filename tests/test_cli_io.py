@@ -485,6 +485,75 @@ def test_cli_verify_all_reports_existence(tmp_path):
     assert Fraction(embed["min_margin"]) > Fraction(2) * 10**30
 
 
+# The complete failure outcome for the candidate with vertex 3 moved onto
+# vertex 5: 40 one-vertex-sharing pairs no normal can separate, 20 disjoint
+# pairs likewise, and (0, 1, 7)/(2, 6, 3), which no rho(n) below 2000 separates.
+_REJECT_OUTCOME = (
+    "failed: no separating normal found for: "
+    "{(0, 1, 7), (2, 3, 8)} [disjoint], "
+    "{(0, 1, 7), (2, 6, 3)} [disjoint], "
+    "{(0, 1, 7), (3, 4, 7)} [shared_vertex], "
+    "{(0, 2, 1), (2, 3, 8)} [shared_vertex], "
+    "{(0, 2, 1), (3, 4, 7)} [disjoint], "
+    "{(0, 3, 6), (0, 4, 9)} [shared_vertex], "
+    "{(0, 3, 6), (0, 8, 5)} [shared_vertex], "
+    "{(0, 3, 6), (1, 5, 8)} [disjoint], "
+    "{(0, 3, 6), (1, 6, 5)} [shared_vertex], "
+    "{(0, 3, 6), (3, 5, 4)} [shared_vertex], "
+    "{(0, 3, 6), (4, 5, 9)} [disjoint], "
+    "{(0, 3, 6), (5, 6, 9)} [shared_vertex], "
+    "{(0, 4, 9), (2, 6, 3)} [disjoint], "
+    "{(0, 5, 3), (1, 3, 7)} [shared_vertex], "
+    "{(0, 5, 3), (1, 5, 8)} [shared_vertex], "
+    "{(0, 5, 3), (1, 6, 5)} [shared_vertex], "
+    "{(0, 5, 3), (1, 8, 3)} [shared_vertex], "
+    "{(0, 5, 3), (2, 3, 8)} [shared_vertex], "
+    "{(0, 5, 3), (2, 6, 3)} [shared_vertex], "
+    "{(0, 5, 3), (3, 4, 7)} [shared_vertex], "
+    "{(0, 5, 3), (4, 5, 9)} [shared_vertex], "
+    "{(0, 5, 3), (5, 6, 9)} [shared_vertex], "
+    "{(0, 6, 4), (2, 6, 3)} [shared_vertex], "
+    "{(0, 7, 8), (1, 3, 7)} [shared_vertex], "
+    "{(0, 7, 8), (3, 4, 7)} [shared_vertex], "
+    "{(0, 8, 5), (1, 3, 7)} [disjoint], "
+    "{(0, 8, 5), (1, 8, 3)} [shared_vertex], "
+    "{(0, 8, 5), (2, 3, 8)} [shared_vertex], "
+    "{(0, 8, 5), (2, 6, 3)} [disjoint], "
+    "{(0, 8, 5), (3, 4, 7)} [disjoint], "
+    "{(0, 8, 5), (3, 5, 4)} [shared_vertex], "
+    "{(1, 2, 4), (3, 4, 7)} [shared_vertex], "
+    "{(1, 3, 7), (1, 5, 8)} [shared_vertex], "
+    "{(1, 3, 7), (1, 6, 5)} [shared_vertex], "
+    "{(1, 3, 7), (2, 3, 8)} [shared_vertex], "
+    "{(1, 3, 7), (3, 5, 4)} [shared_vertex], "
+    "{(1, 3, 7), (4, 5, 9)} [disjoint], "
+    "{(1, 3, 7), (5, 6, 9)} [disjoint], "
+    "{(1, 5, 8), (2, 3, 8)} [shared_vertex], "
+    "{(1, 5, 8), (2, 6, 3)} [disjoint], "
+    "{(1, 5, 8), (3, 4, 7)} [disjoint], "
+    "{(1, 5, 8), (3, 5, 4)} [shared_vertex], "
+    "{(1, 6, 5), (1, 8, 3)} [shared_vertex], "
+    "{(1, 6, 5), (2, 3, 8)} [disjoint], "
+    "{(1, 6, 5), (2, 6, 3)} [shared_vertex], "
+    "{(1, 6, 5), (3, 4, 7)} [disjoint], "
+    "{(1, 6, 5), (3, 5, 4)} [shared_vertex], "
+    "{(1, 8, 3), (3, 5, 4)} [shared_vertex], "
+    "{(1, 8, 3), (4, 5, 9)} [disjoint], "
+    "{(1, 8, 3), (5, 6, 9)} [disjoint], "
+    "{(2, 3, 8), (2, 7, 4)} [shared_vertex], "
+    "{(2, 3, 8), (3, 4, 7)} [shared_vertex], "
+    "{(2, 3, 8), (3, 5, 4)} [shared_vertex], "
+    "{(2, 3, 8), (4, 5, 9)} [disjoint], "
+    "{(2, 3, 8), (5, 6, 9)} [disjoint], "
+    "{(2, 6, 3), (3, 5, 4)} [shared_vertex], "
+    "{(2, 6, 3), (4, 5, 9)} [disjoint], "
+    "{(2, 6, 3), (5, 6, 9)} [shared_vertex], "
+    "{(3, 4, 7), (4, 5, 9)} [shared_vertex], "
+    "{(3, 4, 7), (5, 6, 9)} [disjoint], "
+    "{(3, 5, 4), (5, 6, 9)} [shared_vertex]"
+)
+
+
 def test_cli_verify_embed_fails_on_coincident_vertices(tmp_path, candidate_bytes):
     doc = json.loads(candidate_bytes)
     doc["vertices"][3] = list(doc["vertices"][5])
@@ -494,8 +563,7 @@ def test_cli_verify_embed_fails_on_coincident_vertices(tmp_path, candidate_bytes
     code = main(["verify-embed", "--mesh", str(bad), "--report", str(report)])
     assert code == 1
     payload = json.loads(report.read_text())
-    assert payload["outcome"].startswith("failed: no separating normal")
-    assert "(0, 1, 7)" in payload["outcome"]
+    assert payload["outcome"] == _REJECT_OUTCOME
 
 
 def test_cli_input_errors_exit_2(tmp_path, capsys):

@@ -617,10 +617,13 @@ def test_expansion_certificate_invariants():
 
 
 def test_existence_chain_on_candidate(
-    flatness_certificate, embedding_certificate, expansion_certificate
+    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
 ):
     report = conclude_existence(
-        flatness_certificate, embedding_certificate, expansion_certificate
+        flatness_certificate,
+        embedding_certificate,
+        expansion_certificate,
+        second_partial_bound(candidate_crude),
     )
     assert report.defect_norm_cap == Fraction(1, 10**27)
     assert report.solution_radius == Fraction(2, 10**27)
@@ -638,28 +641,31 @@ def test_existence_chain_on_candidate(
 
 
 def test_existence_inflated_defect_cap_fails_robustness(
-    flatness_certificate, embedding_certificate, expansion_certificate
+    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
 ):
     with pytest.raises(CertificationError, match="robustness"):
         conclude_existence(
             flatness_certificate,
             embedding_certificate,
             expansion_certificate,
+            second_partial_bound(candidate_crude),
             defect_norm_cap=Fraction(1, 10**6),
         )
 
 
 def test_existence_inflated_radius_fails_second_order_premise(
-    flatness_certificate, embedding_certificate, expansion_certificate
+    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
 ):
     inflated = dataclasses.replace(expansion_certificate, radius=Fraction(1))
+    cap = second_partial_bound(candidate_crude)
     with pytest.raises(CertificationError, match="second-order premise"):
-        conclude_existence(flatness_certificate, embedding_certificate, inflated)
+        conclude_existence(flatness_certificate, embedding_certificate, inflated, cap)
 
 
 def test_existence_requires_flatness_to_force_defect_cap(
-    flatness_certificate, embedding_certificate, expansion_certificate
+    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
 ):
     weak = dataclasses.replace(flatness_certificate, epsilon=Fraction(1, 10))
+    cap = second_partial_bound(candidate_crude)
     with pytest.raises(CertificationError, match="does not force"):
-        conclude_existence(weak, embedding_certificate, expansion_certificate)
+        conclude_existence(weak, embedding_certificate, expansion_certificate, cap)
