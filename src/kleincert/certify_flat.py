@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .klein import cos2_and_sign, klein_inner
+from .klein import cos2_and_sign
 from .mesh import EmbeddedSurface, vertex_link
 from .precision import CertificationError, _fraction_exponent
 
@@ -111,20 +111,25 @@ def _dot2(u: IntVec2, v: IntVec2) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
 
+def _alphas_and_signs(S: EmbeddedSurface) -> Dict[PairKey, Tuple[Fraction, int]]:
+    out: Dict[PairKey, Tuple[Fraction, int]] = {}
+    for i in range(S.triangulation.n_vertices):
+        cycle = vertex_link(S.triangulation, i)
+        for j, n_j in enumerate(cycle):
+            n_next = cycle[(j + 1) % len(cycle)]
+            out[(i, (n_j, n_next))] = cos2_and_sign(
+                S.coords[i], S.coords[n_j], S.coords[n_next]
+            )
+    return out
+
+
 def alpha_values(S: EmbeddedSurface) -> Dict[PairKey, Fraction]:
     """Exact squared cosines of all consecutive-link hyperbolic angles.
 
     Keys are (vertex, (n_j, n_{j+1})), which makes the table invariant under
     rotations of the link cycle.
     """
-    out: Dict[PairKey, Fraction] = {}
-    for i in range(S.triangulation.n_vertices):
-        cycle = vertex_link(S.triangulation, i)
-        for j, n_j in enumerate(cycle):
-            n_next = cycle[(j + 1) % len(cycle)]
-            A, _sigma = cos2_and_sign(S.coords[i], S.coords[n_j], S.coords[n_next])
-            out[(i, (n_j, n_next))] = A
-    return out
+    return {key: A for key, (A, _) in _alphas_and_signs(S).items()}
 
 
 def beta_values(L: LinkReference) -> Dict[PairKey, Fraction]:
@@ -207,7 +212,8 @@ def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificat
     4. ε = max_degree · K · max|α − β| with K certified on the joint range
        of all α and β values (endpoints widened outward to short decimals).
     """
-    alphas = alpha_values(S)
+    alphas_and_signs = _alphas_and_signs(S)
+    alphas = {key: A for key, (A, _) in alphas_and_signs.items()}
     betas = beta_values(L)
     if set(alphas) != set(betas):
         missing = sorted(set(alphas) ^ set(betas))[:4]
@@ -220,10 +226,9 @@ def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificat
         d = len(t.cycle)
         for j in range(d):
             n_j, n_next = t.cycle[j], t.cycle[(j + 1) % d]
-            X, Y, Z = S.coords[i], S.coords[n_j], S.coords[n_next]
-            metric_sign = klein_inner(X, Y.sub(X), Z.sub(X))
-            ref_sign = _dot2(t.vectors[j], t.vectors[(j + 1) % d])
-            if (metric_sign > 0) != (ref_sign > 0) or (metric_sign < 0) != (ref_sign < 0):
+            _, metric_sign = alphas_and_signs[(i, (n_j, n_next))]
+            ref_dot = _dot2(t.vectors[j], t.vectors[(j + 1) % d])
+            if metric_sign != (ref_dot > 0) - (ref_dot < 0):
                 raise CertificationError(
                     f"sign disagreement at vertex {i}, pair ({n_j}, {n_next}): "
                     f"metric inner product and reference dot product differ"

@@ -233,6 +233,18 @@ def _packaged_bytes(filename: str) -> bytes:
     return resources.files("kleincert.data").joinpath(filename).read_bytes()
 
 
+def _link_integer(value, where: str, field: str) -> int:
+    """An integer of a links entry: a JSON integer or a string of one."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{where}: {field!r} holds a non-integer {value!r}")
+
+
 def _load_links_document(text: str) -> LinkReference:
     try:
         raw = json.loads(text)
@@ -240,16 +252,31 @@ def _load_links_document(text: str) -> LinkReference:
         raise ValueError(
             f"links parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    entries = raw.get("links")
+    entries = raw.get("links") if isinstance(raw, dict) else None
     if not isinstance(entries, list):
         raise ValueError('links container needs a "links" list')
     tables = []
-    for entry in entries:
+    for index, entry in enumerate(entries):
+        where = f"links entry {index}"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} is not an object: {entry!r}")
+        for field in ("vertex", "cycle", "vectors"):
+            if field not in entry:
+                raise ValueError(f"{where} has no {field!r}")
+        cycle, vectors = entry["cycle"], entry["vectors"]
+        if not isinstance(cycle, list):
+            raise ValueError(f"{where}: 'cycle' is not a list: {cycle!r}")
+        if not isinstance(vectors, list) or not all(
+            isinstance(v, list) and len(v) == 2 for v in vectors
+        ):
+            raise ValueError(f"{where}: 'vectors' is not a list of pairs: {vectors!r}")
         tables.append(
             LinkTable(
-                vertex=int(entry["vertex"]),
-                cycle=tuple(int(v) for v in entry["cycle"]),
-                vectors=tuple((int(a), int(b)) for a, b in entry["vectors"]),
+                vertex=_link_integer(entry["vertex"], where, "vertex"),
+                cycle=tuple(_link_integer(v, where, "cycle") for v in cycle),
+                vectors=tuple(
+                    tuple(_link_integer(c, where, "vectors") for c in v) for v in vectors
+                ),
             )
         )
     tables.sort(key=lambda t: t.vertex)
@@ -491,14 +518,11 @@ def slice_plane(surface: EmbeddedSurface, plane: PlaneSpec) -> SlicePolyline:
 # ---------------------------------------------------------------------------
 
 
-def emit_svg(
-    polyline: SlicePolyline, path: Optional[Union[str, Path]] = None, viewport: int = 1000
-) -> str:
+def emit_svg(polyline: SlicePolyline, viewport: int = 1000) -> str:
     """Render slice loops over a unit-circle outline; byte-deterministic.
 
     The chart square [-1, 1]^2 maps onto a ``viewport`` x ``viewport``
-    canvas with the vertical axis pointing up.  Returns the SVG text and,
-    if ``path`` is given, writes it atomically.
+    canvas with the vertical axis pointing up.
     """
     half = Fraction(viewport, 2)
 
@@ -520,20 +544,14 @@ def emit_svg(
             f'  <path d="M {steps} Z" fill="none" stroke="#000000" stroke-width="2"/>'
         )
     lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        _atomic_write_text(Path(path), text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
-def export_off(
-    surface: EmbeddedSurface, path: Optional[Union[str, Path]] = None, digits: int = 32
-) -> str:
+def export_off(surface: EmbeddedSurface, digits: int = 32) -> str:
     """OFF-format text: counts, fixed-point vertices, oriented faces.
 
     Coordinates are truncated toward zero at ``digits`` decimals; faces
-    keep their stored orientation and order.  Returns the text and, if
-    ``path`` is given, writes it atomically.
+    keep their stored orientation and order.
     """
     if digits < 1:
         raise ValueError("digits must be at least 1")
@@ -548,10 +566,7 @@ def export_off(
         )
     for face in faces:
         lines.append("3 {} {} {}".format(*face))
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        _atomic_write_text(Path(path), text)
-    return text
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -559,34 +574,30 @@ def export_off(
 # ---------------------------------------------------------------------------
 
 
-def _mesh_input(args) -> Tuple[bytes, EmbeddedSurface, str]:
-    """Mesh bytes, surface, and a label (packaged candidate when --mesh absent)."""
-    if args.mesh is None:
-        data = _packaged_bytes("candidate_surface.json")
-        label = "packaged:candidate_surface.json"
-    else:
-        data = Path(args.mesh).read_bytes()
-        label = str(args.mesh)
-    _, surface = _parse_mesh_document(data.decode())
-    return data, surface, label
+def _read(path: Optional[str], packaged_name: str) -> Tuple[bytes, str]:
+    """Input bytes and their report label; the packaged file when ``path`` is None."""
+    if path is None:
+        return _packaged_bytes(packaged_name), "packaged:" + packaged_name
+    return Path(path).read_bytes(), str(path)
 
 
-def _links_input(args) -> Tuple[bytes, LinkReference, str]:
-    if args.links is None:
-        data = _packaged_bytes("reference_links.json")
-        label = "packaged:reference_links.json"
-    else:
-        data = Path(args.links).read_bytes()
-        label = str(args.links)
-    return data, _load_links_document(data.decode()), label
-
-
-def _deliver_report(report: CertificateReport, args) -> None:
-    text = report.to_json()
+def _deliver(text: str, args) -> None:
+    """Write a command's output to --report (atomically), else to standard output."""
     if args.report:
         _atomic_write_text(Path(args.report), text)
     else:
         sys.stdout.write(text)
+
+
+def _report_text(kind: str, parts, parameters, outcome: str, details) -> str:
+    return CertificateReport(
+        kind=kind,
+        inputs_digest=_inputs_digest(parts),
+        parameters=parameters,
+        outcome=outcome,
+        details=details,
+        tool_version=__version__,
+    ).to_json()
 
 
 def _run_flatness(surface, links):
@@ -627,145 +638,84 @@ def _run_expansion(surface):
         [Fraction(round(Fraction(b.midpoint(60)) * 1000), 1000) for b in row]
         for row in enclosure
     ]
-    cap = second_partial_bound(crude_bounds(surface))
-    certificate = certify_expansion(rounded, dtheta_center=enclosure, second_order_cap=cap)
+    certificate = certify_expansion(
+        rounded,
+        dtheta_center=enclosure,
+        second_order_cap=second_partial_bound(crude_bounds(surface)),
+    )
     return {
         "sigma_lower_bound": _directed_text(certificate.sigma_min_bound, round_up=False),
         "expansion_lambda": fraction_to_text(certificate.lam),
         "ball_radius": fraction_to_text(certificate.radius),
         "angle_sine_bound": _directed_text(certificate.angle_sine_bound, round_up=True),
-    }, (certificate, cap)  # verify-all's existence chain reuses the checked cap
+    }, certificate
 
 
-def _cmd_validate(args) -> int:
-    mesh_bytes, surface, label = _mesh_input(args)
-    report_data = validate(surface.triangulation)
-    payload = {
-        "ok": report_data.ok,
-        "vertices": report_data.n_vertices,
-        "edges": report_data.n_edges,
-        "faces": report_data.n_faces,
-        "euler_characteristic": report_data.euler_characteristic,
-        "genus": report_data.genus,
-        "violations": list(report_data.edge_violations + report_data.link_violations),
+def _run_existence(surface, links):
+    flat_details, flat = _run_flatness(surface, links)
+    embed_details, embed = _run_embeddedness(surface)
+    expansion_details, expansion = _run_expansion(surface)
+    existence = conclude_existence(flat, embed, expansion)
+    return {
+        "flatness": flat_details,
+        "embeddedness": embed_details,
+        "expansion": expansion_details,
+        "existence": {
+            "defect_norm_cap": fraction_to_text(existence.defect_norm_cap),
+            "solution_radius": fraction_to_text(existence.solution_radius),
+            "coverage_radius": fraction_to_text(existence.coverage_radius),
+            "robustness": fraction_to_text(existence.robustness),
+            "checks": list(existence.checks),
+            "statement": existence.statement,
+        },
+    }, existence
+
+
+def _certify(kind: str, parameters: Mapping[str, str], runner):
+    """The handler of one ``verify-*`` command: run, report, exit 0 or 1.
+
+    Commands that read --links pass the parsed tables to ``runner`` after the
+    surface, and their bytes join the report's input digest.
+    """
+
+    def handler(args, surface, parts) -> int:
+        inputs = [surface]
+        if "links" in vars(args):
+            links_bytes, label = _read(args.links, "reference_links.json")
+            parts = parts + [("links:" + label, links_bytes)]
+            inputs.append(_load_links_document(links_bytes.decode()))
+        try:
+            details, _ = runner(*inputs)
+        except CertificationError as exc:
+            _deliver(_report_text(kind, parts, parameters, f"failed: {exc}", {}), args)
+            print(f"certification failed: {exc}", file=sys.stderr)
+            return 1
+        _deliver(_report_text(kind, parts, parameters, "certified", details), args)
+        return 0
+
+    return handler
+
+
+def _cmd_validate(args, surface, parts) -> int:
+    checks = validate(surface.triangulation)
+    details = {
+        "ok": checks.ok,
+        "vertices": checks.n_vertices,
+        "edges": checks.n_edges,
+        "faces": checks.n_faces,
+        "euler_characteristic": checks.euler_characteristic,
+        "genus": checks.genus,
+        "violations": list(checks.edge_violations + checks.link_violations),
     }
-    report = CertificateReport(
-        kind="validate",
-        inputs_digest=_inputs_digest([("mesh:" + label, mesh_bytes)]),
-        parameters={},
-        outcome="certified" if report_data.ok else "failed: surface checks",
-        details=payload,
-        tool_version=__version__,
-    )
-    _deliver_report(report, args)
-    return 0 if report_data.ok else 1
+    outcome = "certified" if checks.ok else "failed: surface checks"
+    _deliver(_report_text("validate", parts, {}, outcome, details), args)
+    return 0 if checks.ok else 1
 
 
-def _certification_command(kind: str, args, parts, runner, parameters=None) -> int:
-    if parameters is None:
-        parameters = {"precision": str(args.precision)}
-    try:
-        details, _ = runner()
-        outcome = "certified"
-        status = 0
-    except CertificationError as exc:
-        details = {}
-        outcome = f"failed: {exc}"
-        status = 1
-    report = CertificateReport(
-        kind=kind,
-        inputs_digest=_inputs_digest(parts),
-        parameters=parameters,
-        outcome=outcome,
-        details=details,
-        tool_version=__version__,
-    )
-    _deliver_report(report, args)
-    if status:
-        print(f"certification failed: {outcome[8:]}", file=sys.stderr)
-    return status
-
-
-def _cmd_verify_flat(args) -> int:
-    mesh_bytes, surface, mesh_label = _mesh_input(args)
-    links_bytes, links, links_label = _links_input(args)
-    parts = [("mesh:" + mesh_label, mesh_bytes), ("links:" + links_label, links_bytes)]
-    return _certification_command(
-        "flatness",
-        args,
-        parts,
-        lambda: _run_flatness(surface, links),
-        parameters={"arithmetic": "exact"},
-    )
-
-
-def _cmd_verify_embed(args) -> int:
-    mesh_bytes, surface, mesh_label = _mesh_input(args)
-    parts = [("mesh:" + mesh_label, mesh_bytes)]
-    return _certification_command(
-        "embeddedness",
-        args,
-        parts,
-        lambda: _run_embeddedness(surface),
-        parameters={"arithmetic": "exact"},
-    )
-
-
-def _cmd_verify_expansion(args) -> int:
-    mesh_bytes, surface, mesh_label = _mesh_input(args)
-    parts = [("mesh:" + mesh_label, mesh_bytes)]
-    return _certification_command(
-        "expansion",
-        args,
-        parts,
-        lambda: _run_expansion(surface),
-        parameters={"jacobian_digits": "60"},
-    )
-
-
-def _cmd_verify_all(args) -> int:
-    mesh_bytes, surface, mesh_label = _mesh_input(args)
-    links_bytes, links, links_label = _links_input(args)
-    parts = [("mesh:" + mesh_label, mesh_bytes), ("links:" + links_label, links_bytes)]
-
-    def runner():
-        flat_details, flat = _run_flatness(surface, links)
-        embed_details, embed = _run_embeddedness(surface)
-        expansion_details, (expansion, cap) = _run_expansion(surface)
-        existence = conclude_existence(flat, embed, expansion, cap)
-        return {
-            "flatness": flat_details,
-            "embeddedness": embed_details,
-            "expansion": expansion_details,
-            "existence": {
-                "defect_norm_cap": fraction_to_text(existence.defect_norm_cap),
-                "solution_radius": fraction_to_text(existence.solution_radius),
-                "coverage_radius": fraction_to_text(existence.coverage_radius),
-                "robustness": fraction_to_text(existence.robustness),
-                "checks": list(existence.checks),
-                "statement": existence.statement,
-            },
-        }, existence
-
-    return _certification_command(
-        "existence",
-        args,
-        parts,
-        runner,
-        parameters={"arithmetic": "exact", "jacobian_digits": "60"},
-    )
-
-
-def _cmd_refine(args) -> int:
-    _, surface, _ = _mesh_input(args)
-    config = SearchConfig(newton_precision=args.precision)
-    refined = newton_refine(surface, config)
+def _cmd_refine(args, surface, parts) -> int:
+    refined = newton_refine(surface, SearchConfig(newton_precision=args.precision))
     norm_sq = theta_map(refined, args.precision).norm_sq()
-    text = render_mesh(refined, name="refined")
-    if args.report:
-        _atomic_write_text(Path(args.report), text)
-    else:
-        sys.stdout.write(text)
+    _deliver(render_mesh(refined, name="refined"), args)
     print(
         f"refined at {args.precision} digits; squared defect norm <= "
         f"{float(norm_sq):.3e}",
@@ -774,16 +724,11 @@ def _cmd_refine(args) -> int:
     return 0
 
 
-def _cmd_search(args) -> int:
-    _, surface, _ = _mesh_input(args)
+def _cmd_search(args, surface, parts) -> int:
     config = SearchConfig() if args.seed is None else SearchConfig(rng_seed=args.seed)
     record: Dict[str, object] = {}
     result = hill_climb(surface, config, record=record)
-    text = render_mesh(result, name="search-result")
-    if args.report:
-        _atomic_write_text(Path(args.report), text)
-    else:
-        sys.stdout.write(text)
+    _deliver(render_mesh(result, name="search-result"), args)
     print(
         f"search: algorithm {record['algorithm']}, seed {record['seed']}, "
         f"{record['steps']} steps, {record['accepts']} accepts, "
@@ -793,56 +738,47 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _cmd_slice(args) -> int:
-    _, surface, _ = _mesh_input(args)
+def _cmd_slice(args, surface, parts) -> int:
     polyline = slice_plane(surface, args.plane)
-    text = emit_svg(polyline, path=args.report)
-    if not args.report:
-        sys.stdout.write(text)
+    _deliver(emit_svg(polyline), args)
     print(f"slice {args.plane}: {len(polyline.loops)} loop(s)", file=sys.stderr)
     return 0
 
 
-def _cmd_export(args) -> int:
-    _, surface, _ = _mesh_input(args)
-    text = export_off(surface, path=args.report)
-    if not args.report:
-        sys.stdout.write(text)
+def _cmd_export(args, surface, parts) -> int:
+    _deliver(export_off(surface), args)
     return 0
 
 
-def _add_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
-    # Flags live on the main parser (with real defaults) and on every
-    # subparser (defaults suppressed so they never clobber a value given
-    # before the subcommand); either position works.
-    def default(value):
-        return value if top_level else argparse.SUPPRESS
+_FLAGS: Dict[str, dict] = {
+    "--mesh": dict(help="mesh container path (default: packaged candidate)"),
+    "--report": dict(help="output path (certificate report, mesh, SVG, or OFF)"),
+    "--links": dict(help="reference link tables path (default: packaged tables)"),
+    "--precision": dict(type=int, default=400, help="working decimal digits"),
+    "--seed": dict(type=int, help="search seed"),
+    "--plane": dict(choices=("xy", "xz", "yz"), default="xy", help="slice plane"),
+}
 
-    parser.add_argument(
-        "--mesh",
-        default=default(None),
-        help="mesh container path (default: packaged candidate)",
-    )
-    parser.add_argument(
-        "--links",
-        default=default(None),
-        help="reference link tables path (default: packaged tables)",
-    )
-    parser.add_argument(
-        "--precision", type=int, default=default(400), help="working decimal digits"
-    )
-    parser.add_argument(
-        "--report",
-        default=default(None),
-        help="output path (certificate report, mesh, SVG, or OFF)",
-    )
-    parser.add_argument("--seed", type=int, default=default(None), help="search seed")
-    parser.add_argument(
-        "--plane",
-        choices=("xy", "xz", "yz"),
-        default=default("xy"),
-        help="slice plane",
-    )
+#: Each subcommand's handler and the flags it reads besides --mesh and --report.
+_COMMANDS = {
+    "validate": (_cmd_validate, ()),
+    "verify-flat": (
+        _certify("flatness", {"arithmetic": "exact"}, _run_flatness),
+        ("--links",),
+    ),
+    "verify-embed": (_certify("embeddedness", {"arithmetic": "exact"}, _run_embeddedness), ()),
+    "verify-expansion": (_certify("expansion", {"jacobian_digits": "60"}, _run_expansion), ()),
+    "verify-all": (
+        _certify(
+            "existence", {"arithmetic": "exact", "jacobian_digits": "60"}, _run_existence
+        ),
+        ("--links",),
+    ),
+    "refine": (_cmd_refine, ("--precision",)),
+    "search": (_cmd_search, ("--seed",)),
+    "slice": (_cmd_slice, ("--plane",)),
+    "export": (_cmd_export, ()),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -850,21 +786,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="kleincert",
         description="Certified numerics for triangulated surfaces in the Klein model.",
     )
-    _add_flags(parser, top_level=True)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, handler in (
-        ("validate", _cmd_validate),
-        ("verify-flat", _cmd_verify_flat),
-        ("verify-embed", _cmd_verify_embed),
-        ("verify-expansion", _cmd_verify_expansion),
-        ("verify-all", _cmd_verify_all),
-        ("refine", _cmd_refine),
-        ("search", _cmd_search),
-        ("slice", _cmd_slice),
-        ("export", _cmd_export),
-    ):
+    for name, (handler, flags) in _COMMANDS.items():
         sub = commands.add_parser(name)
-        _add_flags(sub, top_level=False)
+        for flag in ("--mesh", "--report", *flags):
+            sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(func=handler)
     return parser
 
@@ -872,7 +798,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        mesh_bytes, label = _read(args.mesh, "candidate_surface.json")
+        _, surface = _parse_mesh_document(mesh_bytes.decode())
+        return args.func(args, surface, [("mesh:" + label, mesh_bytes)])
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 1

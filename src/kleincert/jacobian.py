@@ -38,11 +38,11 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .certify_flat import FlatnessCertificate
 from .certify_embed import EmbeddingCertificate
-from .klein import Point3, cos2_and_sign, distance
+from .klein import Point3, cos2_and_sign, distance, norm_comparison_factor
 from .mesh import EmbeddedSurface, cone_angle, vertex_link
 from .precision import (
     Bound,
@@ -357,9 +357,9 @@ def crude_bounds(
 
     # metric tangent norms over the ball, via ‖V‖² ≤ ‖V‖²_X ≤ ‖V‖²/(1−r²)²
     tn_lo, tn_hi = Fraction(1, 2), Fraction(13)
-    comparison = (1 - coord_cap**2) ** 2  # = 0.1296
+    factor = norm_comparison_factor(coord_cap)  # = 1/0.1296
     _req(eu_lo**2 >= tn_lo**2, "tangent norm floor")
-    _req(eu_hi**2 / comparison <= tn_hi**2, "tangent norm cap")
+    _req(eu_hi**2 * factor <= tn_hi**2, "tangent norm cap")
 
     # hyperbolic edge lengths at the center, with certified inner quantities
     # The log-argument cap is 2 (outward-rounded: the true per-edge maximum is
@@ -390,7 +390,7 @@ def crude_bounds(
     # length perturbation slack over the ball: metric-vs-Euclidean factor ≤ 8,
     # two endpoints ⇒ |l(e) − l(ê)| ≤ 2·8·ball_radius ≤ 1.6e−17
     slack = Fraction(16, 10**18)
-    _req(Fraction(1, 1) / comparison <= 8, "metric comparison factor cap 8")
+    _req(factor <= 8, "metric comparison factor cap 8")
     _req(16 * ball_radius <= slack, "edge length perturbation slack")
     full_lo, full_hi = Fraction(3, 5), Fraction(21, 10)
     _req(full_lo <= el_lo - slack and el_hi + slack <= full_hi, "edge length range")
@@ -679,13 +679,15 @@ class ExpansionCertificate:
     Jacobian from it anywhere on the ball; ``frobenius_cap`` converts that to
     an operator-norm cap for the n×n matrix, n = ``n_vertices`` (the recorded
     convention is the loose n²·e_inf; the sharper n·e_inf is reported
-    alongside).
+    alongside).  ``second_order_cap`` is the cap on |∂²Θ_i/∂z_j∂z_k| whose
+    curvature drift n·radius·cap ≤ e_inf/2 was checked.
     """
 
     sigma_min_bound: Fraction
     e_inf: Fraction
     lam: Fraction
     radius: Fraction
+    second_order_cap: Fraction
     angle_sine_bound: Fraction
     frobenius_cap: Fraction
     frobenius_cap_sharp: Fraction
@@ -714,34 +716,32 @@ def certify_expansion(
     e_inf: Fraction = Fraction(2, 1000),
     lam: Fraction = Fraction(1, 2),
     radius: Fraction = Fraction(1, 10**18),
-    dtheta_center: Optional[Sequence[Sequence[Bound]]] = None,
-    second_order_cap: Optional[Fraction] = None,
+    *,
+    dtheta_center: Sequence[Sequence[Bound]],
+    second_order_cap: Fraction,
 ) -> ExpansionCertificate:
     """Certify lam-expansivity of the defect map on the height ball.
 
-    When the optional enclosure of the Jacobian at the center and the
-    second-order cap are supplied, the two premises that justify ``e_inf``
-    are re-checked: entrywise center deviation < e_inf/2 and curvature drift
+    ``dtheta_center`` encloses the Jacobian at the center and
+    ``second_order_cap`` is the cap :func:`second_partial_bound` checked on
+    the same surface.  The two premises that justify ``e_inf`` are checked
+    first: entrywise center deviation < e_inf/2 and curvature drift
     n·radius·cap ≤ e_inf/2 across the ball, with n = len(M) vertices.
     """
     n = len(M)
     half = e_inf / 2
-    if dtheta_center is not None:
-        for i, row in enumerate(dtheta_center):
-            for j, b in enumerate(row):
-                m = Fraction(M[i][j])
-                dev = max(abs(Fraction(b.lo) - m), abs(Fraction(b.hi) - m))
-                if not dev < half:
-                    raise CertificationError(
-                        f"center Jacobian entry ({i}, {j}) deviates by {float(dev):.3e}"
-                        f" ≥ {half} from the reference"
-                    )
-    if second_order_cap is not None:
-        drift = n * radius * second_order_cap
-        if not drift <= half:
-            raise CertificationError(
-                f"curvature drift {n}·radius·cap = {drift} exceeds {half}"
-            )
+    for i, row in enumerate(dtheta_center):
+        for j, b in enumerate(row):
+            m = Fraction(M[i][j])
+            dev = max(abs(Fraction(b.lo) - m), abs(Fraction(b.hi) - m))
+            if not dev < half:
+                raise CertificationError(
+                    f"center Jacobian entry ({i}, {j}) deviates by {float(dev):.3e}"
+                    f" ≥ {half} from the reference"
+                )
+    drift = n * radius * second_order_cap
+    if not drift <= half:
+        raise CertificationError(f"curvature drift {n}·radius·cap = {drift} exceeds {half}")
     sigma = singular_lower_bound(M)
     fro = n * n * e_inf
     gap = sigma - fro
@@ -758,6 +758,7 @@ def certify_expansion(
         e_inf=e_inf,
         lam=lam,
         radius=radius,
+        second_order_cap=second_order_cap,
         angle_sine_bound=sine,
         frobenius_cap=fro,
         frobenius_cap_sharp=n * e_inf,
@@ -789,17 +790,16 @@ def conclude_existence(
     flat: FlatnessCertificate,
     embed: EmbeddingCertificate,
     expansion: ExpansionCertificate,
-    second_order_cap: Fraction,
     defect_norm_cap: Fraction = Fraction(1, 10**27),
 ) -> ExistenceReport:
     """Chain the three certificates into the existence conclusion.
 
-    ``second_order_cap`` is the cap that :func:`second_partial_bound` checked
-    on the crude bounds of the same surface.  Checks, in order: the flatness
-    certificate forces ‖Θ(center)‖ below the defect cap; the curvature premise
-    of the expansion ball holds; the flat solution's height displacement fits
-    inside the embeddedness robustness budget; and the defect cap fits inside
-    the ball the expansion covers.
+    Checks, in order: the flatness certificate forces ‖Θ(center)‖ below the
+    defect cap; the curvature premise of the expansion ball holds for the
+    second-order cap the expansion certificate checked, n·radius·cap ≤
+    e_inf/2; the flat solution's height displacement fits inside the
+    embeddedness robustness budget; and the defect cap fits inside the ball
+    the expansion covers.
     """
     checks: List[str] = []
     n = expansion.n_vertices
@@ -811,10 +811,11 @@ def conclude_existence(
         )
     checks.append("defect norm cap")
 
-    drift = n * expansion.radius * second_order_cap
-    if not drift <= Fraction(1, 1000):
+    drift = n * expansion.radius * expansion.second_order_cap
+    if not drift <= expansion.e_inf / 2:
         raise CertificationError(
-            f"second-order premise fails: {n}·radius·cap = {float(drift):.3e} > 0.001"
+            f"second-order premise fails: {n}·radius·cap = {float(drift):.3e} > "
+            f"{float(expansion.e_inf / 2)}"
         )
     checks.append("second-order premise")
 

@@ -14,7 +14,7 @@ certification modules then verify rigorously.  Four stages:
    generator (``sha256-counter``): the k-th uniform is
    ``int(sha256(tag || seed || k)) / 2**256``, converted exactly to a
    rational.  The entire trajectory is a pure function of the seed.
-3. ``newton_refine`` runs Newton's method on the ten vertex heights at high
+3. ``newton_refine`` runs Newton's method on the vertex heights at high
    working precision, solving each linear system by LU with partial
    pivoting, and records the defect-norm sequence so quadratic convergence
    can be checked after the fact.
@@ -96,7 +96,6 @@ class SearchConfig:
     climb_precision: int = 50
     newton_precision: int = 400
     newton_tol: Fraction = Fraction(1, 10**35)
-    truncation_digits: int = 32
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial_step", Fraction(self.initial_step))
@@ -109,7 +108,6 @@ class SearchConfig:
             "climb_precision",
             "newton_precision",
             "newton_tol",
-            "truncation_digits",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -290,7 +288,7 @@ def newton_refine(
 ) -> EmbeddedSurface:
     """Newton's method on the vertex heights at high working precision.
 
-    Iterates ``z <- z - J(z)^{-1} Theta(z)`` on the ten z-coordinates only
+    Iterates ``z <- z - J(z)^{-1} Theta(z)`` on the z-coordinates only
     (x and y stay exactly fixed), with the Jacobian evaluated analytically
     and each linear system solved by LU with partial pivoting at
     ``config.newton_precision`` digits.  Stops once the Euclidean defect

@@ -75,17 +75,17 @@ def link_reference(reference_links) -> LinkReference:
 
 @pytest.fixture(scope="module")
 def certificates(candidate_surface, link_reference, manual_normals):
-    """The three certificates feeding the existence chain (criteria 1, 2, 5),
-    and the second-order cap checked on the candidate's crude bounds."""
+    """The three certificates feeding the existence chain (criteria 1, 2, 5);
+    the expansion certificate carries the second-order cap checked on the
+    candidate's crude bounds."""
     flat = certify_flatness(candidate_surface, link_reference)
     embed = certify_embeddedness(candidate_surface, manual_normals=manual_normals)
-    cap = second_partial_bound(crude_bounds(candidate_surface))
     expansion = certify_expansion(
         reference_jacobian(),
         dtheta_center=dtheta_enclosure(candidate_surface, precision=60),
-        second_order_cap=cap,
+        second_order_cap=second_partial_bound(crude_bounds(candidate_surface)),
     )
-    return flat, embed, expansion, cap
+    return flat, embed, expansion
 
 
 def test_criterion_01_flatness(candidate_surface, link_reference, capsys):
@@ -291,9 +291,9 @@ def test_criterion_06_crude_bounds(candidate_surface, capsys):
 
 
 def test_criterion_07_existence_chain(certificates, capsys):
-    flat, embed, expansion, cap = certificates
+    flat, embed, expansion = certificates
     start = time.monotonic()
-    report = conclude_existence(flat, embed, expansion, cap)
+    report = conclude_existence(flat, embed, expansion)
     elapsed = time.monotonic() - start
     _emit(
         capsys,

@@ -12,9 +12,12 @@ code under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -326,20 +329,16 @@ def test_hundred_random_planes_close(candidate_surface):
 # ---------------------------------------------------------------------------
 
 
-def test_svg_is_deterministic_and_structured(candidate_surface, tmp_path):
+def test_svg_is_deterministic_and_structured(candidate_surface):
     section = slice_plane(candidate_surface, "xy")
     first = emit_svg(section)
-    second = emit_svg(section, path=tmp_path / "slice.svg")
-    assert first == second
-    assert (tmp_path / "slice.svg").read_text() == first
+    assert first == emit_svg(section)
     assert first.count("<path") == len(section.loops)
     assert '<circle cx="500" cy="500" r="500"' in first
     assert first.endswith("</svg>\n")
 
 
 def test_svg_coordinates_have_six_decimals(candidate_surface):
-    import re
-
     text = emit_svg(slice_plane(candidate_surface, "xz"))
     pairs = re.findall(r"(-?\d+\.\d+),(-?\d+\.\d+)", text)
     assert pairs
@@ -357,8 +356,8 @@ def test_svg_of_empty_slice_has_no_paths(candidate_surface):
     assert "<circle" in text
 
 
-def test_off_export_counts_and_truncation(candidate_surface, tmp_path):
-    text = export_off(candidate_surface, path=tmp_path / "mesh.off", digits=4)
+def test_off_export_counts_and_truncation(candidate_surface):
+    text = export_off(candidate_surface, digits=4)
     lines = text.splitlines()
     assert lines[0] == "OFF"
     assert lines[1] == "10 24 36"
@@ -366,7 +365,6 @@ def test_off_export_counts_and_truncation(candidate_surface, tmp_path):
     assert len(lines) == 2 + 10 + 24
     for face_line, face in zip(lines[12:], candidate_surface.triangulation.faces):
         assert face_line == "3 {} {} {}".format(*face)
-    assert (tmp_path / "mesh.off").read_text() == text
 
 
 def test_off_truncates_toward_zero():
@@ -417,21 +415,41 @@ def test_report_json_is_deterministic_and_timestamp_free():
 # Command line
 # ---------------------------------------------------------------------------
 
+# SHA-256 of the reports the commands below write; the verify-all and the
+# coincident-vertex verify-embed digests are perfbench/golden.json's
+# "verify-all.report" and "reject.report".
+_REPORT_SHA256 = {
+    "validate": "669c9659e49903ce3ab4af646712124a4be7dc4d7aa8f5fa03233e08088aa04c",
+    "verify-flat": "f2f4731bfb438e2b0763d030445b8b9c3bdbbf1255e5a845d47065bd4d380a51",
+    "verify-expansion": "f784f75c42399d955dcbefcdf9a2eb90bcd70a8bd54839a72fc46b0b4f206ec8",
+    "verify-all": "a4dd4fc6a556c639bf260f2ba2247daf26f008080d9cc8e4c97e107a770f41d1",
+    "verify-embed": "15781ad52a195759c955042452a746571032bfbc9c646d0c3d6e547d77040589",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 
 def test_cli_validate_defaults_to_packaged_candidate(capsys):
     assert main(["validate"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert _sha256(out.encode()) == _REPORT_SHA256["validate"]
+    payload = json.loads(out)
     assert payload["outcome"] == "certified"
     assert payload["details"]["genus"] == 2
     assert payload["details"]["euler_characteristic"] == -2
 
 
-def test_cli_verify_flat_writes_replayable_report(tmp_path, candidate_path):
+def test_cli_verify_flat_writes_replayable_report(tmp_path, candidate_path, monkeypatch):
+    # a relative --mesh keeps the report's input label, and so its digest, fixed
+    monkeypatch.chdir(tmp_path)
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    assert main(["verify-flat", "--mesh", str(candidate_path), "--report", str(first)]) == 0
-    assert main(["--report", str(second), "verify-flat", "--mesh", str(candidate_path)]) == 0
+    assert main(["verify-flat", "--mesh", candidate_path.name, "--report", str(first)]) == 0
+    assert main(["verify-flat", "--report", str(second), "--mesh", candidate_path.name]) == 0
     assert first.read_bytes() == second.read_bytes()
+    assert _sha256(first.read_bytes()) == _REPORT_SHA256["verify-flat"]
     payload = json.loads(first.read_text())
     assert payload["outcome"] == "certified"
     assert Fraction(payload["details"]["epsilon"]) < Fraction(1, 10**28)
@@ -441,6 +459,7 @@ def test_cli_verify_flat_writes_replayable_report(tmp_path, candidate_path):
 def test_cli_verify_expansion_certifies(tmp_path):
     report = tmp_path / "expansion.json"
     assert main(["verify-expansion", "--report", str(report)]) == 0
+    assert _sha256(report.read_bytes()) == _REPORT_SHA256["verify-expansion"]
     payload = json.loads(report.read_text())
     assert payload["outcome"] == "certified"
     assert Fraction(payload["details"]["sigma_lower_bound"]) > Fraction(3, 2)
@@ -467,6 +486,7 @@ def test_cli_verify_expansion_checks_second_order_premise(tmp_path, candidate_by
 def test_cli_verify_all_reports_existence(tmp_path):
     report = tmp_path / "all.json"
     assert main(["verify-all", "--report", str(report)]) == 0
+    assert _sha256(report.read_bytes()) == _REPORT_SHA256["verify-all"]
     payload = json.loads(report.read_text())
     assert payload["outcome"] == "certified"
     existence = payload["details"]["existence"]
@@ -554,14 +574,15 @@ _REJECT_OUTCOME = (
 )
 
 
-def test_cli_verify_embed_fails_on_coincident_vertices(tmp_path, candidate_bytes):
+def test_cli_verify_embed_fails_on_coincident_vertices(tmp_path, candidate_bytes, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     doc = json.loads(candidate_bytes)
     doc["vertices"][3] = list(doc["vertices"][5])
-    bad = tmp_path / "corrupt.json"
-    bad.write_text(json.dumps(doc))
-    report = tmp_path / "report.json"
-    code = main(["verify-embed", "--mesh", str(bad), "--report", str(report)])
+    Path("corrupt.json").write_text(json.dumps(doc))
+    code = main(["verify-embed", "--mesh", "corrupt.json", "--report", "report.json"])
     assert code == 1
+    report = Path("report.json")
+    assert _sha256(report.read_bytes()) == _REPORT_SHA256["verify-embed"]
     payload = json.loads(report.read_text())
     assert payload["outcome"] == _REJECT_OUTCOME
 
@@ -579,6 +600,62 @@ def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-all", "--precision", "50"],
+        ["export", "--precision", "4"],
+        ["validate", "--seed", "1"],
+        ["slice", "--links", "x.json"],
+        ["refine", "--plane", "xy"],
+        ["--report", "r.json", "validate"],
+    ],
+)
+def test_cli_rejects_flags_the_command_does_not_read(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([], 'needs a "links" list'),
+        ({"links": ["x"]}, "links entry 0 is not an object"),
+        ({"links": [{"vertex": 0}]}, "links entry 0 has no 'cycle'"),
+        (
+            {"links": [{"vertex": 0, "cycle": [1, 2.5, 3], "vectors": [[1, 0]] * 3}]},
+            "links entry 0: 'cycle' holds a non-integer 2.5",
+        ),
+        (
+            {"links": [{"vertex": 0, "cycle": [1, 2, 3], "vectors": [[1, 0], [0, 1], [1]]}]},
+            "links entry 0: 'vectors' is not a list of pairs",
+        ),
+    ],
+)
+def test_cli_malformed_links_exit_2_naming_the_entry(tmp_path, capsys, document, message):
+    links = tmp_path / "links.json"
+    links.write_text(json.dumps(document))
+    assert main(["verify-flat", "--links", str(links)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def _readme_flags():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \|([^|]*)\|", text, flags=re.MULTILINE)
+    return {command: set(re.findall(r"--[a-z]+", flags)) for command, flags in rows}
+
+
+def test_readme_command_table_matches_the_parser():
+    parser = cli_io._build_parser()
+    (subcommands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    registered = {
+        name: {s for a in sub._actions for s in a.option_strings if s != "--help"} - {"-h"}
+        for name, sub in subcommands.choices.items()
+    }
+    assert _readme_flags() == registered
 
 
 def test_cli_refine_writes_mesh(tmp_path, capsys):

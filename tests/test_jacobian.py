@@ -47,7 +47,7 @@ from kleincert.jacobian import (
 )
 from kleincert.klein import Point3, cos2_and_sign
 from kleincert.mesh import EmbeddedSurface, Triangulation, cone_angle, vertex_link
-from kleincert.precision import CertificationError, two_pi
+from kleincert.precision import Bound, CertificationError, two_pi
 
 
 @pytest.fixture(scope="module")
@@ -538,9 +538,22 @@ def test_expansion_recorded_arithmetic():
     assert sine**2 < Fraction(3, 4)
 
 
-def test_expansion_needs_double_lambda_gap(reference_matrix):
+def test_expansion_needs_double_lambda_gap(reference_matrix, candidate_enclosure):
     with pytest.raises(CertificationError, match="lambda"):
-        certify_expansion(reference_matrix, lam=Fraction(1))
+        certify_expansion(
+            reference_matrix,
+            lam=Fraction(1),
+            dtheta_center=candidate_enclosure,
+            second_order_cap=SECOND_ORDER_CAP,
+        )
+
+
+@pytest.mark.parametrize("missing", ["dtheta_center", "second_order_cap"])
+def test_expansion_premises_are_required(reference_matrix, candidate_enclosure, missing):
+    premises = {"dtheta_center": candidate_enclosure, "second_order_cap": SECOND_ORDER_CAP}
+    del premises[missing]
+    with pytest.raises(TypeError, match=missing):
+        certify_expansion(reference_matrix, **premises)
 
 
 def test_expansion_center_precheck_catches_corruption(
@@ -549,18 +562,24 @@ def test_expansion_center_precheck_catches_corruption(
     corrupted = [list(row) for row in reference_matrix]
     corrupted[3][4] += Fraction(1, 100)
     with pytest.raises(CertificationError, match=r"\(3, 4\)"):
-        certify_expansion(corrupted, dtheta_center=candidate_enclosure)
+        certify_expansion(
+            corrupted, dtheta_center=candidate_enclosure, second_order_cap=SECOND_ORDER_CAP
+        )
 
 
-def test_expansion_drift_precheck_boundary(reference_matrix):
+def test_expansion_drift_precheck_boundary(reference_matrix, candidate_enclosure):
     # 10 · 10⁻¹⁸ · 10¹⁴ equals the 10⁻³ budget exactly and is accepted;
     # doubling the radius pushes the drift over it
-    cert = certify_expansion(reference_matrix, second_order_cap=SECOND_ORDER_CAP)
+    cert = certify_expansion(
+        reference_matrix, dtheta_center=candidate_enclosure, second_order_cap=SECOND_ORDER_CAP
+    )
     assert cert.radius == Fraction(1, 10**18)
+    assert cert.second_order_cap == SECOND_ORDER_CAP
     with pytest.raises(CertificationError, match="drift"):
         certify_expansion(
             reference_matrix,
             radius=Fraction(2, 10**18),
+            dtheta_center=candidate_enclosure,
             second_order_cap=SECOND_ORDER_CAP,
         )
 
@@ -568,15 +587,21 @@ def test_expansion_drift_precheck_boundary(reference_matrix):
 def test_expansion_caps_scale_with_matrix_size():
     # an 11×11 matrix gets n = 11 in every cap, not the candidate's 10
     M = [[Fraction(3) if i == j else Fraction(0) for j in range(11)] for i in range(11)]
+    center = [[Bound.point(int(x)) for x in row] for row in M]
     e_inf = Fraction(1, 1000)
-    cert = certify_expansion(M, e_inf=e_inf)
+    # 11 · 10⁻¹⁸ · 10¹³ stays inside this e_inf's 5·10⁻⁴ drift budget
+    cert = certify_expansion(
+        M, e_inf=e_inf, dtheta_center=center, second_order_cap=Fraction(10**13)
+    )
     assert cert.n_vertices == 11
     assert cert.sigma_min_bound == 3
     assert cert.frobenius_cap == 121 * e_inf
     assert cert.frobenius_cap_sharp == 11 * e_inf
     # 10 · 10⁻¹⁸ · 10¹⁴ meets the 10⁻³ drift budget exactly; 11 overshoots it
     with pytest.raises(CertificationError, match="11·radius·cap"):
-        certify_expansion(M, e_inf=Fraction(2, 1000), second_order_cap=SECOND_ORDER_CAP)
+        certify_expansion(
+            M, e_inf=Fraction(2, 1000), dtheta_center=center, second_order_cap=SECOND_ORDER_CAP
+        )
 
 
 def test_expansion_certificate_invariants():
@@ -585,6 +610,7 @@ def test_expansion_certificate_invariants():
         e_inf=Fraction(1, 1000),
         lam=Fraction(1, 2),
         radius=Fraction(1, 10**18),
+        second_order_cap=Fraction(10**13),
         angle_sine_bound=Fraction(2, 29),
         frobenius_cap=Fraction(1, 10),
         frobenius_cap_sharp=Fraction(1, 100),
@@ -602,6 +628,7 @@ def test_expansion_certificate_invariants():
         e_inf=Fraction(1, 200),
         lam=Fraction(1, 2),
         radius=Fraction(1, 10**18),
+        second_order_cap=Fraction(10**13),
         angle_sine_bound=Fraction(100, 101) * 2 * Fraction(1, 2),
         frobenius_cap=Fraction(1, 2),
         frobenius_cap_sharp=Fraction(1, 20),
@@ -617,13 +644,10 @@ def test_expansion_certificate_invariants():
 
 
 def test_existence_chain_on_candidate(
-    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
+    flatness_certificate, embedding_certificate, expansion_certificate
 ):
     report = conclude_existence(
-        flatness_certificate,
-        embedding_certificate,
-        expansion_certificate,
-        second_partial_bound(candidate_crude),
+        flatness_certificate, embedding_certificate, expansion_certificate
     )
     assert report.defect_norm_cap == Fraction(1, 10**27)
     assert report.solution_radius == Fraction(2, 10**27)
@@ -641,31 +665,28 @@ def test_existence_chain_on_candidate(
 
 
 def test_existence_inflated_defect_cap_fails_robustness(
-    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
+    flatness_certificate, embedding_certificate, expansion_certificate
 ):
     with pytest.raises(CertificationError, match="robustness"):
         conclude_existence(
             flatness_certificate,
             embedding_certificate,
             expansion_certificate,
-            second_partial_bound(candidate_crude),
             defect_norm_cap=Fraction(1, 10**6),
         )
 
 
 def test_existence_inflated_radius_fails_second_order_premise(
-    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
+    flatness_certificate, embedding_certificate, expansion_certificate
 ):
     inflated = dataclasses.replace(expansion_certificate, radius=Fraction(1))
-    cap = second_partial_bound(candidate_crude)
     with pytest.raises(CertificationError, match="second-order premise"):
-        conclude_existence(flatness_certificate, embedding_certificate, inflated, cap)
+        conclude_existence(flatness_certificate, embedding_certificate, inflated)
 
 
 def test_existence_requires_flatness_to_force_defect_cap(
-    flatness_certificate, embedding_certificate, expansion_certificate, candidate_crude
+    flatness_certificate, embedding_certificate, expansion_certificate
 ):
     weak = dataclasses.replace(flatness_certificate, epsilon=Fraction(1, 10))
-    cap = second_partial_bound(candidate_crude)
     with pytest.raises(CertificationError, match="does not force"):
-        conclude_existence(weak, embedding_certificate, expansion_certificate, cap)
+        conclude_existence(weak, embedding_certificate, expansion_certificate)

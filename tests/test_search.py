@@ -112,7 +112,6 @@ def test_config_defaults_are_valid():
         ("climb_precision", 0),
         ("newton_precision", -400),
         ("newton_tol", F(0)),
-        ("truncation_digits", 0),
     ],
 )
 def test_config_rejects_nonpositive(field, value):
