@@ -791,12 +791,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(name)
         for flag in ("--mesh", "--report", *flags):
             sub.add_argument(flag, **_FLAGS[flag])
-        sub.set_defaults(func=handler)
+        sub.set_defaults(func=handler, parser=sub)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         mesh_bytes, label = _read(args.mesh, "candidate_surface.json")
         _, surface = _parse_mesh_document(mesh_bytes.decode())

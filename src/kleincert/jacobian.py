@@ -42,7 +42,13 @@ from typing import Dict, List, Sequence, Tuple
 
 from .certify_flat import FlatnessCertificate
 from .certify_embed import EmbeddingCertificate
-from .klein import Point3, cos2_and_sign, distance, norm_comparison_factor
+from .klein import (
+    Point3,
+    _dilate_corner,
+    cos2_and_sign,
+    distance,
+    norm_comparison_factor,
+)
 from .mesh import EmbeddedSurface, cone_angle, vertex_link
 from .precision import (
     Bound,
@@ -159,52 +165,46 @@ def _corner_partials(
 
     Returns ({l: N_l}, D, v2w2) with the angle partial in height l equal to
     N_l / √D, where D = v²w² − u² = (vw·sin θ)².
+
+    Integer form, in the dilation of :func:`kleincert.klein._dilate_corner`
+    (heights h = q·z): u, v², w² = G_vw, G_vv, G_ww over a′², so D and v2w2
+    are G_vv·G_ww − G_vw² and G_vv·G_ww over a′⁴, and the height partials of
+    u, and the half-partials v·∂v, w·∂w, are q·P_u, q·P_v, q·P_w over a′³
+    with integer P's.  Hence
+    N_l = q·[G_vw·(P_v·G_ww + P_w·G_vv) − P_u·G_vv·G_ww] / (a′³·G_vv·G_ww).
     """
-    X, Y, Z = S.coords[i], S.coords[j], S.coords[k]
-    V = Y.sub(X)
-    W = Z.sub(X)
-    zi, zj, zk = X.z, Y.z, Z.z
-    a = 1 - X.norm_sq()
-    t1 = X.dot(V)
-    t2 = X.dot(W)
-    t3 = V.dot(W)
-    t4 = V.dot(V)
-    t5 = W.dot(W)
+    q, x, v, w, a = _dilate_corner(S.coords[i], S.coords[j], S.coords[k])
+    hi = x[2]
+    hj = hi + v[2]
+    hk = hi + w[2]
+    t1, t2, t3, t4, t5 = x.dot(v), x.dot(w), v.dot(w), v.norm_sq(), w.norm_sq()
+    g_vw = a * t3 + t1 * t2
+    g_vv = a * t4 + t1 * t1
+    g_ww = a * t5 + t2 * t2
 
-    u = t3 / a + t1 * t2 / a**2
-    v2 = t4 / a + t1**2 / a**2
-    w2 = t5 / a + t2**2 / a**2
+    # a′³/q times the height partials of u, and of the half-partials
+    # P_v[l] = v·∂_l v, P_w[l] = w·∂_l w; P_v[k] = P_w[j] = 0
+    pu_j = a * (a * (hk - hi) + hi * t2)
+    pu_k = a * (a * (hj - hi) + hi * t1)
+    pu_i = (
+        a * a * (2 * hi - hj - hk)
+        + a * (2 * hi * t3 + (hj - 2 * hi) * t2 + (hk - 2 * hi) * t1)
+        + 4 * hi * t1 * t2
+    )
+    pv_j = pu_k
+    pw_k = pu_j
+    pv_i = a * a * (hi - hj) + a * (hi * t4 + (hj - 2 * hi) * t1) + 2 * hi * t1 * t1
+    pw_i = a * a * (hi - hk) + a * (hi * t5 + (hk - 2 * hi) * t2) + 2 * hi * t2 * t2
 
-    # partials of the metric inner product u in the three heights
-    pu = {
-        i: (2 * zi - zj - zk) / a
-        + (2 * zi * t3 + (zj - 2 * zi) * t2 + (zk - 2 * zi) * t1) / a**2
-        + 4 * zi * t1 * t2 / a**3,
-        j: (zk - zi) / a + zi * t2 / a**2,
-        k: (zj - zi) / a + zi * t1 / a**2,
-    }
-    # half-partials of the squared norms: P_v[l] = v·∂_l v, P_w[l] = w·∂_l w
-    pv = {
-        i: (zi - zj) / a
-        + (zi * t4 + (zj - 2 * zi) * t1) / a**2
-        + 2 * zi * t1**2 / a**3,
-        j: (zj - zi) / a + zi * t1 / a**2,
-        k: Fraction(0),
-    }
-    pw = {
-        i: (zi - zk) / a
-        + (zi * t5 + (zk - 2 * zi) * t2) / a**2
-        + 2 * zi * t2**2 / a**3,
-        j: Fraction(0),
-        k: (zk - zi) / a + zi * t2 / a**2,
-    }
-
-    v2w2 = v2 * w2
-    D = v2w2 - u * u
+    gg = g_vv * g_ww
+    den = a**3 * gg
     numerators = {
-        l: u * (pv[l] * w2 + pw[l] * v2) / v2w2 - pu[l] for l in (i, j, k)
+        i: Fraction(q * (g_vw * (pv_i * g_ww + pw_i * g_vv) - pu_i * gg), den),
+        j: Fraction(q * (g_vw * pv_j * g_ww - pu_j * gg), den),
+        k: Fraction(q * (g_vw * pw_k * g_vv - pu_k * gg), den),
     }
-    return numerators, D, v2w2
+    a4 = a**4
+    return numerators, Fraction(gg - g_vw * g_vw, a4), Fraction(gg, a4)
 
 
 _SIN_FLOOR_GUARD = Fraction(1, 10**6)

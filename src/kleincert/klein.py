@@ -7,7 +7,19 @@ tangent vectors V, W is
     ⟨V, W⟩_X = (a_X·⟨V, W⟩ + ⟨X, V⟩·⟨X, W⟩) / a_X² ,
 
 a rational function of rational inputs — so inner products, squared cosines
-and sign decisions are computed *exactly* here.  Only two irrational steps
+and sign decisions are computed *exactly* here.
+
+The corner kernels (:func:`cos2_and_sign` and the Jacobian's corner
+partials) compute in integers.  Let q be the lcm of the nine coordinate
+denominators of a corner (X, Y, Z) and x = q·X, v = q·(Y − X), w = q·(Z − X),
+a′ = q² − |x|² = q²·a_X.  Every dot product of the dilated vectors carries q²
+and a_X² = a′²/q⁴, so
+
+    ⟨V, W⟩_X = G_vw / a′² ,   G_vw = a′·(v·w) + (x·v)·(x·w) ,
+
+with G_vw an integer.  All three metric products share the denominator a′²,
+so it cancels in A = G_vw² / (G_vv·G_ww) and the sign of ⟨V, W⟩_X is the sign
+of G_vw; one Fraction is built at the end.  Only two irrational steps
 exist in this module, and both return certified objects or carry an explicit
 accuracy contract:
 
@@ -21,6 +33,7 @@ accuracy contract:
 
 from __future__ import annotations
 
+import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -97,24 +110,54 @@ def klein_inner(X: Point3, V: Point3, W: Point3) -> Fraction:
     return (a * V.dot(W) + X.dot(V) * X.dot(W)) / (a * a)
 
 
+def _scaled(P: Point3, q: int) -> Point3:
+    """q·P as an integer vector; q is a multiple of every denominator of P."""
+    return Point3(
+        P.x.numerator * (q // P.x.denominator),
+        P.y.numerator * (q // P.y.denominator),
+        P.z.numerator * (q // P.z.denominator),
+    )
+
+
+def _dilate_corner(X: Point3, Y: Point3, Z: Point3):
+    """Integer form (q, x, v, w, a′) of the corner at X with rays to Y and Z.
+
+    q is the lcm of the nine coordinate denominators; x = q·X, v = q·(Y − X),
+    w = q·(Z − X) are integer vectors and a′ = q² − |x|² = q²·a_X.  Raises
+    the errors of the rational formulas, in their order: a zero ray first,
+    then a point X outside the open unit ball.
+    """
+    q = math.lcm(
+        X.x.denominator, X.y.denominator, X.z.denominator,
+        Y.x.denominator, Y.y.denominator, Y.z.denominator,
+        Z.x.denominator, Z.y.denominator, Z.z.denominator,
+    )
+    x = _scaled(X, q)
+    v, w = _scaled(Y, q).sub(x), _scaled(Z, q).sub(x)
+    if v.is_zero() or w.is_zero():
+        raise ValueError("angle is undefined when Y = X or Z = X")
+    a = q * q - x.norm_sq()
+    if a <= 0:
+        raise ValueError(f"point {tuple(X)} lies outside the open unit ball")
+    return q, x, v, w, a
+
+
 def cos2_and_sign(X: Point3, Y: Point3, Z: Point3) -> tuple[Fraction, int]:
     """Exact squared cosine and sign of the angle at X between rays to Y, Z.
 
     With V = Y − X and W = Z − X, returns (A, σ) where
     A = ⟨V,W⟩²_X / (⟨V,V⟩_X·⟨W,W⟩_X) and σ is the exact sign of ⟨V,W⟩_X,
     so that cos θ = σ·√A.  The sign is an exact rational decision — the
-    arccos branch must never rest on a rounded dot product.
+    arccos branch must never rest on a rounded dot product.  Computed in the
+    integers of :func:`_dilate_corner`: A = G_vw² / (G_vv·G_ww).
     """
-    V = Y.sub(X)
-    W = Z.sub(X)
-    if V.is_zero() or W.is_zero():
-        raise ValueError("angle is undefined when Y = X or Z = X")
-    g_vw = klein_inner(X, V, W)
-    g_vv = klein_inner(X, V, V)
-    g_ww = klein_inner(X, W, W)
-    A = g_vw * g_vw / (g_vv * g_ww)
+    _, x, v, w, a = _dilate_corner(X, Y, Z)
+    xv, xw = x.dot(v), x.dot(w)
+    g_vw = a * v.dot(w) + xv * xw
+    g_vv = a * v.norm_sq() + xv * xv
+    g_ww = a * w.norm_sq() + xw * xw
     sigma = 0 if g_vw == 0 else (1 if g_vw > 0 else -1)
-    return A, sigma
+    return Fraction(g_vw * g_vw, g_vv * g_ww), sigma
 
 
 def angle(X: Point3, Y: Point3, Z: Point3, precision: int = DEFAULT_PRECISION) -> Decimal:

@@ -231,13 +231,20 @@ class HypBounds(NamedTuple):
 
 
 def _exp_taylor_fraction(x: Fraction, n: int) -> Fraction:
-    """Exact rational value of S_n(x) = sum_{k<=n} x^k / k!."""
-    term = Fraction(1)
-    total = Fraction(1)
+    """Exact rational value of S_n(x) = sum_{k<=n} x^k / k!.
+
+    Summed in integers over the common denominator n!·qⁿ, x = p/q: the terms
+    t_k = n!/k!·p^k·q^(n−k) follow from t_0 = n!·qⁿ by the exact division
+    t_k = t_{k−1}·p // (q·k), and S_n(x) = Σ t_k / (n!·qⁿ).
+    """
+    p, q = x.numerator, x.denominator
+    term = math.factorial(n) * q**n
+    denominator = term
+    total = term
     for k in range(1, n + 1):
-        term *= x / k
+        term = term * p // (q * k)
         total += term
-    return total
+    return Fraction(total, denominator)
 
 
 def taylor_exp_partial(x: ScalarLike, n: int, precision: int = DEFAULT_PRECISION) -> Decimal:

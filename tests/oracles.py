@@ -17,6 +17,15 @@ from fractions import Fraction
 from typing import Tuple
 
 Enclosure = Tuple[Fraction, Fraction]
+Vec3 = Tuple[Fraction, Fraction, Fraction]
+
+
+def _sub(p: Vec3, r: Vec3) -> Vec3:
+    return (p[0] - r[0], p[1] - r[1], p[2] - r[2])
+
+
+def _dot(p: Vec3, r: Vec3) -> Fraction:
+    return p[0] * r[0] + p[1] * r[1] + p[2] * r[2]
 
 
 def exp_partial_sum(x: Fraction, n: int) -> Fraction:
@@ -27,6 +36,59 @@ def exp_partial_sum(x: Fraction, n: int) -> Fraction:
         term *= x / k
         total += term
     return total
+
+
+def corner_partials(X: Vec3, Y: Vec3, Z: Vec3, i: int = 0, j: int = 1, k: int = 2):
+    """({l: N_l}, D, v2w2) for the angle at X of the corner (X, Y, Z).
+
+    The height partial of the angle in vertex l is N_l / √D, with
+    D = v²w² − u² for u = ⟨V,W⟩_X, v² = ⟨V,V⟩_X, w² = ⟨W,W⟩_X.  Rational
+    expansion of the metric in the heights, summed term by term.
+    """
+    V = _sub(Y, X)
+    W = _sub(Z, X)
+    zi, zj, zk = X[2], Y[2], Z[2]
+    a = 1 - _dot(X, X)
+    t1 = _dot(X, V)
+    t2 = _dot(X, W)
+    t3 = _dot(V, W)
+    t4 = _dot(V, V)
+    t5 = _dot(W, W)
+
+    u = t3 / a + t1 * t2 / a**2
+    v2 = t4 / a + t1**2 / a**2
+    w2 = t5 / a + t2**2 / a**2
+
+    # partials of the metric inner product u in the three heights
+    pu = {
+        i: (2 * zi - zj - zk) / a
+        + (2 * zi * t3 + (zj - 2 * zi) * t2 + (zk - 2 * zi) * t1) / a**2
+        + 4 * zi * t1 * t2 / a**3,
+        j: (zk - zi) / a + zi * t2 / a**2,
+        k: (zj - zi) / a + zi * t1 / a**2,
+    }
+    # half-partials of the squared norms: P_v[l] = v·∂_l v, P_w[l] = w·∂_l w
+    pv = {
+        i: (zi - zj) / a
+        + (zi * t4 + (zj - 2 * zi) * t1) / a**2
+        + 2 * zi * t1**2 / a**3,
+        j: (zj - zi) / a + zi * t1 / a**2,
+        k: Fraction(0),
+    }
+    pw = {
+        i: (zi - zk) / a
+        + (zi * t5 + (zk - 2 * zi) * t2) / a**2
+        + 2 * zi * t2**2 / a**3,
+        j: Fraction(0),
+        k: (zk - zi) / a + zi * t2 / a**2,
+    }
+
+    v2w2 = v2 * w2
+    D = v2w2 - u * u
+    numerators = {
+        l: u * (pv[l] * w2 + pw[l] * v2) / v2w2 - pu[l] for l in (i, j, k)
+    }
+    return numerators, D, v2w2
 
 
 def exp_enclosure(x: Fraction, n: int = 200) -> Enclosure:
@@ -208,8 +270,6 @@ def dec_ceil(value: Fraction, digits: int) -> str:
 # ---------------------------------------------------------------------------
 # Exact triangle-triangle intersection (integer/rational coordinates)
 # ---------------------------------------------------------------------------
-
-Vec3 = Tuple[Fraction, Fraction, Fraction]
 
 
 class DegenerateConfiguration(Exception):

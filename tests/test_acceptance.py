@@ -235,7 +235,7 @@ def test_criterion_05_expansion_certificate(candidate_surface, capsys):
         second_order_cap=SECOND_ORDER_CAP,
     )
     elapsed = time.monotonic() - start
-    drift = 10 * cert.radius * SECOND_ORDER_CAP
+    drift = cert.n_vertices * cert.radius * cert.second_order_cap
     _emit(
         capsys,
         5,
@@ -249,7 +249,7 @@ def test_criterion_05_expansion_certificate(candidate_surface, capsys):
                 cert.lam == Fraction(1, 2) and cert.radius == Fraction(1, 10**18),
             ),
             (
-                "second-order premise 10·r·1e14 <= 1e-3",
+                "second-order premise n·r·cap <= 1e-3",
                 drift <= Fraction(1, 1000),
             ),
             ("runtime <= 120s", elapsed <= 120),

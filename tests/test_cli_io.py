@@ -619,6 +619,15 @@ def test_cli_rejects_flags_the_command_does_not_read(argv):
     assert info.value.code == 2
 
 
+def test_cli_unread_flag_error_shows_the_command_usage(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["export", "--precision", "4"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kleincert export ")
+    assert "unrecognized arguments: --precision 4" in err
+
+
 @pytest.mark.parametrize(
     "document, message",
     [

@@ -15,14 +15,17 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
 
 from oracles import (
+    corner_partials,
     cosh_enclosure,
     interval_div,
     interval_mul,
     sinh_enclosure,
     smallest_singular_value,
 )
+from strategies import corners
 
 from kleincert.jacobian import (
     ChainInequality,
@@ -30,6 +33,7 @@ from kleincert.jacobian import (
     ExpansionCertificate,
     JacobianMatrix,
     SECOND_ORDER_CAP,
+    _corner_partials,
     _definiteness,
     certify_expansion,
     conclude_existence,
@@ -215,6 +219,22 @@ def test_jacobian_matrix_validates_shape():
     m = JacobianMatrix(entries=((Decimal(1), Decimal(2)), (Decimal(3), Decimal(4))))
     assert m[0, 1] == Decimal(2)
     assert m.n == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(corner=corners)
+def test_corner_partials_equal_the_fraction_expansion(corner):
+    labels = (7, 2, 5)
+    S = EmbeddedSurface(
+        triangulation=Triangulation(n_vertices=8, faces=(labels,)),
+        coords=tuple(
+            corner[labels.index(v)] if v in labels else Point3.of(0, 0, 0)
+            for v in range(8)
+        ),
+    )
+    got = _corner_partials(S, *labels)
+    want = corner_partials(*corner, *labels)
+    assert got == want
 
 
 def test_degenerate_corner_rejected(tetrahedron):

@@ -11,6 +11,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from kleincert.klein import (
     Point3,
@@ -23,6 +24,7 @@ from kleincert.klein import (
 from kleincert.precision import arccos_hp, pi_hp
 
 import oracles
+from strategies import corners
 
 # FROZEN by oracles.artanh_enclosure(Fraction(1, 2)), rounded outward.
 ARTANH_HALF_LO = Fraction(Decimal("0.549306144334054845697622618461262852323745"))
@@ -111,6 +113,35 @@ def test_cos2_collinear_same_direction():
 def test_cos2_rejects_degenerate():
     with pytest.raises(ValueError):
         cos2_and_sign(ORIGIN, ORIGIN, Point3.of("0.5", 0, 0))
+
+
+def test_cos2_rejects_a_repeated_vertex_with_the_angle_error():
+    x = Point3.of("0.1", "-0.2", "0.3")
+    for y, z in ((x, Point3.of("0.5", 0, 0)), (Point3.of("0.5", 0, 0), x)):
+        with pytest.raises(ValueError, match=r"^angle is undefined when Y = X or Z = X$"):
+            cos2_and_sign(x, y, z)
+
+
+def test_cos2_rejects_points_outside_ball_like_klein_inner():
+    x = Point3.of("0.6", "0.8", "0")  # on the sphere
+    y, z = Point3.of("0.5", 0, 0), Point3.of(0, "0.5", 0)
+    with pytest.raises(ValueError) as inner_error:
+        klein_inner(x, y.sub(x), z.sub(x))
+    with pytest.raises(ValueError) as kernel_error:
+        cos2_and_sign(x, y, z)
+    assert str(kernel_error.value) == str(inner_error.value)
+    assert str(kernel_error.value) == f"point {tuple(x)} lies outside the open unit ball"
+
+
+@settings(max_examples=100, deadline=None)
+@given(corner=corners)
+def test_cos2_matches_the_klein_inner_formula(corner):
+    x, y, z = corner
+    v, w = y.sub(x), z.sub(x)
+    g_vw = klein_inner(x, v, w)
+    A, sigma = cos2_and_sign(x, y, z)
+    assert A == g_vw * g_vw / (klein_inner(x, v, v) * klein_inner(x, w, w))
+    assert sigma == (g_vw > 0) - (g_vw < 0)
 
 
 def test_cos2_is_within_unit_interval():

@@ -184,6 +184,23 @@ def test_ln_bounds_contains_ln_on_generated_inputs(x, k):
     assert exp_lo_hi <= x <= exp_hi_lo
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.fractions(min_value=-50, max_value=50, max_denominator=10**30),
+    n=st.sampled_from((0, 1, 20, 40, 80, 160)),
+)
+def test_exp_taylor_fraction_equals_the_fraction_loop(x, n):
+    got = precision_module._exp_taylor_fraction(x, n)
+    want = oracles.exp_partial_sum(x, n)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_exp_taylor_fraction_sign_and_order_cases():
+    for x in (Fraction(-7, 3), Fraction(-1, 10**20), Fraction(0), Fraction(5, 7 * 10**6)):
+        for n in (0, 1, 20, 40, 80, 160):
+            assert precision_module._exp_taylor_fraction(x, n) == oracles.exp_partial_sum(x, n)
+
+
 def test_ln_bounds_certifies_exactly_two_endpoints(monkeypatch):
     calls = []
     real = precision_module._classify_exp
