@@ -1,6 +1,7 @@
 """Robust-embeddedness certification via integer separating hyperplanes.
 
-The surface is dilated by an exact integer factor (10³² for the candidate)
+The surface's integer lattice (denominator Q, see
+:class:`~kleincert.mesh.EmbeddedSurface`) is read at the scale lcm(Q, 10⁷),
 so every vertex has integer coordinates; all arithmetic below is exact
 integer arithmetic.  A triangle pair is *δ-separated* when it stays disjoint
 (or keeps touching only at its shared vertex) under arbitrary per-vertex
@@ -43,8 +44,9 @@ exact integer determinants.  Disjoint pairs are not tested: their scan ends at
 the lower search limit anyway.
 
 Certified margins transfer back to the undilated surface: δ-separation of
-the dilated surface at δ = 10²⁵ means λ-robust embeddedness of the original
-at λ = δ/scale = 10⁻⁷.
+the dilated surface at δ = λ·scale means λ-robust embeddedness of the
+original at λ = 10⁻⁷.  The packaged candidate has Q = 10³², so its scale is
+10³² and δ = 10²⁵.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .mesh import EmbeddedSurface, Face, Triangulation
@@ -65,8 +67,7 @@ __all__ = [
     "classify_pairs",
     "rho",
     "certify_embeddedness",
-    "DEFAULT_SCALE",
-    "DEFAULT_DELTA",
+    "ROBUSTNESS",
     "DEFAULT_CAP",
     "DISJOINT_SEARCH_LIMIT",
     "SHARED_SEARCH_LIMIT",
@@ -75,8 +76,8 @@ __all__ = [
 IntVec3 = Tuple[int, int, int]
 PairIdx = Tuple[int, int]  # indices into the face list, lower first
 
-DEFAULT_SCALE = 10**32
-DEFAULT_DELTA = 10**25
+#: λ, the z-perturbation radius certified in the surface's own coordinates.
+ROBUSTNESS = Fraction(1, 10**7)
 DEFAULT_CAP = 10**5
 DISJOINT_SEARCH_LIMIT = 2000
 SHARED_SEARCH_LIMIT = 10**5
@@ -269,42 +270,33 @@ def _unwitnessable(tests: PairTests, coords: Sequence[Sequence[int]]) -> bool:
 
 def certify_embeddedness(
     S: EmbeddedSurface,
-    scale: int = DEFAULT_SCALE,
-    delta: int = DEFAULT_DELTA,
     cap: int = DEFAULT_CAP,
     manual_normals: Optional[ManualTable] = None,
 ) -> EmbeddingCertificate:
-    """Certify that S is (delta/scale)-robustly embedded.
+    """Certify that S is :data:`ROBUSTNESS`-robustly embedded.
 
-    Every vertex-disjoint and every one-vertex-sharing face pair must obtain
-    a separating-normal witness; edge-sharing pairs are covered by the
-    pair-reduction argument and are counted, not tested.  Pairs named in the
-    manual table try ± their manual normal first.  The scan then walks n
-    once and tests every still-unwitnessed pair against +ρ(n), then −ρ(n),
-    so each gets its first (n, sign) below its kind's search limit; it stops
-    as soon as no pair is left.  A one-vertex-sharing pair whose differences
+    The surface's lattice is read at scale = lcm(Q, 1/λ), with Q its
+    denominator, and δ = λ·scale.  Every vertex-disjoint and every
+    one-vertex-sharing face pair must obtain a separating-normal witness;
+    edge-sharing pairs are covered by the pair-reduction argument and are
+    counted, not tested.  Pairs named in the manual table try ± their manual
+    normal first.  The scan then walks n once and tests every
+    still-unwitnessed pair against +ρ(n), then −ρ(n), so each gets its first
+    (n, sign) below its kind's search limit; it stops as soon as no pair is
+    left.  A one-vertex-sharing pair whose differences
     D (above minus below vertex) have 0 in their convex hull is left out of
     the scan: for every N some ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.
 
-    Raises :class:`ValueError` if ``scale`` or ``cap`` is below 1, ``delta``
-    is negative, or some coordinate is not integral at ``scale``, and
+    Raises :class:`ValueError` if ``cap`` is below 1, and
     :class:`CertificationError` listing the unseparated pairs if any pair is
     separated neither by its manual normal nor by the scan.
     """
-    for name, value, least in (("scale", scale, 1), ("delta", delta, 0), ("cap", cap, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-    coords = []
-    for i, p in enumerate(S.coords):
-        row = []
-        for axis, c in zip("xyz", p):
-            v = c * scale
-            if v.denominator != 1:
-                raise ValueError(
-                    f"vertex {i} {axis}-coordinate {c} is not integral at scale {scale}"
-                )
-            row.append(int(v))
-        coords.append(row)
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    scale = lcm(S.denominator, ROBUSTNESS.denominator)
+    delta = int(scale * ROBUSTNESS)
+    m = scale // S.denominator
+    coords = [(m * x, m * y, m * z) for x, y, z in S.lattice]
     faces = S.triangulation.faces
     classes = classify_pairs(S.triangulation)
     threshold = 2 * delta * cap

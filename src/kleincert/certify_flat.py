@@ -37,7 +37,6 @@ __all__ = [
     "LinkTable",
     "LinkReference",
     "FlatnessCertificate",
-    "alpha_values",
     "beta_values",
     "link_winding_number",
     "lipschitz_on_range",
@@ -112,24 +111,21 @@ def _dot2(u: IntVec2, v: IntVec2) -> int:
 
 
 def _alphas_and_signs(S: EmbeddedSurface) -> Dict[PairKey, Tuple[Fraction, int]]:
+    """Exact (α, sign) of all consecutive-link hyperbolic angles.
+
+    Keys are (vertex, (n_j, n_{j+1})), which makes the table invariant under
+    rotations of the link cycle.
+    """
+    q, lattice = S.denominator, S.lattice
     out: Dict[PairKey, Tuple[Fraction, int]] = {}
     for i in range(S.triangulation.n_vertices):
         cycle = vertex_link(S.triangulation, i)
         for j, n_j in enumerate(cycle):
             n_next = cycle[(j + 1) % len(cycle)]
             out[(i, (n_j, n_next))] = cos2_and_sign(
-                S.coords[i], S.coords[n_j], S.coords[n_next]
+                q, lattice[i], lattice[n_j], lattice[n_next]
             )
     return out
-
-
-def alpha_values(S: EmbeddedSurface) -> Dict[PairKey, Fraction]:
-    """Exact squared cosines of all consecutive-link hyperbolic angles.
-
-    Keys are (vertex, (n_j, n_{j+1})), which makes the table invariant under
-    rotations of the link cycle.
-    """
-    return {key: A for key, (A, _) in _alphas_and_signs(S).items()}
 
 
 def beta_values(L: LinkReference) -> Dict[PairKey, Fraction]:

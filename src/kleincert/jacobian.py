@@ -42,13 +42,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .certify_flat import FlatnessCertificate
 from .certify_embed import EmbeddingCertificate
-from .klein import (
-    Point3,
-    _dilate_corner,
-    cos2_and_sign,
-    distance,
-    norm_comparison_factor,
-)
+from .klein import Point3, _rays, cos2_and_sign, distance, norm_comparison_factor
 from .mesh import EmbeddedSurface, cone_angle, vertex_link
 from .precision import (
     Bound,
@@ -166,14 +160,16 @@ def _corner_partials(
     Returns ({l: N_l}, D, v2w2) with the angle partial in height l equal to
     N_l / √D, where D = v²w² − u² = (vw·sin θ)².
 
-    Integer form, in the dilation of :func:`kleincert.klein._dilate_corner`
-    (heights h = q·z): u, v², w² = G_vw, G_vv, G_ww over a′², so D and v2w2
-    are G_vv·G_ww − G_vw² and G_vv·G_ww over a′⁴, and the height partials of
-    u, and the half-partials v·∂v, w·∂w, are q·P_u, q·P_v, q·P_w over a′³
-    with integer P's.  Hence
+    Integer form, on the surface's lattice (denominator q, heights h = q·z;
+    see :mod:`kleincert.klein`): u, v², w² = G_vw, G_vv, G_ww over a′², so
+    D and v2w2 are G_vv·G_ww − G_vw² and G_vv·G_ww over a′⁴, and the height
+    partials of u, and the half-partials v·∂v, w·∂w, are q·P_u, q·P_v, q·P_w
+    over a′³ with integer P's.  Hence
     N_l = q·[G_vw·(P_v·G_ww + P_w·G_vv) − P_u·G_vv·G_ww] / (a′³·G_vv·G_ww).
     """
-    q, x, v, w, a = _dilate_corner(S.coords[i], S.coords[j], S.coords[k])
+    q, lattice = S.denominator, S.lattice
+    x = lattice[i]
+    v, w, a = _rays(q, x, lattice[j], lattice[k])
     hi = x[2]
     hj = hi + v[2]
     hk = hi + w[2]
@@ -400,9 +396,9 @@ def crude_bounds(
     for i in range(T.n_vertices):
         cycle = vertex_link(T, i)
         for r in range(len(cycle)):
-            Y = S.coords[cycle[r]]
-            Z = S.coords[cycle[(r + 1) % len(cycle)]]
-            alpha, sign = cos2_and_sign(S.coords[i], Y, Z)
+            y = S.lattice[cycle[r]]
+            z = S.lattice[cycle[(r + 1) % len(cycle)]]
+            alpha, sign = cos2_and_sign(S.denominator, S.lattice[i], y, z)
             if sign >= 0:
                 _req(alpha <= cos_hi**2, f"cosine cap at vertex {i}")
             else:

@@ -10,10 +10,11 @@ a rational function of rational inputs — so inner products, squared cosines
 and sign decisions are computed *exactly* here.
 
 The corner kernels (:func:`cos2_and_sign` and the Jacobian's corner
-partials) compute in integers.  Let q be the lcm of the nine coordinate
-denominators of a corner (X, Y, Z) and x = q·X, v = q·(Y − X), w = q·(Z − X),
-a′ = q² − |x|² = q²·a_X.  Every dot product of the dilated vectors carries q²
-and a_X² = a′²/q⁴, so
+partials) compute in integers.  A surface keeps its vertices on one integer
+lattice (:func:`dilate`): Q is the lcm of every coordinate denominator and
+x = Q·X is an integer point.  For a corner with lattice points x, y, z let
+v = y − x, w = z − x and a′ = Q² − |x|² = Q²·a_X.  Every dot product of the
+lattice vectors carries Q² and a_X² = a′²/Q⁴, so
 
     ⟨V, W⟩_X = G_vw / a′² ,   G_vw = a′·(v·w) + (x·v)·(x·w) ,
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .precision import (
     DEFAULT_PRECISION,
@@ -49,6 +50,7 @@ from .precision import (
 
 __all__ = [
     "Point3",
+    "dilate",
     "klein_inner",
     "cos2_and_sign",
     "angle",
@@ -63,7 +65,7 @@ class Point3(NamedTuple):
     """A point of (or vector in) R³ with exact rational coordinates.
 
     Model points must satisfy ‖P‖ < 1; free vectors (differences of points)
-    carry no constraint.  Use :meth:`in_unit_ball` to check exactly.
+    carry no constraint.  Lattice points (see :func:`dilate`) hold integers.
     """
 
     x: Fraction
@@ -92,8 +94,15 @@ class Point3(NamedTuple):
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0 and self.z == 0
 
-    def in_unit_ball(self) -> bool:
-        return self.norm_sq() < 1
+
+def dilate(points: Sequence[Point3]) -> Tuple[int, Tuple[Point3, ...]]:
+    """The lattice (Q, (Q·P for each P)) of rational points.
+
+    Q is the lcm of every coordinate denominator, so each Q·P is an integer
+    point; this is the only place the package computes that lcm.
+    """
+    q = math.lcm(*(c.denominator for p in points for c in p))
+    return q, tuple(Point3(*(c.numerator * (q // c.denominator) for c in p)) for p in points)
 
 
 def _require_model_point(X: Point3) -> Fraction:
@@ -110,48 +119,32 @@ def klein_inner(X: Point3, V: Point3, W: Point3) -> Fraction:
     return (a * V.dot(W) + X.dot(V) * X.dot(W)) / (a * a)
 
 
-def _scaled(P: Point3, q: int) -> Point3:
-    """q·P as an integer vector; q is a multiple of every denominator of P."""
-    return Point3(
-        P.x.numerator * (q // P.x.denominator),
-        P.y.numerator * (q // P.y.denominator),
-        P.z.numerator * (q // P.z.denominator),
-    )
+def _rays(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[Point3, Point3, int]:
+    """(v, w, a′) = (y − x, z − x, q² − |x|²) of the lattice corner at x.
 
-
-def _dilate_corner(X: Point3, Y: Point3, Z: Point3):
-    """Integer form (q, x, v, w, a′) of the corner at X with rays to Y and Z.
-
-    q is the lcm of the nine coordinate denominators; x = q·X, v = q·(Y − X),
-    w = q·(Z − X) are integer vectors and a′ = q² − |x|² = q²·a_X.  Raises
-    the errors of the rational formulas, in their order: a zero ray first,
-    then a point X outside the open unit ball.
+    Raises the errors of the rational formulas, in their order: a zero ray
+    first, then an apex x/q outside the open unit ball.
     """
-    q = math.lcm(
-        X.x.denominator, X.y.denominator, X.z.denominator,
-        Y.x.denominator, Y.y.denominator, Y.z.denominator,
-        Z.x.denominator, Z.y.denominator, Z.z.denominator,
-    )
-    x = _scaled(X, q)
-    v, w = _scaled(Y, q).sub(x), _scaled(Z, q).sub(x)
+    v, w = y.sub(x), z.sub(x)
     if v.is_zero() or w.is_zero():
         raise ValueError("angle is undefined when Y = X or Z = X")
     a = q * q - x.norm_sq()
     if a <= 0:
-        raise ValueError(f"point {tuple(X)} lies outside the open unit ball")
-    return q, x, v, w, a
+        raise ValueError(f"point {tuple(x)}/{q} lies outside the open unit ball")
+    return v, w, a
 
 
-def cos2_and_sign(X: Point3, Y: Point3, Z: Point3) -> tuple[Fraction, int]:
+def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, int]:
     """Exact squared cosine and sign of the angle at X between rays to Y, Z.
 
-    With V = Y − X and W = Z − X, returns (A, σ) where
+    The corner is given by its lattice points x, y, z = q·X, q·Y, q·Z (see
+    :func:`dilate`).  With V = Y − X and W = Z − X, returns (A, σ) where
     A = ⟨V,W⟩²_X / (⟨V,V⟩_X·⟨W,W⟩_X) and σ is the exact sign of ⟨V,W⟩_X,
     so that cos θ = σ·√A.  The sign is an exact rational decision — the
-    arccos branch must never rest on a rounded dot product.  Computed in the
-    integers of :func:`_dilate_corner`: A = G_vw² / (G_vv·G_ww).
+    arccos branch must never rest on a rounded dot product.  Computed in
+    integers: A = G_vw² / (G_vv·G_ww).
     """
-    _, x, v, w, a = _dilate_corner(X, Y, Z)
+    v, w, a = _rays(q, x, y, z)
     xv, xw = x.dot(v), x.dot(w)
     g_vw = a * v.dot(w) + xv * xw
     g_vv = a * v.norm_sq() + xv * xv
@@ -160,13 +153,15 @@ def cos2_and_sign(X: Point3, Y: Point3, Z: Point3) -> tuple[Fraction, int]:
     return Fraction(g_vw * g_vw, g_vv * g_ww), sigma
 
 
-def angle(X: Point3, Y: Point3, Z: Point3, precision: int = DEFAULT_PRECISION) -> Decimal:
-    """The angle θ = arccos(σ·√A) ∈ [0, π] at X, accuracy 10^(2−p).
+def angle(
+    q: int, x: Point3, y: Point3, z: Point3, precision: int = DEFAULT_PRECISION
+) -> Decimal:
+    """The angle θ = arccos(σ·√A) ∈ [0, π] at a lattice corner, accuracy 10^(2−p).
 
     This is the non-certified evaluator used by the cone-angle and search
     paths; certificates work with the exact (A, σ) pair instead.
     """
-    A, sigma = cos2_and_sign(X, Y, Z)
+    A, sigma = cos2_and_sign(q, x, y, z)
     if sigma == 0:
         return arccos_hp(0, precision)
     root = sqrt_bounds(A, Fraction(1, 10 ** (precision + 2)), precision + 10)

@@ -25,7 +25,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
 
-from .klein import Point3, angle
+from .klein import Point3, angle, dilate
 from .precision import DEFAULT_PRECISION
 
 __all__ = [
@@ -160,10 +160,19 @@ def vertex_link(T: Triangulation, i: int) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EmbeddedSurface:
-    """A triangulation with exact rational vertex coordinates in the model."""
+    """A triangulation with exact rational vertex coordinates in the model.
+
+    The coordinates are also kept once on an integer lattice, derived when
+    the surface is built: ``denominator`` is Q, the lcm of every coordinate
+    denominator, and ``lattice[i]`` is the integer point Q·X_i.  The corner
+    kernels and the embedding certificate read the lattice, and the unit-ball
+    check is the integer test |Q·X_i|² < Q².
+    """
 
     triangulation: Triangulation
     coords: Tuple[Point3, ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    lattice: Tuple[Point3, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(self.coords))
@@ -171,20 +180,23 @@ class EmbeddedSurface:
             raise ValueError(
                 f"{len(self.coords)} coordinate rows for {self.triangulation.n_vertices} vertices"
             )
-        for i, p in enumerate(self.coords):
-            if not p.in_unit_ball():
+        q, lattice = dilate(self.coords)
+        for i, x in enumerate(lattice):
+            if x.norm_sq() >= q * q:
                 raise ValueError(f"vertex {i} lies outside the open unit ball")
+        object.__setattr__(self, "denominator", q)
+        object.__setattr__(self, "lattice", lattice)
 
 
 def cone_angle(S: EmbeddedSurface, i: int, precision: int = DEFAULT_PRECISION) -> Decimal:
     """The cone angle θ_i = Σ_j angle(X_i, X_{n_j}, X_{n_{j+1}}) at vertex i."""
     cycle = vertex_link(S.triangulation, i)
-    X = S.coords[i]
+    q, lattice = S.denominator, S.lattice
     with localcontext(Context(prec=precision + 10)):
         total = Decimal(0)
         for j, n_j in enumerate(cycle):
             n_next = cycle[(j + 1) % len(cycle)]
-            total += angle(X, S.coords[n_j], S.coords[n_next], precision)
+            total += angle(q, lattice[i], lattice[n_j], lattice[n_next], precision)
     with localcontext(Context(prec=precision)):
         return +total
 

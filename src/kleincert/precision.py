@@ -137,11 +137,6 @@ class Bound:
         return cls(d, d)
 
     @classmethod
-    def from_fraction(cls, value: Fraction, precision: int = DEFAULT_PRECISION) -> "Bound":
-        """Tightest Bound around an exact rational at the given precision."""
-        return cls.from_fraction_pair(value, value, precision)
-
-    @classmethod
     def from_fraction_pair(
         cls, lo: Fraction, hi: Fraction, precision: int = DEFAULT_PRECISION
     ) -> "Bound":
@@ -190,16 +185,6 @@ class Bound:
     def sub(self, other: "Bound", precision: int = DEFAULT_PRECISION) -> "Bound":
         ctx = _context(precision)
         return self._outward([ctx.subtract(self.lo, other.hi)], [ctx.subtract(self.hi, other.lo)], ctx)
-
-    def mul(self, other: "Bound", precision: int = DEFAULT_PRECISION) -> "Bound":
-        ctx = _context(precision)
-        products = [
-            ctx.multiply(self.lo, other.lo),
-            ctx.multiply(self.lo, other.hi),
-            ctx.multiply(self.hi, other.lo),
-            ctx.multiply(self.hi, other.hi),
-        ]
-        return self._outward(products, products, ctx)
 
     def div(self, other: "Bound", precision: int = DEFAULT_PRECISION) -> "Bound":
         if other.lo <= 0 <= other.hi:
@@ -289,27 +274,27 @@ def exp_bounds(
     return Bound(lo, hi)
 
 
-def _classify_exp(t: Decimal, x: Fraction, precision: int) -> int:
+def _classify_exp(t: Decimal, x: Fraction, tolerance: Fraction, precision: int) -> int:
     """Certified comparison of e^t against x: -1 if e^t < x, +1 if e^t > x.
 
     The only rational point with rational exponential is t = 0, handled by
-    exact comparison (0 when e^0 = x exactly); everywhere else e^t is
-    irrational, so a high enough Taylor order always separates it from
-    rational x.  Raises if separation is not reached by order 640.
+    exact comparison (0 when e^0 = x exactly).  Elsewhere one enclosure
+    decides, at the least Taylor order whose remainder is at most
+    ``tolerance``; raises if it does not separate e^t from x.
     """
     if t == 0:
         if x == 1:
             return 0
         return -1 if x > 1 else 1
     a = max(1, math.ceil(abs(Fraction(t))))
-    n = 20
-    while n <= 640:
-        enclosure = exp_bounds(t, a, n, precision)
-        if Fraction(enclosure.hi) <= x:
-            return -1
-        if Fraction(enclosure.lo) >= x:
-            return 1
-        n *= 2
+    n = 0
+    while _exp_remainder(a, n) > tolerance:
+        n += 1
+    enclosure = exp_bounds(t, a, n, precision)
+    if Fraction(enclosure.hi) <= x:
+        return -1
+    if Fraction(enclosure.lo) >= x:
+        return 1
     raise CertificationError(
         f"exp enclosure at t = {t} cannot separate e^t from {x} (raise the working precision)"
     )
@@ -323,6 +308,12 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
     w = target_width, are rounded outward at that precision and certified by
     e^a ≤ x ≤ e^b through :func:`_classify_exp`; if either check fails the
     candidate is rejected with :class:`CertificationError`.
+
+    Each check sums one Taylor series, of the least order whose remainder
+    cap is at most x·w/12, so its enclosure lies within x·w/6 of e^t.  Both
+    endpoints lie about w/3 from ln x, so e^a and e^b lie at least
+    x·(1 − e^(−w/3)) ≥ x·w/4 from x when w ≤ 1: the enclosure separates
+    unless the candidate is off by about w/12, far above its error.
     """
     xf = as_fraction(x)
     if xf <= 0:
@@ -340,7 +331,11 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
         hint = Fraction((Decimal(xf.numerator) / Decimal(xf.denominator)).ln())
     lo = decimal_from_fraction(hint - tw / 3, digits, ROUND_FLOOR)
     hi = decimal_from_fraction(hint + tw / 3, digits, ROUND_CEILING)
-    if _classify_exp(lo, xf, precision) > 0 or _classify_exp(hi, xf, precision) < 0:
+    tolerance = xf * tw / 12
+    if (
+        _classify_exp(lo, xf, tolerance, precision) > 0
+        or _classify_exp(hi, xf, tolerance, precision) < 0
+    ):
         raise CertificationError(f"candidate enclosure [{lo}, {hi}] of ln {x} failed verification")
     return Bound(lo, hi)
 

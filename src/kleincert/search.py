@@ -157,17 +157,13 @@ def objective(surface: EmbeddedSurface, precision: int = 50) -> Decimal:
     return theta_map(surface, precision).sup_norm()
 
 
-def _perturbed(
-    surface: EmbeddedSurface, deltas: Sequence[Fraction]
-) -> Optional[EmbeddedSurface]:
-    """Apply one perturbation triple per vertex; None if any vertex escapes."""
-    coords: List[Point3] = []
-    for i, p in enumerate(surface.coords):
-        q = Point3.of(p.x + deltas[3 * i], p.y + deltas[3 * i + 1], p.z + deltas[3 * i + 2])
-        if q.norm_sq() >= 1:
-            return None
-        coords.append(q)
-    return EmbeddedSurface(surface.triangulation, tuple(coords))
+def _perturbed(surface: EmbeddedSurface, deltas: Sequence[Fraction]) -> EmbeddedSurface:
+    """Apply one perturbation triple per vertex; raises if a vertex escapes the ball."""
+    coords = tuple(
+        Point3.of(p.x + deltas[3 * i], p.y + deltas[3 * i + 1], p.z + deltas[3 * i + 2])
+        for i, p in enumerate(surface.coords)
+    )
+    return EmbeddedSurface(surface.triangulation, coords)
 
 
 def hill_climb(
@@ -211,17 +207,14 @@ def hill_climb(
             Fraction(int((rng.uniform() * 2 - 1) * step * grid), grid)
             for _ in range(n_coords)
         ]
-        proposal = _perturbed(best, deltas)
-        accepted = False
-        if proposal is not None:
-            try:
-                value = objective(proposal, config.climb_precision)
-            except (CertificationError, ValueError, ZeroDivisionError):
-                value = None  # degenerate geometry: treat as a rejection
-            if value is not None and value < best_objective:
-                best, best_objective = proposal, value
-                accepted = True
+        try:
+            proposal = _perturbed(best, deltas)
+            value = objective(proposal, config.climb_precision)
+        except (CertificationError, ValueError, ZeroDivisionError):
+            value = None  # escaped the ball or degenerate geometry: a rejection
+        accepted = value is not None and value < best_objective
         if accepted:
+            best, best_objective = proposal, value
             accepts += 1
             rejections = 0
             if history is not None:

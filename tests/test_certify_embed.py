@@ -21,8 +21,6 @@ from hypothesis import strategies as st
 from kleincert import certify_embed
 from kleincert.certify_embed import (
     DEFAULT_CAP,
-    DEFAULT_DELTA,
-    DEFAULT_SCALE,
     EmbeddingCertificate,
     SeparationWitness,
     _margins,
@@ -32,6 +30,7 @@ from kleincert.certify_embed import (
     classify_pairs,
     rho,
 )
+from kleincert.jacobian import surface_with_heights
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
 from kleincert.precision import CertificationError
@@ -44,17 +43,13 @@ from oracles import (
     triangles_meet_only_at,
 )
 
-THRESHOLD = 2 * DEFAULT_DELTA * DEFAULT_CAP  # 2e30
+# the candidate's lattice denominator is 10³², so δ = 10⁻⁷·10³²
+THRESHOLD = 2 * 10**25 * DEFAULT_CAP  # 2e30
 
 
-def _dilated(surface, scale=DEFAULT_SCALE):
-    """Integer vertex coordinates of the surface scaled by ``scale``."""
-    coords = []
-    for p in surface.coords:
-        row = tuple(c * scale for c in p)
-        assert all(c.denominator == 1 for c in row)
-        coords.append(tuple(int(c) for c in row))
-    return coords
+def _dilated(surface):
+    """The surface's integer lattice points, as plain triples."""
+    return [tuple(p) for p in surface.lattice]
 
 
 def _dot(p, q):
@@ -173,25 +168,31 @@ def test_margin_shared_negated_normal_swaps_roles():
 
 
 # ---------------------------------------------------------------------------
-# Integer dilation
+# The embedding scale comes from the surface's lattice
 # ---------------------------------------------------------------------------
 
 
-def test_certify_rejects_insufficient_scale(candidate_surface):
-    with pytest.raises(ValueError, match=f"is not integral at scale {10**31}$"):
-        certify_embeddedness(candidate_surface, scale=10**31)
-
-
-@pytest.mark.parametrize(
-    "name, value", [("scale", 0), ("scale", -16), ("delta", -1), ("cap", 0)]
-)
+@pytest.mark.parametrize("name, value", [("cap", 0)])
 def test_certify_rejects_invalid_parameters(name, value):
-    # with delta = -1 the threshold is negative, and the interpenetrating toy
-    # mesh would get a "witness" for every pair
     S = _two_tetra_surface((Fraction(1, 16), Fraction(1, 16), Fraction(1, 16)))
-    params = {"scale": 16, "delta": 0, **{name: value}}
     with pytest.raises(ValueError, match=f"^{name} must be >= "):
-        certify_embeddedness(S, **params)
+        certify_embeddedness(S, **{name: value})
+
+
+def _witness_keys(certificate):
+    return [(w.pair, w.source, w.n, w.sign) for w in certificate.witnesses]
+
+
+def test_scale_follows_a_finer_lattice(certificate, candidate_surface, manual_normals):
+    # one height moved by 1/(3·10³³) puts the surface on the lattice Q = 3·10³³
+    heights = [p.z for p in candidate_surface.coords]
+    heights[0] += Fraction(1, 3 * 10**33)
+    S = surface_with_heights(candidate_surface, heights)
+    assert S.denominator == 3 * 10**33
+    shifted = certify_embeddedness(S, manual_normals=manual_normals)
+    assert (shifted.scale, shifted.delta) == (3 * 10**33, 3 * 10**26)
+    assert shifted.robustness == Fraction(1, 10**7)
+    assert _witness_keys(shifted) == _witness_keys(certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +258,10 @@ def test_thin_cone_pair_uses_sequence_element(certificate, manual_normals):
 def test_dilated_margins_are_exact(certificate, candidate_surface):
     coords = _dilated(candidate_surface)
     assert len(coords) == 10
+    assert candidate_surface.denominator == certificate.scale == 10**32
     for p, q in zip(candidate_surface.coords, coords):
         for c, i in zip(p, q):
-            assert c * DEFAULT_SCALE == i
+            assert c * certificate.scale == i
     for w in certificate.witnesses:
         assert _written_margins(coords, w.pair, w.normal) == w.margins
 
@@ -476,7 +478,7 @@ def _two_tetra_surface(shift):
 
 def test_separated_toy_mesh_certifies():
     S = _two_tetra_surface((0, 0, Fraction(9, 16)))
-    cert = certify_embeddedness(S, scale=16, delta=0)
+    cert = certify_embeddedness(S)
     assert cert.n_disjoint == 16
     assert cert.n_shared_vertex == 0
     assert cert.n_shared_edge == 12
@@ -486,7 +488,7 @@ def test_separated_toy_mesh_certifies():
 
 def test_interpenetrating_toy_mesh_fails():
     S = _two_tetra_surface((Fraction(1, 16), Fraction(1, 16), Fraction(1, 16)))
-    coords = _dilated(S, 16)
+    coords = _dilated(S)
     faces = S.triangulation.faces
     # the oracle confirms a genuine crossing exists, so failure is honest
     crossing = []
@@ -500,4 +502,4 @@ def test_interpenetrating_toy_mesh_fails():
                 crossing.append("degenerate-touch")
     assert crossing
     with pytest.raises(CertificationError, match="no separating normal"):
-        certify_embeddedness(S, scale=16, delta=0)
+        certify_embeddedness(S)

@@ -13,6 +13,7 @@ code under test:
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import random
 import re
@@ -673,6 +674,29 @@ def test_cli_refine_writes_mesh(tmp_path, capsys):
     refined = load_mesh(out)
     assert len(refined.coords) == 10
     assert "refined at 120 digits" in capsys.readouterr().err
+
+
+def test_cli_refine_output_passes_verify_all(tmp_path):
+    # the refined heights carry about 400 digits; the embedding scale follows
+    refined = tmp_path / "refined.json"
+    assert main(["refine", "--report", str(refined)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["verify-all", "--mesh", str(refined), "--report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["outcome"] == "certified"
+    embed = doc["details"]["embeddedness"]
+    assert embed["robustness"] == "0.0000001"
+    assert embed["scale"] == load_mesh(refined).denominator == embed["delta"] * 10**7
+    assert embed["scale"] > 10**400
+
+
+def test_pyproject_names_the_package_and_its_script():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["name"] == "kleincert"
+    module, _, function = project["scripts"]["kleincert"].partition(":")
+    assert getattr(importlib.import_module(module), function) is main
 
 
 def test_cli_search_reports_algorithm_and_seed(tmp_path, capsys, monkeypatch):

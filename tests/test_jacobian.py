@@ -382,10 +382,11 @@ def test_cosine_extremes_consistent_with_squared_tables(candidate_surface):
     negative_seen = False
     for i in range(T.n_vertices):
         cycle = vertex_link(T, i)
+        q, lattice = candidate_surface.denominator, candidate_surface.lattice
         for r in range(len(cycle)):
-            Y = candidate_surface.coords[cycle[r]]
-            Z = candidate_surface.coords[cycle[(r + 1) % len(cycle)]]
-            alpha, sign = cos2_and_sign(candidate_surface.coords[i], Y, Z)
+            y = lattice[cycle[r]]
+            z = lattice[cycle[(r + 1) % len(cycle)]]
+            alpha, sign = cos2_and_sign(q, lattice[i], y, z)
             if sign >= 0:
                 assert alpha <= Fraction(96, 100) ** 2
             else:

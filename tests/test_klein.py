@@ -17,6 +17,7 @@ from kleincert.klein import (
     Point3,
     angle,
     cos2_and_sign,
+    dilate,
     distance,
     klein_inner,
     norm_comparison_factor,
@@ -31,6 +32,14 @@ ARTANH_HALF_LO = Fraction(Decimal("0.549306144334054845697622618461262852323745"
 ARTANH_HALF_HI = Fraction(Decimal("0.549306144334054845697622618461262852323746"))
 
 ORIGIN = Point3.of(0, 0, 0)
+HALF_X = Point3.of("0.5", 0, 0)
+HALF_Y = Point3.of(0, "0.5", 0)
+
+
+def lattice_corner(*points: Point3) -> tuple:
+    """(q, x, y, z): a rational corner put on its integer lattice."""
+    q, lattice = dilate(points)
+    return (q, *lattice)
 
 
 def rand_point(rng: random.Random, max_radius_pct: int = 90) -> Point3:
@@ -101,36 +110,35 @@ def test_inner_rejects_points_outside_ball():
 
 
 def test_cos2_orthogonal_at_origin():
-    A, sigma = cos2_and_sign(ORIGIN, Point3.of("0.5", 0, 0), Point3.of(0, "0.5", 0))
+    A, sigma = cos2_and_sign(*lattice_corner(ORIGIN, HALF_X, HALF_Y))
     assert A == 0 and sigma == 0
 
 
 def test_cos2_collinear_same_direction():
-    A, sigma = cos2_and_sign(ORIGIN, Point3.of("0.5", 0, 0), Point3.of("0.25", 0, 0))
+    A, sigma = cos2_and_sign(*lattice_corner(ORIGIN, HALF_X, Point3.of("0.25", 0, 0)))
     assert A == 1 and sigma == 1
 
 
 def test_cos2_rejects_degenerate():
     with pytest.raises(ValueError):
-        cos2_and_sign(ORIGIN, ORIGIN, Point3.of("0.5", 0, 0))
+        cos2_and_sign(*lattice_corner(ORIGIN, ORIGIN, Point3.of("0.5", 0, 0)))
 
 
 def test_cos2_rejects_a_repeated_vertex_with_the_angle_error():
     x = Point3.of("0.1", "-0.2", "0.3")
     for y, z in ((x, Point3.of("0.5", 0, 0)), (Point3.of("0.5", 0, 0), x)):
         with pytest.raises(ValueError, match=r"^angle is undefined when Y = X or Z = X$"):
-            cos2_and_sign(x, y, z)
+            cos2_and_sign(*lattice_corner(x, y, z))
 
 
 def test_cos2_rejects_points_outside_ball_like_klein_inner():
     x = Point3.of("0.6", "0.8", "0")  # on the sphere
     y, z = Point3.of("0.5", 0, 0), Point3.of(0, "0.5", 0)
-    with pytest.raises(ValueError) as inner_error:
+    with pytest.raises(ValueError, match="lies outside the open unit ball$"):
         klein_inner(x, y.sub(x), z.sub(x))
-    with pytest.raises(ValueError) as kernel_error:
-        cos2_and_sign(x, y, z)
-    assert str(kernel_error.value) == str(inner_error.value)
-    assert str(kernel_error.value) == f"point {tuple(x)} lies outside the open unit ball"
+    # the lattice has q = 10, so the kernel names x as the integer point over q
+    with pytest.raises(ValueError, match=r"^point \(6, 8, 0\)/10 lies outside the open unit ball$"):
+        cos2_and_sign(*lattice_corner(x, y, z))
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +147,7 @@ def test_cos2_matches_the_klein_inner_formula(corner):
     x, y, z = corner
     v, w = y.sub(x), z.sub(x)
     g_vw = klein_inner(x, v, w)
-    A, sigma = cos2_and_sign(x, y, z)
+    A, sigma = cos2_and_sign(*lattice_corner(x, y, z))
     assert A == g_vw * g_vw / (klein_inner(x, v, v) * klein_inner(x, w, w))
     assert sigma == (g_vw > 0) - (g_vw < 0)
 
@@ -153,13 +161,13 @@ def test_cos2_is_within_unit_interval():
         z = rand_point(rng)
         if y == x or z == x:
             continue
-        A, sigma = cos2_and_sign(x, y, z)
+        A, sigma = cos2_and_sign(*lattice_corner(x, y, z))
         assert 0 <= A <= 1
         assert sigma in (-1, 0, 1)
 
 
 def test_angle_right_angle_at_origin():
-    theta = angle(ORIGIN, Point3.of("0.5", 0, 0), Point3.of(0, "0.5", 0), precision=60)
+    theta = angle(*lattice_corner(ORIGIN, HALF_X, HALF_Y), precision=60)
     assert abs(Fraction(theta) - Fraction(pi_hp(80)) / 2) <= Fraction(1, 10**50)
 
 
@@ -174,10 +182,10 @@ def test_angle_agrees_with_cos_oracle():
         z = rand_point(rng, max_radius_pct=70)
         if y == x or z == x:
             continue
-        A, sigma = cos2_and_sign(x, y, z)
+        A, sigma = cos2_and_sign(*lattice_corner(x, y, z))
         if A == 0 or A == 1:
             continue
-        theta = angle(x, y, z, precision=60)
+        theta = angle(*lattice_corner(x, y, z), precision=60)
         c_lo, c_hi = oracles.cos_enclosure(Fraction(theta), n=40)
         lo, hi = oracles.sqrt_enclosure(A, Fraction(1, 10**45))
         want_lo, want_hi = (lo * sigma, hi * sigma) if sigma >= 0 else (hi * sigma, lo * sigma)

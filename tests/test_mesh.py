@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from kleincert.jacobian import surface_with_heights
 from kleincert.klein import Point3
 from kleincert.mesh import (
     EmbeddedSurface,
@@ -202,3 +204,44 @@ def test_surface_rejects_outside_ball(tetrahedron):
                 Point3.of("0.1", 0, 0),
             ),
         )
+
+
+def test_surface_rejects_a_vertex_on_the_sphere_by_index(tetrahedron):
+    inside = (Point3.of(0, "0.1", 0), Point3.of(0, 0, "0.1"), Point3.of("0.1", 0, 0))
+    on_sphere = Point3.of("0.6", "0.8", 0)
+    with pytest.raises(ValueError, match="^vertex 3 lies outside the open unit ball$"):
+        EmbeddedSurface(tetrahedron, inside + (on_sphere,))
+    just_inside = Point3.of("0.6", "0.8", 0).scale(Fraction(10**40 - 1, 10**40))
+    assert EmbeddedSurface(tetrahedron, inside + (just_inside,)).denominator == 5 * 10**40
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice
+# ---------------------------------------------------------------------------
+
+
+def _jittered(S):
+    heights = [p.z + Fraction((-1) ** i * (i + 1), 7 * 10**40) for i, p in enumerate(S.coords)]
+    return surface_with_heights(S, heights)
+
+
+@pytest.mark.parametrize(
+    "build, denominator",
+    [(lambda S: S, 10**32), (lambda S: subdivide(S, 0), 3 * 10**32), (_jittered, 7 * 10**40)],
+    ids=["packaged", "subdivided", "jittered"],
+)
+def test_lattice_is_the_surface_dilated_by_the_lcm(candidate_surface, build, denominator):
+    S = build(candidate_surface)
+    q = math.lcm(*(c.denominator for p in S.coords for c in p))
+    assert S.denominator == q == denominator
+    assert len(S.lattice) == len(S.coords)
+    for p, x in zip(S.coords, S.lattice):
+        assert all(isinstance(i, int) for i in x)
+        assert tuple(c * q for c in p) == tuple(x)
+
+
+def test_lattice_is_derived_not_passed(candidate_surface):
+    with pytest.raises(TypeError):
+        EmbeddedSurface(candidate_surface.triangulation, candidate_surface.coords, 1, ())
+    copy = EmbeddedSurface(candidate_surface.triangulation, candidate_surface.coords)
+    assert copy == candidate_surface and copy.lattice == candidate_surface.lattice

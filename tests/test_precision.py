@@ -205,18 +205,35 @@ def test_ln_bounds_certifies_exactly_two_endpoints(monkeypatch):
     calls = []
     real = precision_module._classify_exp
 
-    def counting(t, x, precision):
+    def counting(t, x, tolerance, precision):
         calls.append(t)
-        return real(t, x, precision)
+        return real(t, x, tolerance, precision)
 
     monkeypatch.setattr(precision_module, "_classify_exp", counting)
     b = ln_bounds(2, "1e-30")
     assert calls == [b.lo, b.hi]
 
 
+def test_ln_bounds_sums_one_taylor_series_per_endpoint(monkeypatch):
+    orders = []
+    real = precision_module.exp_bounds
+
+    def counting(x, a, n=20, precision=precision_module.DEFAULT_PRECISION):
+        orders.append((a, n))
+        return real(x, a, n, precision)
+
+    monkeypatch.setattr(precision_module, "exp_bounds", counting)
+    ln_bounds(2, Fraction(1, 10**30))
+    # ln 2 < 1, so both endpoints sum at a = 1, to the least order n with
+    # 3/(n+1)! <= 2·10⁻³⁰/12
+    tolerance = Fraction(2, 12 * 10**30)
+    assert precision_module._exp_remainder(1, 29) <= tolerance < precision_module._exp_remainder(1, 28)
+    assert orders == [(1, 29), (1, 29)]
+
+
 def test_ln_bounds_rejects_a_candidate_that_fails_verification(monkeypatch):
     # claim e^t > x for every t: the lower endpoint can no longer be certified
-    monkeypatch.setattr(precision_module, "_classify_exp", lambda t, x, precision: 1)
+    monkeypatch.setattr(precision_module, "_classify_exp", lambda t, x, tolerance, precision: 1)
     with pytest.raises(CertificationError, match="ln 2"):
         ln_bounds(2, "1e-10")
 
@@ -313,8 +330,11 @@ def test_hyp_identity_cosh_sq_minus_sinh_sq():
         x = Fraction(-3) + Fraction(6 * k, 99)
         xd = Decimal(x.numerator) / Decimal(x.denominator)
         h = hyp_bounds(xd)
-        diff = h.cosh.mul(h.cosh).sub(h.sinh.mul(h.sinh))
-        assert diff.contains(1)
+        s_lo, s_hi = h.sinh.lo_fraction, h.sinh.hi_fraction
+        sinh_sq_lo = 0 if s_lo <= 0 <= s_hi else min(s_lo**2, s_hi**2)
+        sinh_sq_hi = max(s_lo**2, s_hi**2)
+        # cosh > 0, so its square is bracketed by the squared endpoints
+        assert h.cosh.lo_fraction**2 - sinh_sq_hi <= 1 <= h.cosh.hi_fraction**2 - sinh_sq_lo
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +402,6 @@ def test_bound_containment_closed_under_arithmetic():
         bb = _random_bound_around(rng, b)
         assert ba.add(bb, precision=50).contains(a + b)
         assert ba.sub(bb, precision=50).contains(a - b)
-        assert ba.mul(bb, precision=50).contains(a * b)
         if not (bb.lo <= 0 <= bb.hi):
             assert ba.div(bb, precision=50).contains(a / b)
 
@@ -401,7 +420,7 @@ def test_bound_rejects_inverted_endpoints():
 
 def test_bound_from_fraction_is_outward():
     third = Fraction(1, 3)
-    b = Bound.from_fraction(third, precision=30)
+    b = Bound.from_fraction_pair(third, third, precision=30)
     assert Fraction(b.lo) < third < Fraction(b.hi)
     assert b.width_fraction() <= Fraction(1, 10**28)
 
