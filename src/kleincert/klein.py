@@ -130,7 +130,8 @@ def _rays(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[Point3, Point3, int]
         raise ValueError("angle is undefined when Y = X or Z = X")
     a = q * q - x.norm_sq()
     if a <= 0:
-        raise ValueError(f"point {tuple(x)}/{q} lies outside the open unit ball")
+        apex = Point3(*(Fraction(c, q) for c in x))
+        raise ValueError(f"point {tuple(apex)} lies outside the open unit ball")
     return v, w, a
 
 

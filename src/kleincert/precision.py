@@ -310,10 +310,11 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
     candidate is rejected with :class:`CertificationError`.
 
     Each check sums one Taylor series, of the least order whose remainder
-    cap is at most x·w/12, so its enclosure lies within x·w/6 of e^t.  Both
-    endpoints lie about w/3 from ln x, so e^a and e^b lie at least
-    x·(1 − e^(−w/3)) ≥ x·w/4 from x when w ≤ 1: the enclosure separates
-    unless the candidate is off by about w/12, far above its error.
+    cap is at most x·u/12 with u = min(w, 1), so its enclosure lies within
+    x·u/6 of e^t.  Both endpoints lie about w/3 ≥ u/3 from ln x, so e^a and
+    e^b lie at least x·(1 − e^(−u/3)) ≥ x·u/4 from x: the enclosure
+    separates unless the candidate is off by about u/12, far above its
+    error.
     """
     xf = as_fraction(x)
     if xf <= 0:
@@ -331,7 +332,7 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
         hint = Fraction((Decimal(xf.numerator) / Decimal(xf.denominator)).ln())
     lo = decimal_from_fraction(hint - tw / 3, digits, ROUND_FLOOR)
     hi = decimal_from_fraction(hint + tw / 3, digits, ROUND_CEILING)
-    tolerance = xf * tw / 12
+    tolerance = xf * min(tw, 1) / 12
     if (
         _classify_exp(lo, xf, tolerance, precision) > 0
         or _classify_exp(hi, xf, tolerance, precision) < 0

@@ -134,11 +134,12 @@ def test_cos2_rejects_a_repeated_vertex_with_the_angle_error():
 def test_cos2_rejects_points_outside_ball_like_klein_inner():
     x = Point3.of("0.6", "0.8", "0")  # on the sphere
     y, z = Point3.of("0.5", 0, 0), Point3.of(0, "0.5", 0)
-    with pytest.raises(ValueError, match="lies outside the open unit ball$"):
+    with pytest.raises(ValueError) as inner_error:
         klein_inner(x, y.sub(x), z.sub(x))
-    # the lattice has q = 10, so the kernel names x as the integer point over q
-    with pytest.raises(ValueError, match=r"^point \(6, 8, 0\)/10 lies outside the open unit ball$"):
+    with pytest.raises(ValueError) as kernel_error:
         cos2_and_sign(*lattice_corner(x, y, z))
+    assert str(kernel_error.value) == str(inner_error.value)
+    assert str(kernel_error.value) == f"point {tuple(x)} lies outside the open unit ball"
 
 
 @settings(max_examples=100, deadline=None)

@@ -184,6 +184,25 @@ def test_ln_bounds_contains_ln_on_generated_inputs(x, k):
     assert exp_lo_hi <= x <= exp_hi_lo
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+    tw=st.fractions(min_value=1, max_value=30, max_denominator=100),
+)
+def test_ln_bounds_contains_ln_at_widths_above_one(x, tw):
+    b = ln_bounds(x, tw)
+    assert b.width_fraction() <= tw
+    _, exp_lo_hi = oracles.exp_enclosure(Fraction(b.lo))
+    exp_hi_lo, _ = oracles.exp_enclosure(Fraction(b.hi))
+    assert exp_lo_hi <= x <= exp_hi_lo
+
+
+def test_ln_bounds_of_two_at_width_thirty():
+    b = ln_bounds(2, 30)
+    assert b.lo < 0 < b.hi and b.width_fraction() <= 30
+    assert contains_enclosure(b, LN2_LO, LN2_HI)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     x=st.fractions(min_value=-50, max_value=50, max_denominator=10**30),
