@@ -35,7 +35,7 @@ accuracy contract:
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple, Union
 
@@ -78,12 +78,6 @@ class Point3(NamedTuple):
 
     def sub(self, other: "Point3") -> "Point3":
         return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def add(self, other: "Point3") -> "Point3":
-        return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def scale(self, s: Fraction) -> "Point3":
-        return Point3(self.x * s, self.y * s, self.z * s)
 
     def dot(self, other: "Point3") -> Fraction:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -159,20 +153,16 @@ def angle(
 ) -> Decimal:
     """The angle θ = arccos(σ·√A) ∈ [0, π] at a lattice corner, accuracy 10^(2−p).
 
-    This is the non-certified evaluator used by the cone-angle and search
-    paths; certificates work with the exact (A, σ) pair instead.
+    √A is the midpoint of a :func:`sqrt_bounds` enclosure of width
+    10^−(p+2) at p + 10 digits, capped at 1; σ signs it and the fixed-point
+    :func:`arccos_hp` maps it to θ.  This is the non-certified evaluator of
+    the cone-angle and search paths; certificates work with the exact
+    (A, σ) pair instead.
     """
     A, sigma = cos2_and_sign(q, x, y, z)
-    if sigma == 0:
-        return arccos_hp(0, precision)
     root = sqrt_bounds(A, Fraction(1, 10 ** (precision + 2)), precision + 10)
-    with localcontext(Context(prec=precision + 10)):
-        cos_theta = root.midpoint(precision + 10)
-        if cos_theta > 1:
-            cos_theta = Decimal(1)
-        if sigma < 0:
-            cos_theta = -cos_theta
-    return arccos_hp(cos_theta, precision)
+    cos_theta = min(root.midpoint(precision + 10), Decimal(1))
+    return arccos_hp(cos_theta.copy_negate() if sigma < 0 else cos_theta, precision)
 
 
 def distance(

@@ -27,7 +27,10 @@ by the geometry layers:
   sums, with fixed error radii valid on [−3, 3],
 * :func:`arccos_hp` — a *non-certified* high-precision arccos used only by the
   search/evaluation paths (the certificates never evaluate arccos, they only
-  Lipschitz-bound it); accuracy contract |err| ≤ 10^(2−p) at precision p.
+  Lipschitz-bound it); accuracy contract |err| ≤ 10^(2−p) at precision p.  It
+  works in binary fixed point with 64 guard bits beyond p + 10 digits, by
+  half-angle-reduced arctan (Brent and Zimmermann, *Modern Computer
+  Arithmetic*, §4.2), whose floor errors stay below 10^−(p+10).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
+from decimal import Context, Decimal, ROUND_CEILING, ROUND_DOWN, ROUND_FLOOR, localcontext
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
@@ -382,13 +385,16 @@ def sqrt_bounds(
         with localcontext(ctx):
             hint = (Decimal(xf.numerator) / Decimal(xf.denominator)).sqrt()
         lo = hi = hint
-        while Fraction(lo) ** 2 > xf:
+        lo2 = hi2 = Fraction(hint) ** 2
+        while lo2 > xf:
             lo = ctx.next_minus(lo)
-        while Fraction(hi) ** 2 < xf:
+            lo2 = Fraction(lo) ** 2
+        while hi2 < xf:
             hi = ctx.next_plus(hi)
-        if Fraction(lo) ** 2 == xf:
+            hi2 = Fraction(hi) ** 2
+        if lo2 == xf:
             return Bound(lo, lo)
-        if Fraction(hi) ** 2 == xf:
+        if hi2 == xf:
             return Bound(hi, hi)
         bound = Bound(lo, hi)
         if tw is None or bound.width_fraction() <= tw:
@@ -435,41 +441,32 @@ def hyp_bounds(x: NumberLike, precision: int = DEFAULT_PRECISION) -> HypBounds:
 # ---------------------------------------------------------------------------
 
 
-def _machin_arctan_inv_scaled(m: int, scale_power: int) -> int:
-    """floor-accurate arctan(1/m) scaled by 10^scale_power.
+def _machin_arctan_inv_scaled(m: int, scale: int) -> int:
+    """arctan(1/m)·scale within (#terms + 1) units, scale a power of 10 or of 2.
 
-    Alternating-series evaluation in pure integer arithmetic; each term is
-    floor-divided (error < 1 unit) and the truncation error is below the first
-    omitted term, so the total error is under (#terms + 1) units.
+    The alternating series in integers: each term is floored (under 1 unit)
+    and the tail is below the first omitted term.
     """
-    scaled = 10**scale_power
-    total = 0
-    k = 0
-    while True:
-        term = scaled // ((2 * k + 1) * m ** (2 * k + 1))
-        if term == 0:
-            break
-        total += term if k % 2 == 0 else -term
+    total = k = 0
+    while term := scale // ((2 * k + 1) * m ** (2 * k + 1)):
+        total += -term if k % 2 else term
         k += 1
     return total
 
 
+@functools.lru_cache(maxsize=32)
+def _machin_pi(scale: int) -> int:
+    """π·scale = (16·arctan(1/5) − 4·arctan(1/239))·scale within 20·(#terms + 1) units."""
+    return 16 * _machin_arctan_inv_scaled(5, scale) - 4 * _machin_arctan_inv_scaled(239, scale)
+
+
 @functools.lru_cache(maxsize=16)
 def pi_hp(precision: int) -> Decimal:
-    """π to the requested precision via Machin's formula.
-
-    π = 16·arctan(1/5) − 4·arctan(1/239), evaluated in scaled-integer
-    arithmetic with an explicit error budget:  each series contributes at most
-    (#terms + 1) floor-units at scale 10^−(precision+15), multiplied by the
-    coefficients 16 and 4, which keeps the absolute error below
-    10^−(precision+8).
-    """
-    scale_power = precision + 15
-    scaled = 16 * _machin_arctan_inv_scaled(5, scale_power) - 4 * _machin_arctan_inv_scaled(
-        239, scale_power
-    )
+    """π to the requested precision: :func:`_machin_pi` at scale 10^(precision+15),
+    whose error of 20·(#terms + 1) units stays below 10^−(precision+8)."""
+    scale = 10 ** (precision + 15)
     with localcontext(_context(precision + 9)):
-        return Decimal(scaled) / Decimal(10**scale_power)
+        return Decimal(_machin_pi(scale)) / Decimal(scale)
 
 
 def two_pi(precision: int) -> Decimal:
@@ -478,51 +475,61 @@ def two_pi(precision: int) -> Decimal:
         return 2 * pi_hp(precision)
 
 
-def _arcsin_maclaurin(y: Decimal, work_precision: int) -> Decimal:
-    """Maclaurin series of arcsin on |y| ≤ 1/2, summed at work precision.
+#: Half-angle steps before the arctan series (u ≤ 1 becomes u ≤ tan(π/2^10)).
+_HALVINGS = 8
 
-    Terms obey t_{k+1} = t_k · y² · (2k+1)² / ((2k+2)(2k+3)); with |y| ≤ 1/2
-    the terms shrink by at least a factor 4 per step, so the loop terminates
-    after O(work_precision) terms.
+
+def _arctan_fixed(u: int, bits: int) -> int:
+    """arctan(u/2^bits)·2^bits for 0 ≤ u ≤ 2^bits, in binary fixed point.
+
+    :data:`_HALVINGS` steps of arctan u = 2·arctan(u/(1 + √(1 + u²))), one
+    isqrt each, bring u below tan(π/2^10) < 0.0031, and the alternating
+    series then gains over 16 bits per term.  Each step halves the error it
+    is given and adds under 2 units, as does each of the T terms, so an
+    input error of e units leaves 2^_HALVINGS·(2T + 5) + e units at most.
     """
-    with localcontext(_context(work_precision)):
-        if y == 0:
-            return Decimal(0)
-        eps = Decimal(10) ** (-(work_precision - 2))
-        y2 = y * y
-        term = y
-        total = y
-        k = 0
-        while abs(term) > eps:
-            term = term * y2 * ((2 * k + 1) * (2 * k + 1)) / ((2 * k + 2) * (2 * k + 3))
-            total += term
-            k += 1
-        return total
-
-
-def _arcsin_hp(y: Decimal, work_precision: int) -> Decimal:
-    with localcontext(_context(work_precision)):
-        if abs(y) <= Decimal("0.5"):
-            return _arcsin_maclaurin(y, work_precision)
-        half_pi = pi_hp(work_precision) / 2
-        reduced = ((1 - abs(y)) / 2).sqrt()
-        value = half_pi - 2 * _arcsin_maclaurin(reduced, work_precision)
-        return value if y > 0 else -value
+    one = 1 << bits
+    one_sq = one * one
+    for _ in range(_HALVINGS):
+        u = (u << bits) // (one + math.isqrt(one_sq + u * u))
+    u_sq = (u * u) >> bits
+    total = power = u
+    k = 1
+    while power := (power * u_sq) >> bits:
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        k += 1
+    return total << _HALVINGS
 
 
 def arccos_hp(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Decimal:
     """High-precision arccos with accuracy |err| ≤ 10^(2−p) at precision p.
 
-    Computed as π/2 − arcsin(x), with arcsin by its Maclaurin series for
-    |x| ≤ 1/2 and by the half-angle identity
-    arcsin x = π/2 − 2·arcsin(√((1−x)/2)) otherwise.  This is the search-path
-    evaluator; the certification paths never call it.
+    θ = atan2(√(1 − x²), x) in units of 2^−B, B = ⌈(p + 10)·log₂10⌉ + 64:
+    X = x·2^B and S = (1 − x²)·4^B are truncated from the exact x, s = ⌊√S⌋,
+    and θ = arctan(s/|X|) or π/2 − arctan(|X|/s), whichever ratio is ≤ 1,
+    reflected to π − θ when X < 0.  The ratio is within 6 units; the arctan
+    and Machin's π add under 64·B, and 64·B·2^−B < 10^−(p+10), so the one
+    rounding to p digits, at most 10^(2−p)/20, dominates the error.
     """
     xd = as_decimal(x)
     if not (-1 <= xd <= 1):
         raise ValueError(f"arccos is only defined on [-1, 1], got {x}")
-    work = precision + 10
-    with localcontext(_context(work)):
-        value = pi_hp(work) / 2 - _arcsin_hp(xd, work)
-    with localcontext(_context(precision)):
-        return +value
+    ctx = _context(precision)
+    bits = math.ceil((precision + 10) * math.log2(10)) + 64
+    one = 1 << bits
+    scale = Decimal(one)
+    # X and S come from the exact x at twice the digits of 2^B, so s stays
+    # accurate where x lies within 2^−B of ±1; no power of ten is built
+    wide = Context(prec=2 * scale.adjusted() + 4, rounding=ROUND_DOWN)
+    fixed = int(wide.multiply(xd, scale))
+    a = abs(fixed)
+    s = math.isqrt(int(wide.multiply(wide.fma(xd, xd.copy_negate(), 1), wide.multiply(scale, scale))))
+    pi = _machin_pi(one)
+    if a >= s:
+        theta = _arctan_fixed((s << bits) // a, bits)
+    else:
+        theta = (pi >> 1) - _arctan_fixed((a << bits) // s, bits)
+    if fixed < 0:
+        theta = pi - theta
+    return ctx.divide(Decimal(theta), scale)

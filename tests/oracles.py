@@ -7,12 +7,15 @@ Tests freeze values computed by these oracles; the oracles stay here so the
 frozen constants can be re-derived.
 
 Conventions: every oracle returns an exact rational *enclosure* ``(lo, hi)``
-with lo ≤ true value ≤ hi, never a point estimate.
+with lo ≤ true value ≤ hi, never a point estimate — except the reference
+bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
+:func:`arccos_maclaurin`), which return the value the old code returned.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Tuple
 
@@ -179,6 +182,58 @@ def arccos_enclosure(x: Fraction, width: Fraction) -> Enclosure:
         else:
             hi = mid
     return lo, hi
+
+
+def _machin_pi(precision: int) -> Decimal:
+    """π by Machin's formula at scale 10^(precision+15), rounded to precision + 9 digits."""
+    scale = 10 ** (precision + 15)
+
+    def arctan_inv(m: int) -> int:
+        total, k = 0, 0
+        while True:
+            term = scale // ((2 * k + 1) * m ** (2 * k + 1))
+            if term == 0:
+                return total
+            total += term if k % 2 == 0 else -term
+            k += 1
+
+    with localcontext(Context(prec=precision + 9)):
+        return Decimal(16 * arctan_inv(5) - 4 * arctan_inv(239)) / Decimal(scale)
+
+
+def _arcsin_maclaurin(y: Decimal, work: int) -> Decimal:
+    """arcsin y on |y| ≤ 1/2: terms t_{k+1} = t_k·y²·(2k+1)²/((2k+2)(2k+3))."""
+    with localcontext(Context(prec=work)):
+        if y == 0:
+            return Decimal(0)
+        eps = Decimal(10) ** (-(work - 2))
+        y2 = y * y
+        term = total = y
+        k = 0
+        while abs(term) > eps:
+            term = term * y2 * ((2 * k + 1) * (2 * k + 1)) / ((2 * k + 2) * (2 * k + 3))
+            total += term
+            k += 1
+        return total
+
+
+def arccos_maclaurin(x: Decimal, precision: int) -> Decimal:
+    """arccos x = π/2 − arcsin x at precision + 10 digits, rounded to precision.
+
+    The Decimal evaluator that the package's fixed-point ``arccos_hp``
+    replaced: arcsin by its Maclaurin series on |x| ≤ 1/2 and by
+    arcsin x = π/2 − 2·arcsin(√((1 − x)/2)) otherwise.
+    """
+    work = precision + 10
+    with localcontext(Context(prec=work)):
+        if abs(x) <= Decimal("0.5"):
+            arcsin = _arcsin_maclaurin(x, work)
+        else:
+            arcsin = _machin_pi(work) / 2 - 2 * _arcsin_maclaurin(((1 - abs(x)) / 2).sqrt(), work)
+            arcsin = arcsin if x > 0 else -arcsin
+        value = _machin_pi(work) / 2 - arcsin
+    with localcontext(Context(prec=precision)):
+        return +value
 
 
 def artanh_enclosure(r: Fraction, n: int = 200) -> Enclosure:

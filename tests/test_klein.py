@@ -85,7 +85,7 @@ def test_inner_symmetric_and_bilinear():
         u, v, w = rand_vector(rng), rand_vector(rng), rand_vector(rng)
         s = Fraction(rng.randint(-50, 50), 7)
         assert klein_inner(x, v, w) == klein_inner(x, w, v)
-        left = klein_inner(x, u.add(v.scale(s)), w)
+        left = klein_inner(x, Point3(*(a + s * b for a, b in zip(u, v))), w)
         right = klein_inner(x, u, w) + s * klein_inner(x, v, w)
         assert left == right
 

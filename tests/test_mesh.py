@@ -211,7 +211,7 @@ def test_surface_rejects_a_vertex_on_the_sphere_by_index(tetrahedron):
     on_sphere = Point3.of("0.6", "0.8", 0)
     with pytest.raises(ValueError, match="^vertex 3 lies outside the open unit ball$"):
         EmbeddedSurface(tetrahedron, inside + (on_sphere,))
-    just_inside = Point3.of("0.6", "0.8", 0).scale(Fraction(10**40 - 1, 10**40))
+    just_inside = Point3(*(c * Fraction(10**40 - 1, 10**40) for c in on_sphere))
     assert EmbeddedSurface(tetrahedron, inside + (just_inside,)).denominator == 5 * 10**40
 
 

@@ -8,16 +8,21 @@ strings so every containment check below is an exact rational comparison.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import time
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kleincert.klein as klein_module
 import kleincert.precision as precision_module
+from kleincert.mesh import cone_angle
 from kleincert.precision import (
     Bound,
     CertificationError,
@@ -401,6 +406,59 @@ def test_pi_hp_matches_oracle():
     assert 2 * lo - Fraction(1, 10**45) <= v <= 2 * hi + Fraction(1, 10**45)
 
 
+@st.composite
+def _arccos_cases(draw):
+    """(x, p): x near −1, −1/2, 0, 1/2 or 1 with up to p + 30 decimals, or spread over [−1, 1]."""
+    p = draw(st.sampled_from([5, 20, 60, 130, 410]))
+    k = draw(st.integers(min_value=1, max_value=p + 30))
+    if draw(st.booleans()):
+        centre = draw(st.sampled_from([-2, -1, 0, 1, 2]))
+        offset = draw(st.integers(min_value=-(10**6), max_value=10**6))
+        if abs(centre) == 2:
+            offset = -abs(offset) if centre > 0 else abs(offset)
+        x = Fraction(centre, 2) + Fraction(offset, 10 ** (k + 6))
+    else:
+        x = Fraction(draw(st.integers(min_value=-(10**k), max_value=10**k)), 10**k)
+    with localcontext(Context(prec=k + 20)):
+        return Decimal(x.numerator) / Decimal(x.denominator), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_arccos_cases())
+@example(case=(Decimal("-0"), 20))
+@example(case=(Decimal(0), 5))
+@example(case=(Decimal(1), 410))
+@example(case=(Decimal(-1), 130))
+@example(case=(Decimal("0.5"), 60))
+@example(case=(Decimal("-0.5"), 60))
+def test_arccos_is_within_contract_of_mpmath(case):
+    x, p = case
+    value = arccos_hp(x, p)
+    with mpmath.workdps(2 * p + len(str(x)) + 30):
+        reference = mpmath.acos(mpmath.mpf(str(x)))
+        assert abs(mpmath.mpf(str(value)) - reference) <= mpmath.mpf(10) ** (2 - p)
+
+
+def test_arccos_of_a_tiny_argument_builds_no_huge_power():
+    start = time.perf_counter()
+    value = arccos_hp("1E-100000", 30)
+    assert time.perf_counter() - start < 1
+    assert value == Context(prec=30).divide(pi_hp(60), 2)
+
+
+@pytest.mark.parametrize("digits", [60, 410])
+def test_arccos_equals_the_maclaurin_reference_on_the_candidate_corners(
+    candidate_surface, monkeypatch, digits
+):
+    cosines = []
+    monkeypatch.setattr(klein_module, "arccos_hp", lambda x, p: cosines.append(x) or arccos_hp(x, p))
+    for i in range(len(candidate_surface.coords)):
+        cone_angle(candidate_surface, i, digits)
+    assert len(cosines) == 72
+    for x in cosines:
+        assert str(arccos_hp(x, digits)) == str(oracles.arccos_maclaurin(x, digits))
+
+
 # ---------------------------------------------------------------------------
 # Bound arithmetic: containment is preserved by every operation
 # ---------------------------------------------------------------------------
@@ -423,6 +481,80 @@ def test_bound_containment_closed_under_arithmetic():
         assert ba.sub(bb, precision=50).contains(a - b)
         if not (bb.lo <= 0 <= bb.hi):
             assert ba.div(bb, precision=50).contains(a / b)
+
+
+@contextlib.contextmanager
+def _interval_digits(digits: int):
+    """mpmath's interval context at ``digits`` decimal digits, restored on exit."""
+    saved = mpmath.iv.prec
+    mpmath.iv.dps = digits
+    try:
+        yield mpmath.iv
+    finally:
+        mpmath.iv.prec = saved
+
+
+def _dyadic_decimal(m: int, k: int) -> Decimal:
+    """m·2^k as an exact Decimal."""
+    return Decimal(m * 2**k) if k >= 0 else Decimal(f"{m * 5**-k}E{k}")
+
+
+def _contains_interval(bound: Bound, v) -> bool:
+    """Exact test that ``bound`` contains the mpmath interval ``v``.
+
+    The interval's binary endpoints convert to Decimals exactly, and Decimals
+    compare exactly, also against subnormal endpoints such as 1E-1000001.
+    """
+    with mpmath.workprec(mpmath.iv.prec):
+        lo, hi = (mpmath.mpf(e) for e in (v.a, v.b))
+    lo, hi = (_dyadic_decimal((-1 if e < 0 else 1) * int(e.man), int(e.exp)) for e in (lo, hi))
+    return bound.lo <= lo and hi <= bound.hi
+
+
+# Dyadic endpoints are exact in binary, so mpmath's interval of an exact sum or
+# difference is that one value; with up to 82 digits they are wider than every
+# precision drawn, so the operations round.
+_BOUNDS = st.lists(
+    st.builds(
+        _dyadic_decimal,
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.integers(min_value=-100, max_value=60),
+    ),
+    min_size=2,
+    max_size=2,
+).map(lambda ends: Bound(*sorted(ends)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_BOUNDS, b=_BOUNDS, p=st.sampled_from([3, 10, 28, 60]))
+def test_bound_arithmetic_contains_the_mpmath_interval(a, b, p):
+    with _interval_digits(400) as iv:
+        x = iv.mpf([str(a.lo), str(a.hi)])
+        y = iv.mpf([str(b.lo), str(b.hi)])
+        assert _contains_interval(a.add(b, p), x + y)
+        assert _contains_interval(a.sub(b, p), x - y)
+        if b.lo > 0 or b.hi < 0:
+            assert _contains_interval(a.div(b, p), x / y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.one_of(
+        st.fractions(min_value=0, max_value=10**12, max_denominator=10**30),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**15).map(lambda r: r * r),
+    ),
+    width=st.one_of(st.none(), st.integers(min_value=1, max_value=80).map(lambda k: Fraction(1, 10**k))),
+    p=st.sampled_from([5, 20, 60]),
+)
+def test_sqrt_bounds_contain_the_mpmath_interval(x, width, p):
+    bound = sqrt_bounds(x, width, p)
+    if width is not None:
+        assert bound.width_fraction() <= width
+    if bound.lo == bound.hi:  # an exact square: the enclosure is the root itself
+        assert Fraction(bound.lo) ** 2 == x
+        return
+    with _interval_digits(p + 120) as iv:
+        assert _contains_interval(bound, iv.sqrt(iv.mpf(x.numerator) / iv.mpf(x.denominator)))
 
 
 def test_bound_division_rejects_zero_straddling_divisor():
