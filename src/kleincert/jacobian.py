@@ -16,8 +16,8 @@ runs through four stages that live in this module:
 
 2. `crude_bounds` — certified coarse geometry on a height-ball around the
    candidate: Euclidean edge norms, metric tangent norms, hyperbolic edge
-   lengths, cosine ranges, and the sine floor |sin θ| ≥ 0.24, each derived
-   with exact rational or enclosure arithmetic.
+   lengths, cosine ranges, and the sine floor |sin θ| ≥ 0.24, all read from
+   the integer lattice; only the edge lengths need enclosures.
 
 3. `second_partial_bound` — the constant chain that caps every second
    partial |∂²Θ_i/∂z_j∂z_k| by 10¹⁴ on that ball.  Each displayed inequality
@@ -40,10 +40,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Sequence, Tuple
 
-from .certify_flat import FlatnessCertificate
+from .certify_flat import FlatnessCertificate, _alphas_and_signs
 from .certify_embed import EmbeddingCertificate
-from .klein import Point3, _rays, cos2_and_sign, distance, norm_comparison_factor
-from .mesh import EmbeddedSurface, cone_angle, vertex_link
+from .klein import Point3, _chord, _rays, distance, norm_comparison_factor
+from .mesh import EmbeddedSurface, cone_angle
 from .precision import (
     Bound,
     CertificationError,
@@ -335,21 +335,27 @@ def crude_bounds(
     [0.6, 2.1] over the ball; cosines in [−0.008, 0.96] at the center and
     [−0.01, 0.961] over the ball via the 70-Lipschitz law-of-cosines map;
     finally |sin θ| ≥ 0.24 over the ball.
+
+    It reads ``S.lattice`` only: each edge's chord integers A, B, C from
+    :mod:`kleincert.klein` decide the norm and ln-argument checks exactly, one
+    ``distance`` per edge its length, and the flatness table the cosines.
     """
     T = S.triangulation
+    q, lattice = S.denominator, S.lattice
+    q2 = q * q
     center_cap = Fraction(79, 100)
     coord_cap = Fraction(4, 5)
-    for idx, p in enumerate(S.coords):
-        _req(p.norm_sq() <= center_cap**2, f"vertex {idx} norm exceeds {center_cap}")
+    for idx, x in enumerate(lattice):
+        _req(x.norm_sq() <= center_cap**2 * q2, f"vertex {idx} norm exceeds {center_cap}")
     _req(center_cap + ball_radius <= coord_cap, "ball escapes the coordinate cap")
 
     edges = sorted({tuple(sorted((f[r], f[(r + 1) % 3]))) for f in T.faces for r in range(3)})
+    chords = {(ia, ib): _chord(q, lattice[ia], lattice[ib]) for (ia, ib) in edges}
 
     # Euclidean edge norms (exact squares)
     eu_lo, eu_hi = Fraction(509, 1000), Fraction(1561, 1000)
-    for (a, b) in edges:
-        t4 = S.coords[b].sub(S.coords[a]).norm_sq()
-        _req(eu_lo**2 <= t4 <= eu_hi**2, f"Euclidean norm of edge {(a, b)}")
+    for edge, (A, _, _) in chords.items():
+        _req(eu_lo**2 * q2 <= A <= eu_hi**2 * q2, f"Euclidean norm of edge {edge}")
 
     # metric tangent norms over the ball, via ‖V‖² ≤ ‖V‖²_X ≤ ‖V‖²/(1−r²)²
     tn_lo, tn_hi = Fraction(1, 2), Fraction(13)
@@ -357,27 +363,21 @@ def crude_bounds(
     _req(eu_lo**2 >= tn_lo**2, "tangent norm floor")
     _req(eu_hi**2 * factor <= tn_hi**2, "tangent norm cap")
 
-    # hyperbolic edge lengths at the center, with certified inner quantities
-    # The log-argument cap is 2 (outward-rounded: the true per-edge maximum is
-    # 1.99020…); the per-edge length check below uses the certified distance
-    # enclosure directly, so this aggregate interval only gates the ln domain.
+    # hyperbolic edge lengths at the center; the ln arguments are decided
+    # exactly: √Δ − b − 2c = (√disc − s)/q², compared by squaring, and
+    # 4c(a + b + c) = 4C(A + B + C)/q⁴.  The log-argument cap is 2 (the true
+    # per-edge maximum is 1.99020…): it only gates the ln domain.
     sq_lo, sq_hi = Fraction(193, 100), Fraction(63, 10)
     lg_lo, lg_hi = Fraction(62, 100), Fraction(2)
     el_lo, el_hi = Fraction(63, 100), Fraction(208, 100)
-    for (ia, ib) in edges:
-        X, Y = S.coords[ia], S.coords[ib]
-        D = Y.sub(X)
-        qa = D.dot(D)
-        qb = 2 * X.dot(D)
-        qc = X.norm_sq() - 1
-        disc = qb * qb - 4 * qa * qc
-        root = sqrt_bounds(disc, Fraction(1, 10**32), precision=precision)
-        arg1_lo = Fraction(root.lo) - qb - 2 * qc
-        arg1_hi = Fraction(root.hi) - qb - 2 * qc
-        _req(sq_lo <= arg1_lo and arg1_hi <= sq_hi, f"sqrt argument of edge {(ia, ib)}")
-        arg2 = 4 * qc * qc + 4 * qa * qc + 4 * qb * qc
-        _req(lg_lo <= arg2 <= lg_hi, f"log argument of edge {(ia, ib)}")
-        d = distance(X, Y, target_width=Fraction(1, 10**20), precision=precision)
+    for (ia, ib), (A, B, C) in chords.items():
+        disc, s = B * B - 4 * A * C, B + 2 * C
+        low, high = sq_lo * q2 + s, sq_hi * q2 + s
+        above_low = low <= 0 or low * low <= disc
+        _req(above_low and high >= 0 and disc <= high * high, f"sqrt argument of edge {(ia, ib)}")
+        arg2 = 4 * C * (A + B + C)  # q⁴ times the log argument
+        _req(lg_lo * q2 * q2 <= arg2 <= lg_hi * q2 * q2, f"log argument of edge {(ia, ib)}")
+        d = distance(q, lattice[ia], lattice[ib], Fraction(1, 10**20), precision)
         _req(
             el_lo <= Fraction(d.lo) and Fraction(d.hi) <= el_hi,
             f"hyperbolic length of edge {(ia, ib)}",
@@ -391,18 +391,13 @@ def crude_bounds(
     full_lo, full_hi = Fraction(3, 5), Fraction(21, 10)
     _req(full_lo <= el_lo - slack and el_hi + slack <= full_hi, "edge length range")
 
-    # cosine range at the center from the exact squared-cosine tables
+    # cosine range at the center from the exact squared-cosine table
     cos_lo, cos_hi = Fraction(-8, 1000), Fraction(96, 100)
-    for i in range(T.n_vertices):
-        cycle = vertex_link(T, i)
-        for r in range(len(cycle)):
-            y = S.lattice[cycle[r]]
-            z = S.lattice[cycle[(r + 1) % len(cycle)]]
-            alpha, sign = cos2_and_sign(S.denominator, S.lattice[i], y, z)
-            if sign >= 0:
-                _req(alpha <= cos_hi**2, f"cosine cap at vertex {i}")
-            else:
-                _req(alpha <= cos_lo**2, f"cosine floor at vertex {i}")
+    for (i, _), (alpha, sign) in _alphas_and_signs(S).items():
+        if sign >= 0:
+            _req(alpha <= cos_hi**2, f"cosine cap at vertex {i}")
+        else:
+            _req(alpha <= cos_lo**2, f"cosine floor at vertex {i}")
 
     # Lipschitz transfer to the ball: ‖(a,b,c)−(â,b̂,ĉ)‖ ≤ √3·1.6e−17 ≤ 2.8e−17,
     # then |cos θ − cos θ̂| ≤ 70·2.8e−17 ≤ 2e−15

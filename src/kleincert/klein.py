@@ -9,10 +9,10 @@ tangent vectors V, W is
 a rational function of rational inputs — so inner products, squared cosines
 and sign decisions are computed *exactly* here.
 
-The corner kernels (:func:`cos2_and_sign` and the Jacobian's corner
-partials) compute in integers.  A surface keeps its vertices on one integer
-lattice (:func:`dilate`): Q is the lcm of every coordinate denominator and
-x = Q·X is an integer point.  For a corner with lattice points x, y, z let
+The corner kernels (:func:`cos2_and_sign`, the Jacobian's corner partials)
+and the chord kernel compute in integers.  A surface keeps its vertices on one
+integer lattice (:func:`dilate`): Q is the lcm of every coordinate denominator
+and x = Q·X is an integer point.  For a corner with lattice points x, y, z let
 v = y − x, w = z − x and a′ = Q² − |x|² = Q²·a_X.  Every dot product of the
 lattice vectors carries Q² and a_X² = a′²/Q⁴, so
 
@@ -20,13 +20,14 @@ lattice vectors carries Q² and a_X² = a′²/Q⁴, so
 
 with G_vw an integer.  All three metric products share the denominator a′²,
 so it cancels in A = G_vw² / (G_vv·G_ww) and the sign of ⟨V, W⟩_X is the sign
-of G_vw; one Fraction is built at the end.  Only two irrational steps
-exist in this module, and both return certified objects or carry an explicit
+of G_vw; one Fraction is built at the end.  A chord x → y has the integers
+(A, B, C) = Q²·(a, b, c) of :func:`distance`, formed here only.  Two steps
+are irrational, and both return certified objects or carry an explicit
 accuracy contract:
 
 * :func:`distance` returns a :class:`~kleincert.precision.Bound` on the
-  hyperbolic distance, built from certified sqrt/ln enclosures of the exact
-  chord data;
+  hyperbolic distance between lattice points, built from certified sqrt/ln
+  enclosures of the exact chord data;
 * :func:`angle` evaluates arccos through the high-precision (search-path)
   evaluator; certificates never consume it — they work with the exact squared
   cosine from :func:`cos2_and_sign`.
@@ -99,18 +100,21 @@ def dilate(points: Sequence[Point3]) -> Tuple[int, Tuple[Point3, ...]]:
     return q, tuple(Point3(*(c.numerator * (q // c.denominator) for c in p)) for p in points)
 
 
-def _require_model_point(X: Point3) -> Fraction:
-    """Return a_X = 1 − ‖X‖², rejecting points outside the open unit ball."""
+def klein_inner(X: Point3, V: Point3, W: Point3) -> Fraction:
+    """Exact metric inner product ⟨V, W⟩_X at the model point X (rational reference)."""
     a = 1 - X.norm_sq()
     if a <= 0:
         raise ValueError(f"point {tuple(X)} lies outside the open unit ball")
-    return a
-
-
-def klein_inner(X: Point3, V: Point3, W: Point3) -> Fraction:
-    """Exact metric inner product ⟨V, W⟩_X at the model point X."""
-    a = _require_model_point(X)
     return (a * V.dot(W) + X.dot(V) * X.dot(W)) / (a * a)
+
+
+def _require_in_ball(q: int, x: Point3) -> int:
+    """Return a′ = q² − |x|², rejecting (and naming) a point x/q outside the ball."""
+    a = q * q - x.norm_sq()
+    if a <= 0:
+        apex = Point3(*(Fraction(c, q) for c in x))
+        raise ValueError(f"point {tuple(apex)} lies outside the open unit ball")
+    return a
 
 
 def _rays(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[Point3, Point3, int]:
@@ -122,11 +126,18 @@ def _rays(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[Point3, Point3, int]
     v, w = y.sub(x), z.sub(x)
     if v.is_zero() or w.is_zero():
         raise ValueError("angle is undefined when Y = X or Z = X")
-    a = q * q - x.norm_sq()
-    if a <= 0:
-        apex = Point3(*(Fraction(c, q) for c in x))
-        raise ValueError(f"point {tuple(apex)} lies outside the open unit ball")
-    return v, w, a
+    return v, w, _require_in_ball(q, x)
+
+
+def _chord(q: int, x: Point3, y: Point3) -> Tuple[int, int, int]:
+    """(A, B, C) = (|y − x|², 2x·(y − x), |x|² − q²) = q²·(a, b, c) of :func:`distance`.
+
+    Raises for x/q, then y/q, outside the open unit ball; A = 0 iff x = y.
+    """
+    c = -_require_in_ball(q, x)
+    _require_in_ball(q, y)
+    d = y.sub(x)
+    return d.norm_sq(), 2 * x.dot(d), c
 
 
 def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, int]:
@@ -166,45 +177,40 @@ def angle(
 
 
 def distance(
-    X: Point3,
-    Y: Point3,
+    q: int,
+    x: Point3,
+    y: Point3,
     target_width: CoordLike = "1e-8",
     precision: int = DEFAULT_PRECISION,
 ) -> Bound:
-    """Certified Bound on the hyperbolic distance between model points.
+    """Certified Bound on the hyperbolic distance between lattice points x/q, y/q.
 
     With a = ⟨Y−X, Y−X⟩, b = 2⟨X, Y−X⟩, c = ⟨X, X⟩ − 1 and Δ = b² − 4ac,
-    the distance along the chord is
+    the distance along the chord (Ratcliffe, *Foundations of Hyperbolic
+    Manifolds*, the projective disk model) is
 
-        d = ln(√Δ − b − 2c) − ½·ln(4c² + 4ac + 4bc).
+        d = ln(√Δ − b − 2c) − ½·ln(4c(a + b + c)),
 
-    All polynomial quantities are exact rationals; √Δ and both logarithms are
-    certified enclosures, combined outward, so the result contains the true
-    distance.  ``target_width`` controls each logarithm's enclosure width.
+    as a + b + c = ‖Y‖² − 1.  With (A, B, C) = q²·(a, b, c) from :func:`_chord`,
+    Δ = (B² − 4AC)/q⁴ > 0 since A > 0 > C.  √Δ and both logarithms are
+    certified enclosures of exact rationals, combined outward, so the result
+    contains the true distance; ``target_width`` sets each one's width.
     """
-    _require_model_point(X)
-    _require_model_point(Y)
-    D = Y.sub(X)
-    if D.is_zero():
+    A, B, C = _chord(q, x, y)
+    if A == 0:
         raise ValueError("distance requires X != Y")
-    a = D.dot(D)
-    b = 2 * X.dot(D)
-    c = X.norm_sq() - 1
-    delta = b * b - 4 * a * c
-    if delta <= 0:
-        raise ValueError("chord discriminant must be positive for X != Y in the ball")
-
+    q2 = q * q
     tw = as_fraction(target_width)
-    root = sqrt_bounds(delta, tw / 4, precision)
-    arg1_lo = Fraction(root.lo) - b - 2 * c
-    arg1_hi = Fraction(root.hi) - b - 2 * c
-    arg2 = 4 * c * c + 4 * a * c + 4 * b * c
-    if arg1_lo <= 0 or arg2 <= 0:
+    root = sqrt_bounds(Fraction(B * B - 4 * A * C, q2 * q2), tw / 4, precision)
+    s = Fraction(B + 2 * C, q2)
+    arg1_lo = Fraction(root.lo) - s
+    arg1_hi = Fraction(root.hi) - s
+    if arg1_lo <= 0:
         raise ValueError("logarithm arguments must be positive for model points")
 
     ln1_lo = ln_bounds(arg1_lo, tw / 4, precision)
     ln1_hi = ln1_lo if arg1_hi == arg1_lo else ln_bounds(arg1_hi, tw / 4, precision)
-    ln2 = ln_bounds(arg2, tw / 4, precision)
+    ln2 = ln_bounds(Fraction(4 * C * (A + B + C), q2 * q2), tw / 4, precision)
     lo = Fraction(ln1_lo.lo) - Fraction(ln2.hi) / 2
     hi = Fraction(ln1_hi.hi) - Fraction(ln2.lo) / 2
     return Bound.from_fraction_pair(lo, hi, precision)

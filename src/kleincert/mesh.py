@@ -164,9 +164,12 @@ class EmbeddedSurface:
 
     The coordinates are also kept once on an integer lattice, derived when
     the surface is built: ``denominator`` is Q, the lcm of every coordinate
-    denominator, and ``lattice[i]`` is the integer point Q·X_i.  The corner
-    kernels and the embedding certificate read the lattice, and the unit-ball
-    check is the integer test |Q·X_i|² < Q².
+    denominator, and ``lattice[i]`` is the integer point Q·X_i.  All surface
+    geometry (corner kernels, chords and distances, crude bounds, the
+    embedding certificate) reads the lattice, and the unit-ball check is the
+    integer test |Q·X_i|² < Q².  ``coords`` is read only where rationals are
+    the point: parsing, rendering, export, slicing, subdivision and the
+    search's moves.
     """
 
     triangulation: Triangulation

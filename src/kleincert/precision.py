@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_CEILING, ROUND_DOWN, ROUND_FLOOR, localcontext
+from decimal import Context, Decimal, ROUND_CEILING, ROUND_DOWN, ROUND_FLOOR, Underflow, localcontext
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
@@ -119,7 +119,8 @@ class Bound:
 
     Arithmetic computes candidate endpoints at the working precision and then
     widens each endpoint by one unit in the last place, which dominates the
-    at-most-half-ulp rounding of each elementary Decimal operation.  Division
+    at-most-half-ulp rounding of each elementary Decimal operation.  An
+    endpoint that is 0 because its operation was exact stays 0.  Division
     rejects divisor Bounds containing zero.
     """
 
@@ -153,14 +154,6 @@ class Bound:
 
     # -- exact queries ---------------------------------------------------
 
-    @property
-    def lo_fraction(self) -> Fraction:
-        return Fraction(self.lo)
-
-    @property
-    def hi_fraction(self) -> Fraction:
-        return Fraction(self.hi)
-
     def contains(self, x: NumberLike) -> bool:
         """Exact containment test (no rounding)."""
         xf = as_fraction(x)
@@ -177,9 +170,16 @@ class Bound:
 
     @staticmethod
     def _outward(candidates_lo: Iterable[Decimal], candidates_hi: Iterable[Decimal], ctx: Context) -> "Bound":
-        lo = ctx.next_minus(min(candidates_lo))
-        hi = ctx.next_plus(max(candidates_hi))
-        return Bound(lo, hi)
+        # An end that is 0 stays 0 when no operation in ctx underflowed:
+        # Decimal rounds a nonzero result to 0 only by underflow, so such a 0
+        # is exact.  Stepping it would give a subnormal near 10^(Emin − prec),
+        # and exact queries on it would build million-digit integers.
+        exact_zero = not ctx.flags[Underflow]
+        lo, hi = min(candidates_lo), max(candidates_hi)
+        return Bound(
+            lo if lo == 0 and exact_zero else ctx.next_minus(lo),
+            hi if hi == 0 and exact_zero else ctx.next_plus(hi),
+        )
 
     def add(self, other: "Bound", precision: int = DEFAULT_PRECISION) -> "Bound":
         ctx = _context(precision)

@@ -234,22 +234,13 @@ def hill_climb(
     return best
 
 
-def _as_decimal(value, precision: int) -> Decimal:
-    """Coerce a Jacobian entry (Decimal or rational) to a working Decimal."""
-    if isinstance(value, Decimal):
-        return value
-    frac = Fraction(value)
-    with localcontext(Context(prec=precision)):
-        return Decimal(frac.numerator) / Decimal(frac.denominator)
-
-
 def _lu_solve(
     matrix: Sequence[Sequence[Decimal]], rhs: Sequence[Decimal], precision: int
 ) -> List[Decimal]:
     """Solve a square system by LU with partial pivoting at the given digits."""
     n = len(matrix)
     with localcontext(Context(prec=precision)):
-        a = [[+_as_decimal(x, precision) for x in row] for row in matrix]
+        a = [[+x for x in row] for row in matrix]
         b = [+x for x in rhs]
         for col in range(n):
             pivot = max(range(col, n), key=lambda r: abs(a[r][col]))

@@ -372,7 +372,7 @@ def test_criterion_09_transcendental_layer(capsys):
     elapsed = time.monotonic() - start
 
     def inside(bound, lo: str, hi: str) -> bool:
-        return Fraction(lo) <= bound.lo_fraction and bound.hi_fraction <= Fraction(hi)
+        return Fraction(lo) <= Fraction(bound.lo) and Fraction(bound.hi) <= Fraction(hi)
 
     _emit(
         capsys,

@@ -21,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleincert import cli_io
 from kleincert.cli_io import (
@@ -38,6 +40,8 @@ from kleincert.cli_io import (
 )
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
+
+from strategies import ball_points
 from kleincert.precision import CertificationError
 
 
@@ -162,6 +166,20 @@ def test_container_keeps_non_terminating_rationals_exact(tmp_path):
     save_mesh(surface, path)
     assert '"1/3"' in path.read_text()
     assert load_mesh(path).coords == surface.coords
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=st.lists(ball_points(), min_size=10, max_size=10))
+def test_render_parse_render_is_a_fixed_point(points, candidate_surface):
+    # ball_points mix 10^k, 3^k and 7·10^k denominators, so the texts are both
+    # terminating decimals and p/q fractions
+    surface = EmbeddedSurface(candidate_surface.triangulation, tuple(points))
+    text = render_mesh(surface, name="generated")
+    name, again = cli_io._parse_mesh_document(text)
+    assert name == "generated"
+    assert render_mesh(again, name=name) == text
+    assert again.coords == surface.coords
+    assert (again.denominator, again.lattice) == (surface.denominator, surface.lattice)
 
 
 @pytest.mark.parametrize(

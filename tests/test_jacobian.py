@@ -410,6 +410,32 @@ def test_crude_bounds_failure_names_the_edge(tetrahedron):
         crude_bounds(tiny)
 
 
+def test_crude_bounds_rejects_a_sqrt_argument_out_of_range(tetrahedron):
+    # √Δ − b − 2c of edge (0, 1), a diameter of length 1.56, is 6.3368 > 6.3
+    wide = EmbeddedSurface(
+        triangulation=tetrahedron,
+        coords=tuple(
+            Point3.of(*p)
+            for p in (("-0.78", 0, 0), ("0.78", 0, 0), (0, "0.6", 0), (0, 0, "0.6"))
+        ),
+    )
+    message = r"^crude bound failed: sqrt argument of edge \(0, 1\)$"
+    with pytest.raises(CertificationError, match=message):
+        crude_bounds(wide)
+
+
+def test_crude_bounds_rejects_a_log_argument_out_of_range(tetrahedron):
+    # 4c(a + b + c) = 4(1 − |X|²)(1 − |Y|²) of edge (0, 1) is 0.616225 < 0.62
+    r = Fraction(45, 100)
+    regular = EmbeddedSurface(
+        triangulation=tetrahedron,
+        coords=(Point3(r, r, r), Point3(r, -r, -r), Point3(-r, r, -r), Point3(-r, -r, r)),
+    )
+    message = r"^crude bound failed: log argument of edge \(0, 1\)$"
+    with pytest.raises(CertificationError, match=message):
+        crude_bounds(regular)
+
+
 def test_crude_bounds_rejects_oversized_ball(candidate_surface):
     with pytest.raises(CertificationError, match="ball escapes"):
         crude_bounds(candidate_surface, ball_radius=Fraction(1, 50))

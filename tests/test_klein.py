@@ -6,13 +6,17 @@ Surface-independent behaviour only; range checks over the candidate surface
 
 from __future__ import annotations
 
+import inspect
 import random
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kleincert import certify_embed, certify_flat, jacobian
 from kleincert.klein import (
     Point3,
     angle,
@@ -25,7 +29,7 @@ from kleincert.klein import (
 from kleincert.precision import arccos_hp, pi_hp
 
 import oracles
-from strategies import corners
+from strategies import ball_points, corners
 
 # FROZEN by oracles.artanh_enclosure(Fraction(1, 2)), rounded outward.
 ARTANH_HALF_LO = Fraction(Decimal("0.549306144334054845697622618461262852323745"))
@@ -37,7 +41,7 @@ HALF_Y = Point3.of(0, "0.5", 0)
 
 
 def lattice_corner(*points: Point3) -> tuple:
-    """(q, x, y, z): a rational corner put on its integer lattice."""
+    """(q, x, y, …): rational points (a corner, a chord) put on their integer lattice."""
     q, lattice = dilate(points)
     return (q, *lattice)
 
@@ -201,15 +205,25 @@ def test_angle_agrees_with_cos_oracle():
 
 
 def test_distance_chord_through_origin():
-    b = distance(ORIGIN, Point3.of("0.5", 0, 0), target_width="1e-12", precision=80)
+    b = distance(*lattice_corner(ORIGIN, HALF_X), target_width="1e-12", precision=80)
     # Through-origin chords have d = artanh(r); oracle enclosure is frozen.
     assert Fraction(b.lo) <= ARTANH_HALF_LO and ARTANH_HALF_HI <= Fraction(b.hi)
     assert b.width_fraction() <= Fraction(1, 10**12)
 
 
 def test_distance_rejects_equal_points():
-    with pytest.raises(ValueError):
-        distance(ORIGIN, ORIGIN)
+    with pytest.raises(ValueError, match=r"^distance requires X != Y$"):
+        distance(*lattice_corner(ORIGIN, ORIGIN))
+
+
+def test_distance_rejects_points_outside_ball_like_klein_inner():
+    inside, sphere = Point3.of("0.5", 0, 0), Point3.of("0.6", "0.8", "0")
+    with pytest.raises(ValueError) as inner_error:
+        klein_inner(sphere, inside, inside)
+    for pair in ((sphere, inside), (inside, sphere), (sphere, sphere)):
+        with pytest.raises(ValueError) as chord_error:
+            distance(*lattice_corner(*pair))
+        assert str(chord_error.value) == str(inner_error.value)
 
 
 def test_distance_symmetry_overlap():
@@ -219,8 +233,9 @@ def test_distance_symmetry_overlap():
         y = rand_point(rng, max_radius_pct=80)
         if x == y:
             continue
-        d1 = distance(x, y, target_width="1e-10", precision=60)
-        d2 = distance(y, x, target_width="1e-10", precision=60)
+        q, lx, ly = lattice_corner(x, y)
+        d1 = distance(q, lx, ly, target_width="1e-10", precision=60)
+        d2 = distance(q, ly, lx, target_width="1e-10", precision=60)
         assert Fraction(d1.lo) <= Fraction(d2.hi) and Fraction(d2.lo) <= Fraction(d1.hi)
 
 
@@ -232,9 +247,10 @@ def test_distance_triangle_inequality():
         z = rand_point(rng, max_radius_pct=80)
         if x == y or y == z or x == z:
             continue
-        dxz = distance(x, z, target_width="1e-6", precision=60)
-        dxy = distance(x, y, target_width="1e-6", precision=60)
-        dyz = distance(y, z, target_width="1e-6", precision=60)
+        q, lx, ly, lz = lattice_corner(x, y, z)
+        dxz = distance(q, lx, lz, target_width="1e-6", precision=60)
+        dxy = distance(q, lx, ly, target_width="1e-6", precision=60)
+        dyz = distance(q, ly, lz, target_width="1e-6", precision=60)
         assert Fraction(dxz.lo) <= Fraction(dxy.hi) + Fraction(dyz.hi)
 
 
@@ -242,9 +258,60 @@ def test_distance_matches_artanh_oracle_along_axis():
     rng = random.Random(13)
     for _ in range(10):
         r = Fraction(rng.randint(1, 899), 1000)
-        b = distance(ORIGIN, Point3(r, Fraction(0), Fraction(0)), target_width="1e-10", precision=60)
+        b = distance(
+            *lattice_corner(ORIGIN, Point3(r, Fraction(0), Fraction(0))),
+            target_width="1e-10",
+            precision=60,
+        )
         lo, hi = oracles.artanh_enclosure(r)
         assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
+
+
+def _arccosh_enclosure(x: Point3, y: Point3, digits: int) -> tuple:
+    """Exact ends of mpmath's interval of arccosh((1 − X·Y)/√((1 − |X|²)(1 − |Y|²))).
+
+    With u² = (1 − X·Y)²/((1 − |X|²)(1 − |Y|²)), both u² and u² − 1 are exact
+    positive rationals, so d = ln(√u² + √(u² − 1)) needs no cancellation.
+    """
+    u2 = (1 - x.dot(y)) ** 2 / ((1 - x.norm_sq()) * (1 - y.norm_sq()))
+    iv, saved = mpmath.iv, mpmath.iv.prec
+    iv.dps = digits
+    try:
+        ends = [iv.mpf(r.numerator) / iv.mpf(r.denominator) for r in (u2, u2 - 1)]
+        d = iv.log(iv.sqrt(ends[0]) + iv.sqrt(ends[1]))
+        with mpmath.workprec(iv.prec):
+            return tuple(_mpf_fraction(mpmath.mpf(e)) for e in (d.a, d.b))
+    finally:
+        iv.prec = saved
+
+
+def _mpf_fraction(e) -> Fraction:
+    """The exact binary value of an mpmath number."""
+    sign, man, exp, _ = e._mpf_
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=st.tuples(ball_points(), ball_points()).filter(lambda p: p[0] != p[1]))
+def test_distance_contains_the_mpmath_arccosh(pair):
+    x, y = pair
+    lo, hi = _arccosh_enclosure(x, y, 80)
+    b = distance(*lattice_corner(x, y), target_width=Fraction(1, 10**20), precision=60)
+    assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
+    assert b.width_fraction() <= Fraction(1, 10**19)
+
+
+def test_surface_geometry_reads_only_the_lattice():
+    # design rule: the surface-geometry kernels read S.lattice, never S.coords
+    for function in (
+        distance,
+        jacobian._corner_partials,
+        jacobian.crude_bounds,
+        certify_flat._alphas_and_signs,
+        certify_embed.certify_embeddedness,
+    ):
+        assert ".coords" not in inspect.getsource(function), function.__qualname__
 
 
 # ---------------------------------------------------------------------------

@@ -331,16 +331,16 @@ def test_hyp_bounds_at_zero():
 
 def test_hyp_bounds_at_half():
     h = hyp_bounds("0.5")
-    assert Fraction("0.521") <= h.sinh.lo_fraction and h.sinh.hi_fraction <= Fraction("0.522")
-    assert Fraction("1.127") <= h.cosh.lo_fraction and h.cosh.hi_fraction <= Fraction("1.128")
-    assert Fraction("0.462") <= h.tanh.lo_fraction and h.tanh.hi_fraction <= Fraction("0.463")
+    assert Fraction("0.521") <= Fraction(h.sinh.lo) and Fraction(h.sinh.hi) <= Fraction("0.522")
+    assert Fraction("1.127") <= Fraction(h.cosh.lo) and Fraction(h.cosh.hi) <= Fraction("1.128")
+    assert Fraction("0.462") <= Fraction(h.tanh.lo) and Fraction(h.tanh.hi) <= Fraction("0.463")
 
 
 def test_hyp_bounds_at_two_point_one():
     h = hyp_bounds("2.1")
-    assert Fraction("4.021") <= h.sinh.lo_fraction and h.sinh.hi_fraction <= Fraction("4.022")
-    assert Fraction("4.144") <= h.cosh.lo_fraction and h.cosh.hi_fraction <= Fraction("4.145")
-    assert Fraction("0.970") <= h.tanh.lo_fraction and h.tanh.hi_fraction <= Fraction("0.971")
+    assert Fraction("4.021") <= Fraction(h.sinh.lo) and Fraction(h.sinh.hi) <= Fraction("4.022")
+    assert Fraction("4.144") <= Fraction(h.cosh.lo) and Fraction(h.cosh.hi) <= Fraction("4.145")
+    assert Fraction("0.970") <= Fraction(h.tanh.lo) and Fraction(h.tanh.hi) <= Fraction("0.971")
 
 
 def test_hyp_bounds_rejects_outside_range():
@@ -354,11 +354,11 @@ def test_hyp_identity_cosh_sq_minus_sinh_sq():
         x = Fraction(-3) + Fraction(6 * k, 99)
         xd = Decimal(x.numerator) / Decimal(x.denominator)
         h = hyp_bounds(xd)
-        s_lo, s_hi = h.sinh.lo_fraction, h.sinh.hi_fraction
+        s_lo, s_hi = Fraction(h.sinh.lo), Fraction(h.sinh.hi)
         sinh_sq_lo = 0 if s_lo <= 0 <= s_hi else min(s_lo**2, s_hi**2)
         sinh_sq_hi = max(s_lo**2, s_hi**2)
         # cosh > 0, so its square is bracketed by the squared endpoints
-        assert h.cosh.lo_fraction**2 - sinh_sq_hi <= 1 <= h.cosh.hi_fraction**2 - sinh_sq_lo
+        assert Fraction(h.cosh.lo)**2 - sinh_sq_hi <= 1 <= Fraction(h.cosh.hi)**2 - sinh_sq_lo
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +527,11 @@ _BOUNDS = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(a=_BOUNDS, b=_BOUNDS, p=st.sampled_from([3, 10, 28, 60]))
+# exact zeros: the upper end of a − b, both ends of 0 + 0, and a lower end of
+# a + b and an upper end of a / b that stay 0 without a step
+@example(a=Bound(Decimal(0), Decimal("0.5")), b=Bound(Decimal("0.5"), Decimal(1)), p=3)
+@example(a=Bound.point(0), b=Bound.point(0), p=60)
+@example(a=Bound(Decimal("-0.25"), Decimal(0)), b=Bound(Decimal("0.25"), Decimal(2)), p=10)
 def test_bound_arithmetic_contains_the_mpmath_interval(a, b, p):
     with _interval_digits(400) as iv:
         x = iv.mpf([str(a.lo), str(a.hi)])
@@ -555,6 +560,65 @@ def test_sqrt_bounds_contain_the_mpmath_interval(x, width, p):
         return
     with _interval_digits(p + 120) as iv:
         assert _contains_interval(bound, iv.sqrt(iv.mpf(x.numerator) / iv.mpf(x.denominator)))
+
+
+def _exact_interval(iv, x: Fraction):
+    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.integers(min_value=1, max_value=3).flatmap(
+        lambda a: st.tuples(
+            st.just(a), st.fractions(min_value=-a, max_value=a, max_denominator=10**20)
+        )
+    ),
+    n=st.integers(min_value=0, max_value=40),
+    p=st.sampled_from([10, 30, 60]),
+)
+def test_exp_bounds_contain_the_mpmath_interval(data, n, p):
+    a, x = data
+    bound = exp_bounds(x, a, n, p)
+    with _interval_digits(p + 40) as iv:
+        assert _contains_interval(bound, iv.exp(_exact_interval(iv, x)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.fractions(min_value=-3, max_value=3, max_denominator=10**20),
+    p=st.sampled_from([10, 30, 60]),
+)
+def test_hyp_bounds_contain_the_mpmath_intervals(x, p):
+    h = hyp_bounds(x, p)
+    with _interval_digits(p + 40) as iv:
+        e = iv.exp(_exact_interval(iv, x))
+        e2 = iv.exp(2 * _exact_interval(iv, x))
+        assert _contains_interval(h.sinh, (e - 1 / e) / 2)
+        assert _contains_interval(h.cosh, (e + 1 / e) / 2)
+        assert _contains_interval(h.tanh, (e2 - 1) / (e2 + 1))
+
+
+def test_bound_exact_zero_endpoints_stay_zero():
+    started = time.perf_counter()
+    difference = Bound(Decimal(0), Decimal("0.1")).sub(Bound(Decimal("0.1"), Decimal(1)), 3)
+    assert difference.hi == 0 and difference.contains(0)
+    total = Bound.point(0).add(Bound.point(0), 400)
+    assert total.lo == total.hi == 0 and total.width_fraction() == 0
+    quotient = Bound.point(0).div(Bound(Decimal(1), Decimal(3)), 30)
+    assert quotient.lo == quotient.hi == 0
+    # a stepped zero would be a subnormal near 1E-1000001, and the exact
+    # queries on it would take most of a second
+    assert time.perf_counter() - started < 0.01
+
+
+def test_bound_nonzero_and_inexact_endpoints_still_step_outward():
+    third = Bound.point(1).div(Bound.point(3), 5)
+    assert (third.lo, third.hi) == (Decimal("0.33332"), Decimal("0.33334"))
+    almost = Bound.point("0.123456").sub(Bound.point("0.123455"), 3)
+    assert (almost.lo, almost.hi) == (Decimal("9.99E-7"), Decimal("1.01E-6"))
+    # 10^-1000009 underflows to 0 at 3 digits: that 0 is inexact, so it steps
+    tiny = Bound.point(Decimal("1E-999999")).div(Bound.point(Decimal("1E+10")), 3)
+    assert tiny.lo < 0 < tiny.hi and tiny.contains(Fraction(1, 10**1000009))
 
 
 def test_bound_division_rejects_zero_straddling_divisor():

@@ -386,7 +386,7 @@ def test_newton_detects_divergence(candidate_surface, monkeypatch):
     # a negated identity sends the iteration the wrong way along Theta
     wrong_way = JacobianMatrix(
         entries=tuple(
-            tuple(F(-1) if i == j else F(0) for j in range(10)) for i in range(10)
+            tuple(Decimal(-1) if i == j else Decimal(0) for j in range(10)) for i in range(10)
         )
     )
     monkeypatch.setattr(
