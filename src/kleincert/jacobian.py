@@ -718,8 +718,16 @@ def certify_expansion(
     the same surface.  The two premises that justify ``e_inf`` are checked
     first: entrywise center deviation < e_inf/2 and curvature drift
     n·radius·cap ≤ e_inf/2 across the ball, with n = len(M) vertices.
+    Before anything else, M and ``dtheta_center`` must both be n×n.
     """
     n = len(M)
+    shapes = [(len(A), sorted({len(row) for row in A})) for A in (dtheta_center, M)]
+    if shapes != [(n, [n])] * 2:
+        (rows_c, lengths_c), (rows_m, lengths_m) = shapes
+        raise ValueError(
+            f"dtheta_center has {rows_c} rows of lengths {lengths_c} but M has {rows_m}"
+            f" rows of lengths {lengths_m}; both must be n×n"
+        )
     half = e_inf / 2
     for i, row in enumerate(dtheta_center):
         for j, b in enumerate(row):

@@ -21,10 +21,10 @@ by the geometry layers:
   a^(n+1)·3^a/(n+1)! valid on |x| ≤ a,
 * :func:`ln_bounds` — enclosure of ln x around the library logarithm, its two
   endpoints t certified via e^t ≶ x with exact rational comparisons,
-* :func:`sqrt_bounds` — enclosure [x1, x2] of √x verified by exact rational
-  squaring (x1² ≤ x ≤ x2²),
+* :func:`sqrt_bounds` — enclosure [s, s + 1]·10^−k of √x from one integer
+  square root s = ⌊√x·10^k⌋, a point when s² matches x exactly,
 * :func:`hyp_bounds` — sinh/cosh/tanh enclosures from the degree-20 partial
-  sums, with fixed error radii valid on [−3, 3],
+  sums, with fixed error radii checked against the remainder on [−3, 3],
 * :func:`arccos_hp` — a *non-certified* high-precision arccos used only by the
   search/evaluation paths (the certificates never evaluate arccos, they only
   Lipschitz-bound it); accuracy contract |err| ≤ 10^(2−p) at precision p.  It
@@ -158,9 +158,6 @@ class Bound:
         """Exact containment test (no rounding)."""
         xf = as_fraction(x)
         return Fraction(self.lo) <= xf <= Fraction(self.hi)
-
-    def width_fraction(self) -> Fraction:
-        return Fraction(self.hi) - Fraction(self.lo)
 
     def midpoint(self, precision: int = DEFAULT_PRECISION) -> Decimal:
         with localcontext(_context(precision)):
@@ -345,30 +342,26 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
 
 
 def _fraction_exponent(x: Fraction) -> int:
-    """floor(log10 |x|) for a positive rational, exact."""
+    """floor(log10 x) for a positive rational, exact: with e the numerator's
+    digit count minus the denominator's (counted by Decimal, at any size),
+    10^(e−1) < x < 10^(e+1), so one integer comparison picks e or e − 1."""
     if x <= 0:
         raise ValueError("expected a positive rational")
-    num_digits = len(str(x.numerator))
-    den_digits = len(str(x.denominator))
-    e = num_digits - den_digits
-    # Correct the off-by-one from digit counting.
-    while Fraction(10) ** e > x:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= x:
-        e += 1
-    return e
+    n, d = x.numerator, x.denominator
+    e = Decimal(n).adjusted() - Decimal(d).adjusted()
+    below = n < d * 10**e if e >= 0 else n * 10**-e < d
+    return e - 1 if below else e
 
 
 def sqrt_bounds(
     x: NumberLike, target_width: NumberLike | None = None, precision: int = DEFAULT_PRECISION
 ) -> Bound:
-    """Certified enclosure [x1, x2] of √x with x1² ≤ x ≤ x2² verified exactly.
+    """Certified enclosure [s, s + 1]·10^−k of √x from one integer square root.
 
-    The candidate endpoints come from the correctly rounded Decimal square
-    root; the defining inequalities are then *verified* by exact rational
-    squaring, stepping the endpoints outward by ulps if verification fails.
-    Exact squares collapse to zero-width Bounds.  If ``target_width`` is given
-    and the enclosure is wider, the working precision is raised internally.
+    s = ⌊√x·10^k⌋ = isqrt(⌊x·10^(2k)⌋), exact as ⌊√⌊y⌋⌋ = ⌊√y⌋, has p digits:
+    p = ``precision``, or the fewest digits whose ulp 10^−k is at most
+    ``target_width`` if that is more.  If s² = x·10^(2k), the enclosure is
+    the point s·10^−k.  Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 1.
     """
     xf = as_fraction(x)
     if xf < 0:
@@ -378,30 +371,18 @@ def sqrt_bounds(
     tw = None if target_width is None else as_fraction(target_width)
     if tw is not None and tw <= 0:
         raise ValueError(f"target width must be positive, got {target_width}")
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
 
-    p = precision
-    for _ in range(64):
-        ctx = _context(p)
-        with localcontext(ctx):
-            hint = (Decimal(xf.numerator) / Decimal(xf.denominator)).sqrt()
-        lo = hi = hint
-        lo2 = hi2 = Fraction(hint) ** 2
-        while lo2 > xf:
-            lo = ctx.next_minus(lo)
-            lo2 = Fraction(lo) ** 2
-        while hi2 < xf:
-            hi = ctx.next_plus(hi)
-            hi2 = Fraction(hi) ** 2
-        if lo2 == xf:
-            return Bound(lo, lo)
-        if hi2 == xf:
-            return Bound(hi, hi)
-        bound = Bound(lo, hi)
-        if tw is None or bound.width_fraction() <= tw:
-            return bound
-        # Raise precision enough to reach the requested width and retry.
-        p += max(16, _fraction_exponent(bound.width_fraction()) - _fraction_exponent(tw) + 4)
-    raise CertificationError(f"sqrt enclosure for {x} did not reach width {target_width}")
+    e = _fraction_exponent(xf) // 2  # floor(log10 √x)
+    p = precision if tw is None else max(precision, e + 1 - _fraction_exponent(tw))
+    k = p - 1 - e
+    num, den = xf.numerator * 100 ** max(k, 0), xf.denominator * 100 ** max(-k, 0)
+    s = math.isqrt(num // den)
+    # scaleb in a context wide enough for s + 1 is exact (no int-to-str limit)
+    exact = Context(prec=p + 1)
+    lo = exact.scaleb(Decimal(s), -k)
+    return Bound(lo, lo if s * s * den == num else exact.scaleb(Decimal(s + 1), -k))
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +396,20 @@ _TANH_RADIUS = Fraction(1, 10**6)
 def hyp_bounds(x: NumberLike, precision: int = DEFAULT_PRECISION) -> HypBounds:
     """Certified sinh/cosh/tanh enclosures for |x| ≤ 3.
 
-    Built from the exact rational values of the odd/even parts of S_20 at ±x,
-    widened by the error radii 10⁻⁸ (sinh, cosh) and 10⁻⁶ (tanh) that the
-    degree-20 remainder analysis guarantees on [−3, 3].  Arguments outside
-    [−3, 3] are rejected — the radii are not valid there, the caller must
-    rescale.
+    Built from the exact rational values P, M of S_20 at ±x, widened by the
+    error radii 10⁻⁸ (sinh, cosh) and 10⁻⁶ (tanh).  Both are checked against
+    R = :func:`_exp_remainder` (3, 20) ≈ 5.53·10⁻⁹, which caps |P − eˣ| and
+    |M − e⁻ˣ| on [−3, 3]: sinh and cosh are off by at most R, and
+    |t − tanh x| ≤ 2R/(P + M) ≤ R/(1 − R) as P + M ≥ 2 − 2R.  Arguments
+    outside [−3, 3] are rejected — the radii are not valid there, the caller
+    must rescale.
     """
     xf = as_fraction(x)
     if abs(xf) > 3:
         raise ValueError(f"hyp_bounds only covers [-3, 3], got {x}")
+    r = _exp_remainder(3, 20)
+    if not (r <= _SINH_COSH_RADIUS and r / (1 - r) <= _TANH_RADIUS):
+        raise CertificationError(f"degree-20 remainder {float(r):.3e} exceeds a hyp radius")
     plus = _exp_taylor_fraction(xf, 20)
     minus = _exp_taylor_fraction(-xf, 20)
     s = (plus - minus) / 2

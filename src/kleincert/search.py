@@ -299,8 +299,7 @@ def newton_refine(
     for _ in range(config.max_steps):
         jacobian = dtheta_analytic(current, precision=precision, target_width=jac_width)
         rows = jacobian.entries
-        rhs = list(theta_map(current, precision).theta)
-        delta = _lu_solve(rows, rhs, precision)
+        delta = _lu_solve(rows, list(defect.theta), precision)
         heights = tuple(
             p.z - Fraction(d) for p, d in zip(current.coords, delta)
         )

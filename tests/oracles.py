@@ -9,7 +9,8 @@ frozen constants can be re-derived.
 Conventions: every oracle returns an exact rational *enclosure* ``(lo, hi)``
 with lo ≤ true value ≤ hi, never a point estimate — except the reference
 bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
-:func:`arccos_maclaurin`), which return the value the old code returned.
+:func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`), which return the value
+the old code returned.
 """
 
 from __future__ import annotations
@@ -143,6 +144,50 @@ def sqrt_enclosure(x: Fraction, width: Fraction) -> Enclosure:
         else:
             hi = mid
     return lo, hi
+
+
+def fraction_exponent(x: Fraction) -> int:
+    """floor(log10 x) for a positive rational, by stepping powers of ten."""
+    e = 0
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def sqrt_bounds_stepped(
+    x: Fraction, target_width: Fraction | None, precision: int
+) -> Tuple[Decimal, Decimal]:
+    """(lo, hi) of √x, x > 0, from the package's replaced ``sqrt_bounds`` body.
+
+    The correctly rounded Decimal square root of the rounded x is stepped
+    outward by ulps until lo² ≤ x ≤ hi² holds exactly; an exact square
+    collapses to a point.  If the result is wider than ``target_width``,
+    the precision is raised and the whole computation repeated.
+    """
+    p = precision
+    for _ in range(64):
+        ctx = Context(prec=p)
+        with localcontext(ctx):
+            hint = (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+        lo = hi = hint
+        lo2 = hi2 = Fraction(hint) ** 2
+        while lo2 > x:
+            lo = ctx.next_minus(lo)
+            lo2 = Fraction(lo) ** 2
+        while hi2 < x:
+            hi = ctx.next_plus(hi)
+            hi2 = Fraction(hi) ** 2
+        if lo2 == x:
+            return lo, lo
+        if hi2 == x:
+            return hi, hi
+        width = Fraction(hi) - Fraction(lo)
+        if target_width is None or width <= target_width:
+            return lo, hi
+        p += max(16, fraction_exponent(width) - fraction_exponent(target_width) + 4)
+    raise ArithmeticError(f"sqrt enclosure for {x} did not reach width {target_width}")
 
 
 def cos_enclosure(t: Fraction, n: int = 40) -> Enclosure:

@@ -209,7 +209,7 @@ def test_jacobian_zero_pattern_exact(candidate_enclosure, adjacency):
 
 
 def test_jacobian_enclosure_widths_certified(candidate_enclosure):
-    widths = [b.width_fraction() for row in candidate_enclosure for b in row]
+    widths = [Fraction(b.hi) - Fraction(b.lo) for row in candidate_enclosure for b in row]
     assert max(widths) < Fraction(1, 10**30)
 
 
@@ -611,6 +611,36 @@ def test_expansion_center_precheck_catches_corruption(
     with pytest.raises(CertificationError, match=r"\(3, 4\)"):
         certify_expansion(
             corrupted, dtheta_center=candidate_enclosure, second_order_cap=SECOND_ORDER_CAP
+        )
+
+
+@pytest.mark.parametrize(
+    "shape, center",
+    [
+        (r"0 rows of lengths \[\]", lambda rows: []),
+        (r"9 rows of lengths \[10\]", lambda rows: rows[:9]),
+        (r"10 rows of lengths \[0\]", lambda rows: [[]] * 10),
+        (r"10 rows of lengths \[9, 10\]", lambda rows: [*rows[:9], rows[9][:9]]),
+    ],
+)
+def test_expansion_rejects_a_center_enclosure_of_the_wrong_shape(
+    reference_matrix, candidate_enclosure, shape, center
+):
+    # an empty or short enclosure leaves entries unchecked, so it must not certify
+    with pytest.raises(ValueError, match=f"dtheta_center has {shape} but M has 10 rows of lengths"):
+        certify_expansion(
+            reference_matrix,
+            dtheta_center=center(candidate_enclosure),
+            second_order_cap=SECOND_ORDER_CAP,
+        )
+
+
+def test_expansion_rejects_a_reference_that_is_not_square(candidate_enclosure):
+    ragged = [list(row) for row in reference_jacobian()]
+    ragged[0].append(Fraction(0))
+    with pytest.raises(ValueError, match=r"M has 10 rows of lengths \[10, 11\]"):
+        certify_expansion(
+            ragged, dtheta_center=candidate_enclosure, second_order_cap=SECOND_ORDER_CAP
         )
 
 

@@ -208,7 +208,7 @@ def test_distance_chord_through_origin():
     b = distance(*lattice_corner(ORIGIN, HALF_X), target_width="1e-12", precision=80)
     # Through-origin chords have d = artanh(r); oracle enclosure is frozen.
     assert Fraction(b.lo) <= ARTANH_HALF_LO and ARTANH_HALF_HI <= Fraction(b.hi)
-    assert b.width_fraction() <= Fraction(1, 10**12)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**12)
 
 
 def test_distance_rejects_equal_points():
@@ -299,7 +299,7 @@ def test_distance_contains_the_mpmath_arccosh(pair):
     lo, hi = _arccosh_enclosure(x, y, 80)
     b = distance(*lattice_corner(x, y), target_width=Fraction(1, 10**20), precision=60)
     assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
-    assert b.width_fraction() <= Fraction(1, 10**19)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**19)
 
 
 def test_surface_geometry_reads_only_the_lattice():

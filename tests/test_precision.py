@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import kleincert.klein as klein_module
 import kleincert.precision as precision_module
+from kleincert.jacobian import crude_bounds
 from kleincert.mesh import cone_angle
 from kleincert.precision import (
     Bound,
@@ -89,21 +90,22 @@ def test_exp_bounds_at_zero():
     b = exp_bounds(0, 1, 20)
     assert b.contains(1)
     # Stated remainder 2.3/21! plus a sliver for the two one-ulp widenings.
-    assert b.width_fraction() <= 2 * Fraction(3, math.factorial(21)) + Fraction(1, 10**390)
+    width = Fraction(b.hi) - Fraction(b.lo)
+    assert width <= 2 * Fraction(3, math.factorial(21)) + Fraction(1, 10**390)
 
 
 def test_exp_bounds_at_two_contains_e_squared():
     b = exp_bounds(2, 2, 20)
     lo, hi = oracles.exp_enclosure(Fraction(2), n=200)
     assert contains_enclosure(b, lo, hi)
-    assert b.width_fraction() <= Fraction(2, 10**10)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(2, 10**10)
 
 
 def test_exp_bounds_at_three_contains_e_cubed():
     b = exp_bounds(3, 3, 20)
     lo, hi = oracles.exp_enclosure(Fraction(3), n=200)
     assert contains_enclosure(b, lo, hi)
-    assert b.width_fraction() <= Fraction(2, 10**8)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(2, 10**8)
 
 
 def test_exp_bounds_rejects_x_outside_range():
@@ -137,20 +139,20 @@ def test_exp_bounds_overlap_ordering_is_monotone():
 def test_ln_bounds_at_one_contains_zero():
     b = ln_bounds(1, "1e-30")
     assert b.contains(0)
-    assert b.width_fraction() <= Fraction(1, 10**30)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**30)
 
 
 def test_ln_bounds_of_six_point_three_within_two():
     # e^2 >= 2.7^2 >= 7.2 >= 6.3, so ln 6.3 lies in [-2, 2].
     b = ln_bounds("6.3", "1e-2")
     assert Fraction(-2) <= Fraction(b.lo) and Fraction(b.hi) <= Fraction(2)
-    assert b.width_fraction() <= Fraction(1, 10**2)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**2)
 
 
 def test_ln_bounds_of_two_contains_ln2():
     b = ln_bounds(2, "1e-30")
     assert contains_enclosure(b, LN2_LO, LN2_HI)
-    assert b.width_fraction() <= Fraction(1, 10**30)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**30)
 
 
 def test_ln_bounds_endpoints_are_certified():
@@ -183,7 +185,7 @@ def test_ln_bounds_rejects_unreachable_width():
 def test_ln_bounds_contains_ln_on_generated_inputs(x, k):
     tw = Fraction(1, 10**k)
     b = ln_bounds(x, tw)
-    assert b.width_fraction() <= tw
+    assert Fraction(b.hi) - Fraction(b.lo) <= tw
     _, exp_lo_hi = oracles.exp_enclosure(Fraction(b.lo))
     exp_hi_lo, _ = oracles.exp_enclosure(Fraction(b.hi))
     assert exp_lo_hi <= x <= exp_hi_lo
@@ -196,7 +198,7 @@ def test_ln_bounds_contains_ln_on_generated_inputs(x, k):
 )
 def test_ln_bounds_contains_ln_at_widths_above_one(x, tw):
     b = ln_bounds(x, tw)
-    assert b.width_fraction() <= tw
+    assert Fraction(b.hi) - Fraction(b.lo) <= tw
     _, exp_lo_hi = oracles.exp_enclosure(Fraction(b.lo))
     exp_hi_lo, _ = oracles.exp_enclosure(Fraction(b.hi))
     assert exp_lo_hi <= x <= exp_hi_lo
@@ -204,7 +206,7 @@ def test_ln_bounds_contains_ln_at_widths_above_one(x, tw):
 
 def test_ln_bounds_of_two_at_width_thirty():
     b = ln_bounds(2, 30)
-    assert b.lo < 0 < b.hi and b.width_fraction() <= 30
+    assert b.lo < 0 < b.hi and Fraction(b.hi) - Fraction(b.lo) <= 30
     assert contains_enclosure(b, LN2_LO, LN2_HI)
 
 
@@ -295,7 +297,7 @@ def test_sqrt_bounds_of_two():
     # overlap with the frozen oracle enclosure cross-checks the location.
     assert Fraction(b.lo) ** 2 <= 2 <= Fraction(b.hi) ** 2
     assert Fraction(b.lo) <= SQRT2_HI and SQRT2_LO <= Fraction(b.hi)
-    assert b.width_fraction() <= Fraction(1, 10**32)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**32)
 
 
 def test_sqrt_bounds_defining_inequality_holds_exactly():
@@ -313,8 +315,162 @@ def test_sqrt_bounds_rejects_negative():
 
 def test_sqrt_bounds_tiny_width_retries_precision():
     b = sqrt_bounds(2, Fraction(1, 10**450), precision=100)
-    assert b.width_fraction() <= Fraction(1, 10**450)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**450)
     assert Fraction(b.lo) ** 2 <= 2 <= Fraction(b.hi) ** 2
+
+
+def _check_integer_root(bound: Bound, x: Fraction, width: Fraction | None, p: int) -> None:
+    """``bound`` is [s, s + 1]·10^−k with s²·den ≤ num·10^(2k) < (s + 1)²·den.
+
+    s has p digits, or, when ``width`` needs more, the fewest whose ulp 10^−k
+    is at most ``width``.  An exact square is the point s·10^−k itself.
+    """
+    lo, hi = Fraction(bound.lo), Fraction(bound.hi)
+    if lo == hi:
+        assert lo * lo == x
+        return
+    k = -oracles.fraction_exponent(hi - lo)
+    assert hi - lo == Fraction(10) ** -k
+    s = lo * Fraction(10) ** k
+    assert s.denominator == 1
+    s = s.numerator
+    scaled = x.numerator * Fraction(10) ** (2 * k)
+    assert s * s * x.denominator <= scaled < (s + 1) ** 2 * x.denominator
+    assert 10 ** (p - 1) <= s
+    if s >= 10**p:  # more digits than asked for: only the width can need them
+        assert width is not None and width < 10 * (hi - lo)
+    if width is not None:
+        assert hi - lo <= width
+
+
+def _check_against_stepped(x: Fraction, width: Fraction | None, p: int) -> None:
+    """``sqrt_bounds`` against ``oracles.sqrt_bounds_stepped``, the body it replaced.
+
+    Where the reference is one ulp wide at the digits it ends on, the integer
+    root at those digits equals it; where it is wider, it lies inside.  When
+    it did not raise the precision, those digits are p and the result itself
+    is compared.  A raised reference repeats at 16 or more extra digits, so
+    it can be narrower than the fewest digits that meet the width, and there
+    the integer-root conditions decide.
+    """
+    new = sqrt_bounds(x, width, p)
+    _check_integer_root(new, x, width, p)
+    old_lo, old_hi = oracles.sqrt_bounds_stepped(x, width, p)
+    if old_lo == old_hi:
+        assert new.lo == new.hi == old_lo
+        return
+    digits = max(len(old_lo.as_tuple().digits), len(old_hi.as_tuple().digits))
+    same = sqrt_bounds(x, None, digits)
+    if Context(prec=digits).next_plus(old_lo) == old_hi:
+        assert (same.lo, same.hi) == (old_lo, old_hi)
+    else:
+        assert old_lo <= same.lo and same.hi <= old_hi
+    if digits == p:
+        assert (new.lo, new.hi) == (same.lo, same.hi)
+
+
+_POSITIVE_RATIONALS = st.one_of(
+    st.fractions(min_value=0, max_value=10**12, max_denominator=10**30).filter(lambda r: r > 0),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**15)
+    .filter(lambda r: r > 0)
+    .map(lambda r: r * r),
+    st.builds(
+        lambda m, e: m * Fraction(10) ** e,
+        st.integers(min_value=1, max_value=10**40),
+        st.integers(min_value=-320, max_value=320),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=_POSITIVE_RATIONALS,
+    width=st.one_of(
+        st.none(),
+        st.builds(
+            lambda m, k: Fraction(m) / Fraction(10) ** k,
+            st.integers(min_value=1, max_value=9),
+            st.integers(min_value=-5, max_value=80),
+        ),
+    ),
+    p=st.sampled_from([1, 5, 20, 60]),
+)
+def test_sqrt_bounds_agrees_with_the_stepped_reference(x, width, p):
+    _check_against_stepped(x, width, p)
+
+
+def test_sqrt_bounds_agrees_with_the_stepped_reference_on_the_candidate(
+    candidate_surface, monkeypatch
+):
+    calls = []
+
+    def recording(x, width=None, p=precision_module.DEFAULT_PRECISION):
+        calls.append((x, width, p))
+        return sqrt_bounds(x, width, p)
+
+    monkeypatch.setattr(klein_module, "sqrt_bounds", recording)
+    crude_bounds(candidate_surface)
+    assert len(calls) == 36  # one chord per edge
+    for digits in (60, 410):
+        for i in range(len(candidate_surface.coords)):
+            cone_angle(candidate_surface, i, digits)
+    assert len(calls) == 36 + 2 * 72  # one corner A per corner and precision
+    for x, width, p in calls:
+        _check_against_stepped(Fraction(x), Fraction(width), p)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        # √x just below a power of ten: the upper end is that power
+        *(Fraction(10 ** (2 * j) - 1) for j in (1, 3, 30, 200)),
+        *(Fraction(10 ** (2 * j) - 1, 10 ** (4 * j)) for j in (1, 30)),
+        # exact squares with more digits than the precision
+        Fraction(123456789012345678901234567**2),
+        Fraction(987654321987654321**2, 10**40),
+        Fraction(1, 10**300),
+        Fraction(10**300),
+    ],
+)
+@pytest.mark.parametrize("p", [1, 5, 60])
+@pytest.mark.parametrize("width", [None, Fraction(1, 10**30)])
+def test_sqrt_bounds_edge_cases(x, p, width):
+    _check_against_stepped(x, width, p)
+
+
+def test_sqrt_bounds_beyond_the_int_to_str_digit_limit():
+    # integers of more than 4300 digits cannot be printed in base 10 by
+    # default; the kernel never does
+    big = Fraction(7**20000)
+    b = sqrt_bounds(big, None, 5)
+    assert Fraction(b.lo) ** 2 <= big <= Fraction(b.hi) ** 2
+    b = sqrt_bounds(2, Fraction(1, 10**5000), 10)
+    assert Fraction(b.lo) ** 2 <= 2 <= Fraction(b.hi) ** 2
+    assert Fraction(b.hi) - Fraction(b.lo) == Fraction(1, 10**5000)
+
+
+def test_sqrt_bounds_argument_checks_keep_their_order():
+    with pytest.raises(ValueError, match="x >= 0"):
+        sqrt_bounds(-1, 0, 0)
+    assert sqrt_bounds(0, 0, 0) == Bound.point(0)
+    with pytest.raises(ValueError, match="target width"):
+        sqrt_bounds(2, 0, 0)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        sqrt_bounds(2, Fraction(1, 10**30), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.one_of(
+        _POSITIVE_RATIONALS,
+        st.integers(min_value=-400, max_value=400).map(lambda e: Fraction(10) ** e),
+        st.integers(min_value=-400, max_value=400).map(
+            lambda e: Fraction(10) ** e - Fraction(1, 10**500)
+        ),
+    )
+)
+def test_fraction_exponent_matches_stepped_powers_of_ten(x):
+    assert precision_module._fraction_exponent(x) == oracles.fraction_exponent(x)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +710,7 @@ def test_bound_arithmetic_contains_the_mpmath_interval(a, b, p):
 def test_sqrt_bounds_contain_the_mpmath_interval(x, width, p):
     bound = sqrt_bounds(x, width, p)
     if width is not None:
-        assert bound.width_fraction() <= width
+        assert Fraction(bound.hi) - Fraction(bound.lo) <= width
     if bound.lo == bound.hi:  # an exact square: the enclosure is the root itself
         assert Fraction(bound.lo) ** 2 == x
         return
@@ -598,12 +754,25 @@ def test_hyp_bounds_contain_the_mpmath_intervals(x, p):
         assert _contains_interval(h.tanh, (e2 - 1) / (e2 + 1))
 
 
+@pytest.mark.parametrize(
+    "name, radius",
+    [
+        ("_SINH_COSH_RADIUS", Fraction(55, 10**10)),  # below R ≈ 5.53·10⁻⁹
+        ("_TANH_RADIUS", precision_module._exp_remainder(3, 20)),  # below R/(1 − R)
+    ],
+)
+def test_hyp_bounds_checks_its_radii_against_the_remainder(monkeypatch, name, radius):
+    monkeypatch.setattr(precision_module, name, radius)
+    with pytest.raises(CertificationError, match="remainder"):
+        hyp_bounds(Fraction(1, 2), 30)
+
+
 def test_bound_exact_zero_endpoints_stay_zero():
     started = time.perf_counter()
     difference = Bound(Decimal(0), Decimal("0.1")).sub(Bound(Decimal("0.1"), Decimal(1)), 3)
     assert difference.hi == 0 and difference.contains(0)
     total = Bound.point(0).add(Bound.point(0), 400)
-    assert total.lo == total.hi == 0 and total.width_fraction() == 0
+    assert total.lo == total.hi == 0 and Fraction(total.hi) - Fraction(total.lo) == 0
     quotient = Bound.point(0).div(Bound(Decimal(1), Decimal(3)), 30)
     assert quotient.lo == quotient.hi == 0
     # a stepped zero would be a subnormal near 1E-1000001, and the exact
@@ -637,7 +806,7 @@ def test_bound_from_fraction_is_outward():
     third = Fraction(1, 3)
     b = Bound.from_fraction_pair(third, third, precision=30)
     assert Fraction(b.lo) < third < Fraction(b.hi)
-    assert b.width_fraction() <= Fraction(1, 10**28)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**28)
 
 
 def test_bound_scalar_round_trip():

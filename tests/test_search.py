@@ -370,6 +370,22 @@ def test_newton_budget_exhaustion_returns_last_iterate(candidate_surface):
     assert out.coords != candidate_surface.coords
 
 
+def test_newton_evaluates_the_defect_once_per_iterate(candidate_surface, monkeypatch):
+    evaluations = []
+
+    def counting(surface, precision):
+        evaluations.append(surface)
+        return theta_map(surface, precision)
+
+    monkeypatch.setattr("kleincert.search.theta_map", counting)
+    cfg = SearchConfig(max_steps=2, newton_tol=F(1, 10**150))
+    trace: list = []
+    newton_refine(candidate_surface, cfg, trace=trace)
+    iterations = len(trace) - 1
+    assert iterations == 2
+    assert len(evaluations) == iterations + 1
+
+
 def test_newton_rejects_singular_jacobian(candidate_surface, monkeypatch):
     zeros = JacobianMatrix(
         entries=tuple(tuple(F(0) for _ in range(10)) for _ in range(10))
