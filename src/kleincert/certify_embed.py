@@ -20,9 +20,12 @@ are covered by the tested pairs).
 
 Witness normals come from a deterministic quasi-random sequence
 
-    ρ(n) = (⌊10⁵·L(n√2)⌋, ⌊10⁵·L(n√3)⌋, ⌊10⁵·L(n√5)⌋),   L(x) = 2(x−⌊x⌋)−1,
+    ρ(n) = (⌊C·L(n√2)⌋, ⌊C·L(n√3)⌋, ⌊C·L(n√5)⌋),   L(x) = 2(x−⌊x⌋)−1,
 
-computed in closed form by integer square roots (⌊2·10⁵·n√k⌋ is one isqrt).
+with C = 10⁵, computed by one integer square root per coordinate:
+ρ_k(n) = isqrt(4C²n²k) mod 2C − C.  Exact, because isqrt(4C²n²k) = ⌊2C·x⌋
+for x = n√k, and ⌊⌊2C·x⌋/2C⌋ = ⌊x⌋ makes ⌊2C·x⌋ − 2C·⌊x⌋ its remainder
+mod 2C.  So ρ_k(n) ∈ [−C, C−1], and a normal at the cap has a coordinate −C.
 A small table of hand-picked normals is tried first, ± for each pair it
 names; every pair still unwitnessed is then searched in the order n
 ascending, +ρ(n) before −ρ(n), for n below the pair kind's search limit
@@ -31,13 +34,18 @@ ascending, +ρ(n) before −ρ(n), for n below the pair kind's search limit
 One search serves both sources.  Each pair's tests are built once, as
 (above, below) vertex sets whose margin is min⟨above,N⟩ − max⟨below,N⟩:
 (T1, T2) for a disjoint pair, ((V1,V2), (U,)) and ((U,), (W1,W2)) for a
-pair sharing U.  The vertex dots are computed once per candidate normal, and
-a :class:`SeparationWitness` (which re-checks its margins and cap) is built
-only when every margin clears 2δC.
+pair sharing U.  A test's margin is the least ⟨a − b, N⟩ over its above
+vertices a and below vertices b, so with D the pair's differences a − b,
+every margin clears 2δC exactly when every ⟨d,N⟩ > 2δC.  The search tests
+each pair on D, sign first: since 2δC > 0, at most one of ±N passes, and it
+is the sign of ⟨d₀,N⟩ for the first d₀ of D, so the pair is rejected at once
+when |⟨d₀,N⟩| ≤ 2δC, and otherwise the other d are tested under that one sign
+until one fails.  The failing d moves to the front of D (the order of D
+decides nothing).  Only a pair that passes gets its vertex dots and margins,
+and a :class:`SeparationWitness` (which re-checks its margins and cap).
 
 Before the scan, every one-vertex-sharing pair that no normal can witness
-leaves it (and stays unwitnessed).  With D the differences a − b of an above
-vertex a and a below vertex b of one test, a witness needs ⟨d,N⟩ > 2δC ≥ 0
+leaves it (and stays unwitnessed).  A witness needs ⟨d,N⟩ > 2δC ≥ 0
 for all d ∈ D, which Gordan's theorem rules out exactly when 0 ∈ conv(D);
 Carathéodory's theorem reduces that to at most four of the d, decided by
 exact integer determinants.  Disjoint pairs are not tested: their scan ends at
@@ -123,7 +131,13 @@ class SeparationWitness:
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
-    """Outcome of a successful robust-embeddedness certification."""
+    """Outcome of a successful robust-embeddedness certification.
+
+    ``n_vertices`` and ``surface_digest`` name the certified surface (see
+    :attr:`~kleincert.mesh.EmbeddedSurface.digest`).  Two deterministic work
+    counters describe the scan: ``rho_candidates`` is the number of ρ(n)
+    drawn, ``pair_tests`` the number of (pair, n) decisions.
+    """
 
     scale: int
     delta: int
@@ -134,6 +148,10 @@ class EmbeddingCertificate:
     n_disjoint: int
     n_shared_vertex: int
     n_shared_edge: int
+    n_vertices: int
+    surface_digest: str
+    rho_candidates: int
+    pair_tests: int
 
     def __post_init__(self) -> None:
         if self.robustness != Fraction(self.delta, self.scale):
@@ -164,24 +182,13 @@ def classify_pairs(T: Triangulation) -> PairClassification:
     )
 
 
-def _floor_scaled_sawtooth(k: int, n: int, scale: int) -> int:
-    """⌊scale · L(n·√k)⌋ with L(x) = 2(x − ⌊x⌋) − 1, exactly.
-
-    scale·L(x) = 2·scale·x − (2·scale·⌊x⌋ + scale) with an integer in the
-    parentheses, and ⌊2·scale·n√k⌋ = isqrt(4·scale²·n²·k), ⌊n√k⌋ = isqrt(n²·k).
-    """
-    return isqrt(4 * scale * scale * n * n * k) - 2 * scale * isqrt(n * n * k) - scale
-
-
 def rho(n: int, cap: int = DEFAULT_CAP) -> IntVec3:
-    """The deterministic normal-candidate sequence ρ(n); ‖ρ(n)‖_∞ ≤ cap."""
+    """The deterministic normal-candidate sequence ρ(n); each ρ_k(n) ∈ [−cap, cap − 1]."""
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
-    return (
-        _floor_scaled_sawtooth(2, n, cap),
-        _floor_scaled_sawtooth(3, n, cap),
-        _floor_scaled_sawtooth(5, n, cap),
-    )
+    m = 2 * cap
+    t = m * m * n * n
+    return (isqrt(2 * t) % m - cap, isqrt(3 * t) % m - cap, isqrt(5 * t) % m - cap)
 
 
 PairTests = Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
@@ -253,19 +260,47 @@ def _origin_in_simplex(vs: Sequence[IntVec3]) -> bool:
     return total != 0 and all(w * total >= 0 for w in weights)
 
 
-def _unwitnessable(tests: PairTests, coords: Sequence[Sequence[int]]) -> bool:
-    """True when no normal gives every test a positive margin: 0 ∈ conv(D).
+def _differences(tests: PairTests, coords: Sequence[Sequence[int]]) -> List[IntVec3]:
+    """D: a − b for each above vertex a and below vertex b of one test.
 
-    D holds a − b for each above vertex a and below vertex b of one test; a
-    margin is positive for N exactly when every such ⟨a − b, N⟩ > 0.
+    A test's margin for N is the least ⟨a − b, N⟩ over its (a, b), so every
+    margin exceeds t exactly when every ⟨d, N⟩ > t.
     """
-    D = [
-        tuple(p - q for p, q in zip(coords[a], coords[b]))
+    return [
+        (coords[a][0] - coords[b][0], coords[a][1] - coords[b][1], coords[a][2] - coords[b][2])
         for above, below in tests
         for a in above
         for b in below
     ]
+
+
+def _unwitnessable(tests: PairTests, coords: Sequence[Sequence[int]]) -> bool:
+    """True when no normal gives every test a positive margin: 0 ∈ conv(D)."""
+    D = _differences(tests, coords)
     return any(_origin_in_simplex(s) for k in range(1, 5) for s in combinations(D, k))
+
+
+def _separating_sign(D: List[IntVec3], normal: IntVec3, threshold: int) -> int:
+    """The sign s with ⟨d, s·normal⟩ > threshold for every d ∈ D, else 0.
+
+    threshold > 0, so s can only be the sign of ⟨d₀, normal⟩; the first d
+    that fails under it moves to the front of D.
+    """
+    b0, b1, b2 = normal
+    x, y, z = D[0]
+    p = x * b0 + y * b1 + z * b2
+    if p > threshold:
+        sign = 1
+    elif p < -threshold:
+        sign, b0, b1, b2 = -1, -b0, -b1, -b2
+    else:
+        return 0
+    for k in range(1, len(D)):
+        x, y, z = D[k]
+        if x * b0 + y * b1 + z * b2 <= threshold:
+            D.insert(0, D.pop(k))
+            return 0
+    return sign
 
 
 def certify_embeddedness(
@@ -304,26 +339,28 @@ def certify_embeddedness(
     kinds: Dict[PairIdx, str] = {p: "disjoint" for p in classes.disjoint}
     kinds.update((p, "shared_vertex") for p in classes.shared_vertex)
     tests = {(i, j): _pair_tests(faces[i], faces[j]) for i, j in kinds}
+    shared: Dict[IntVec3, IntVec3] = {}  # one tuple per vertex difference, held by every D
+    diffs = {p: [shared.setdefault(d, d) for d in _differences(t, coords)] for p, t in tests.items()}
     witnesses: Dict[PairIdx, SeparationWitness] = {}
 
-    def separate(pairs: List[PairIdx], base: IntVec3, source: str, n: Optional[int]) -> bool:
-        """Witness each pair that +base, else −base, separates; True if any."""
-        plus = [x * base[0] + y * base[1] + z * base[2] for x, y, z in coords]
-        signed = ((1, plus), (-1, [-d for d in plus]))
-        found = False
+    def separate(
+        pairs: List[PairIdx], base: IntVec3, source: str, n: Optional[int]
+    ) -> List[PairIdx]:
+        """Witness each pair that +base or −base separates; return the others."""
+        left = []
         for pair in pairs:
-            for sign, dots in signed:
-                margins = _margins(tests[pair], dots, threshold)
-                if margins is not None:
-                    witnesses[pair] = SeparationWitness(
-                        pair=(faces[pair[0]], faces[pair[1]]), kind=kinds[pair],
-                        source=source, n=n, sign=sign,
-                        normal=(sign * base[0], sign * base[1], sign * base[2]),
-                        margins=margins, threshold=threshold, cap=cap,
-                    )
-                    found = True
-                    break
-        return found
+            sign = _separating_sign(diffs[pair], base, threshold)
+            if not sign:
+                left.append(pair)
+                continue
+            normal = (sign * base[0], sign * base[1], sign * base[2])
+            dots = [x * normal[0] + y * normal[1] + z * normal[2] for x, y, z in coords]
+            witnesses[pair] = SeparationWitness(
+                pair=(faces[pair[0]], faces[pair[1]]), kind=kinds[pair],
+                source=source, n=n, sign=sign, normal=normal,
+                margins=_margins(tests[pair], dots, threshold), threshold=threshold, cap=cap,
+            )
+        return left
 
     for i, j in sorted(kinds):
         key = frozenset((faces[i], faces[j]))
@@ -334,16 +371,18 @@ def certify_embeddedness(
         p for p in sorted(kinds.keys() - witnesses.keys())
         if kinds[p] == "disjoint" or not _unwitnessable(tests[p], coords)
     ]
+    rho_candidates = pair_tests = 0
     for n in range(1, SHARED_SEARCH_LIMIT):
         if n == DISJOINT_SEARCH_LIMIT:
             scan = [p for p in scan if kinds[p] != "disjoint"]
         if not scan:
             break
         base = rho(n, cap)
-        if max(abs(c) for c in base) >= cap:
+        rho_candidates += 1
+        if -cap in base:
             continue  # cannot certify with a normal at the cap
-        if separate(scan, base, "rho", n):
-            scan = [p for p in scan if p not in witnesses]
+        pair_tests += len(scan)
+        scan = separate(scan, base, "rho", n)
 
     pending = sorted(kinds.keys() - witnesses.keys())
     if pending:
@@ -362,4 +401,8 @@ def certify_embeddedness(
         n_disjoint=len(classes.disjoint),
         n_shared_vertex=len(classes.shared_vertex),
         n_shared_edge=len(classes.shared_edge),
+        n_vertices=S.triangulation.n_vertices,
+        surface_digest=S.digest,
+        rho_candidates=rho_candidates,
+        pair_tests=pair_tests,
     )

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .klein import cos2_and_sign
-from .mesh import EmbeddedSurface, vertex_link
+from .mesh import CornerKey, EmbeddedSurface, vertex_link
 from .precision import CertificationError, _fraction_exponent
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 IntVec2 = Tuple[int, int]
-PairKey = Tuple[int, Tuple[int, int]]  # (vertex, (n_j, n_{j+1}))
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,11 @@ class LinkReference:
 
 @dataclass(frozen=True)
 class FlatnessCertificate:
-    """Outcome of a successful flatness certification (all fields exact)."""
+    """Outcome of a successful flatness certification (all fields exact).
+
+    ``n_vertices`` and ``surface_digest`` name the certified surface (see
+    :attr:`~kleincert.mesh.EmbeddedSurface.digest`).
+    """
 
     max_delta: Fraction
     alpha_range: Tuple[Fraction, Fraction]
@@ -96,6 +98,8 @@ class FlatnessCertificate:
     epsilon: Fraction
     sign_agreements: bool
     winding_valid: bool
+    n_vertices: int
+    surface_digest: str
 
     def __post_init__(self) -> None:
         if self.epsilon < self.max_degree * self.lipschitz_bound * self.max_delta:
@@ -110,27 +114,9 @@ def _dot2(u: IntVec2, v: IntVec2) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _alphas_and_signs(S: EmbeddedSurface) -> Dict[PairKey, Tuple[Fraction, int]]:
-    """Exact (α, sign) of all consecutive-link hyperbolic angles.
-
-    Keys are (vertex, (n_j, n_{j+1})), which makes the table invariant under
-    rotations of the link cycle.
-    """
-    q, lattice = S.denominator, S.lattice
-    out: Dict[PairKey, Tuple[Fraction, int]] = {}
-    for i in range(S.triangulation.n_vertices):
-        cycle = vertex_link(S.triangulation, i)
-        for j, n_j in enumerate(cycle):
-            n_next = cycle[(j + 1) % len(cycle)]
-            out[(i, (n_j, n_next))] = cos2_and_sign(
-                q, lattice[i], lattice[n_j], lattice[n_next]
-            )
-    return out
-
-
-def beta_values(L: LinkReference) -> Dict[PairKey, Fraction]:
+def beta_values(L: LinkReference) -> Dict[CornerKey, Fraction]:
     """Exact squared cosines of consecutive reference-vector angles."""
-    out: Dict[PairKey, Fraction] = {}
+    out: Dict[CornerKey, Fraction] = {}
     for t in L.tables:
         d = len(t.cycle)
         for j in range(d):
@@ -208,8 +194,8 @@ def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificat
     4. ε = max_degree · K · max|α − β| with K certified on the joint range
        of all α and β values (endpoints widened outward to short decimals).
     """
-    alphas_and_signs = _alphas_and_signs(S)
-    alphas = {key: A for key, (A, _) in alphas_and_signs.items()}
+    corners = S.corners
+    alphas = {key: A for key, (A, _) in corners.items()}
     betas = beta_values(L)
     if set(alphas) != set(betas):
         missing = sorted(set(alphas) ^ set(betas))[:4]
@@ -222,7 +208,7 @@ def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificat
         d = len(t.cycle)
         for j in range(d):
             n_j, n_next = t.cycle[j], t.cycle[(j + 1) % d]
-            _, metric_sign = alphas_and_signs[(i, (n_j, n_next))]
+            _, metric_sign = corners[(i, (n_j, n_next))]
             ref_dot = _dot2(t.vectors[j], t.vectors[(j + 1) % d])
             if metric_sign != (ref_dot > 0) - (ref_dot < 0):
                 raise CertificationError(
@@ -263,4 +249,6 @@ def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificat
         epsilon=epsilon,
         sign_agreements=True,
         winding_valid=True,
+        n_vertices=S.triangulation.n_vertices,
+        surface_digest=S.digest,
     )

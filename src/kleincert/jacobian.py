@@ -40,7 +40,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Sequence, Tuple
 
-from .certify_flat import FlatnessCertificate, _alphas_and_signs
+from .certify_flat import FlatnessCertificate
 from .certify_embed import EmbeddingCertificate
 from .klein import Point3, _chord, _rays, distance, norm_comparison_factor
 from .mesh import EmbeddedSurface, cone_angle
@@ -338,7 +338,7 @@ def crude_bounds(
 
     It reads ``S.lattice`` only: each edge's chord integers A, B, C from
     :mod:`kleincert.klein` decide the norm and ln-argument checks exactly, one
-    ``distance`` per edge its length, and the flatness table the cosines.
+    ``distance`` per edge its length, and the surface's corner table the cosines.
     """
     T = S.triangulation
     q, lattice = S.denominator, S.lattice
@@ -393,7 +393,7 @@ def crude_bounds(
 
     # cosine range at the center from the exact squared-cosine table
     cos_lo, cos_hi = Fraction(-8, 1000), Fraction(96, 100)
-    for (i, _), (alpha, sign) in _alphas_and_signs(S).items():
+    for (i, _), (alpha, sign) in S.corners.items():
         if sign >= 0:
             _req(alpha <= cos_hi**2, f"cosine cap at vertex {i}")
         else:
@@ -793,15 +793,26 @@ def conclude_existence(
 ) -> ExistenceReport:
     """Chain the three certificates into the existence conclusion.
 
-    Checks, in order: the flatness certificate forces ‖Θ(center)‖ below the
-    defect cap; the curvature premise of the expansion ball holds for the
-    second-order cap the expansion certificate checked, n·radius·cap ≤
-    e_inf/2; the flat solution's height displacement fits inside the
-    embeddedness robustness budget; and the defect cap fits inside the ball
-    the expansion covers.
+    Checks, in order: the flatness and embedding certificates are about one
+    surface (equal digests) with the expansion certificate's n vertices; the
+    flatness certificate forces ‖Θ(center)‖ below the defect cap; the
+    curvature premise of the expansion ball holds for the second-order cap
+    the expansion certificate checked, n·radius·cap ≤ e_inf/2; the flat
+    solution's height displacement fits inside the embeddedness robustness
+    budget; and the defect cap fits inside the ball the expansion covers.
     """
     checks: List[str] = []
     n = expansion.n_vertices
+    if embed.surface_digest != flat.surface_digest:
+        raise CertificationError(
+            f"embedding certificate is for surface {embed.surface_digest[:16]}…, not the "
+            f"flatness certificate's {flat.surface_digest[:16]}…"
+        )
+    for name, cert in (("flatness", flat), ("embedding", embed)):
+        if cert.n_vertices != n:
+            raise CertificationError(
+                f"{name} certificate has {cert.n_vertices} vertices, the expansion certificate {n}"
+            )
 
     if not n * flat.epsilon**2 <= defect_norm_cap**2:
         raise CertificationError(

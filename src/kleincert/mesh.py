@@ -20,12 +20,15 @@ exactly 2π, so subdividing preserves flatness (and the Euler characteristic).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence, Tuple
 
-from .klein import Point3, angle, dilate
+from .klein import Point3, angle, cos2_and_sign, dilate
 from .precision import DEFAULT_PRECISION
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 Face = Tuple[int, int, int]
+CornerKey = Tuple[int, Tuple[int, int]]  # (vertex, (n_j, n_{j+1}))
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,10 @@ class EmbeddedSurface:
     integer test |Q·X_i|² < Q².  ``coords`` is read only where rationals are
     the point: parsing, rendering, export, slicing, subdivision and the
     search's moves.
+
+    Two further derivations are made on first use and then kept: ``digest``
+    names the surface in certificates, and ``corners`` is the exact corner
+    table that flatness and the crude bounds share.
     """
 
     triangulation: Triangulation
@@ -189,6 +197,32 @@ class EmbeddedSurface:
                 raise ValueError(f"vertex {i} lies outside the open unit ball")
         object.__setattr__(self, "denominator", q)
         object.__setattr__(self, "lattice", lattice)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of Q, the lattice and the faces: the surface a certificate is about."""
+        T = self.triangulation
+        rows = [f"{T.n_vertices} {len(T.faces)} {self.denominator}"]
+        rows += [" ".join(map(str, row)) for row in self.lattice + T.faces]
+        return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+    @cached_property
+    def corners(self) -> Mapping[CornerKey, Tuple[Fraction, int]]:
+        """Exact (α, sign) of every consecutive-link corner, from :func:`cos2_and_sign`.
+
+        Keys are (vertex, (n_j, n_{j+1})), which makes the table invariant
+        under rotations of the link cycle.
+        """
+        q, lattice = self.denominator, self.lattice
+        out = {}
+        for i in range(self.triangulation.n_vertices):
+            cycle = vertex_link(self.triangulation, i)
+            for j, n_j in enumerate(cycle):
+                n_next = cycle[(j + 1) % len(cycle)]
+                out[(i, (n_j, n_next))] = cos2_and_sign(
+                    q, lattice[i], lattice[n_j], lattice[n_next]
+                )
+        return MappingProxyType(out)
 
 
 def cone_angle(S: EmbeddedSurface, i: int, precision: int = DEFAULT_PRECISION) -> Decimal:

@@ -9,8 +9,8 @@ frozen constants can be re-derived.
 Conventions: every oracle returns an exact rational *enclosure* ``(lo, hi)``
 with lo ≤ true value ≤ hi, never a point estimate — except the reference
 bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
-:func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`), which return the value
-the old code returned.
+:func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`rho_two_isqrt`,
+:func:`witness_scan_reference`), which return the value the old code returned.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Tuple
+from itertools import combinations
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 Enclosure = Tuple[Fraction, Fraction]
 Vec3 = Tuple[Fraction, Fraction, Fraction]
@@ -365,6 +366,87 @@ def dec_ceil(value: Fraction, digits: int) -> str:
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // scale}.{n % scale:0{digits}d}"
+
+
+# ---------------------------------------------------------------------------
+# The separating-normal scan with vertex dots per candidate normal
+# ---------------------------------------------------------------------------
+
+
+def rho_two_isqrt(n: int, cap: int) -> Tuple[int, int, int]:
+    """ρ(n) by two isqrt per coordinate: ⌊2·cap·n√k⌋ − 2·cap·⌊n√k⌋ − cap."""
+    return tuple(
+        math.isqrt(4 * cap * cap * n * n * k) - 2 * cap * math.isqrt(n * n * k) - cap
+        for k in (2, 3, 5)
+    )
+
+
+def witness_scan_reference(
+    coords: Sequence[Tuple[int, int, int]],
+    faces: Sequence[Tuple[int, int, int]],
+    threshold: int,
+    cap: int,
+    manual: Mapping[Tuple[int, int], Tuple[int, int, int]],
+    skip: frozenset,
+    disjoint_limit: int = 2000,
+    shared_limit: int = 10**5,
+) -> Tuple[Dict[Tuple[int, int], tuple], list]:
+    """({pair: (kind, source, n, sign, normal, margins)}, [(pending pair, kind)]).
+
+    The witness search on integer vertices ``coords``: every candidate normal
+    forms all vertex dots and their negations, and each pair's margins are
+    min⟨above,N⟩ − max⟨below,N⟩ over them, +N before −N.  Pairs are face-index
+    pairs (i, j), i < j, sharing at most one vertex; ``manual`` holds the
+    normals tried first and ``skip`` the pairs left out of the scan.
+    """
+    kinds, tests = {}, {}
+    for i, j in combinations(range(len(faces)), 2):
+        f1, f2 = faces[i], faces[j]
+        common = set(f1) & set(f2)
+        if not common:
+            kinds[(i, j)], tests[(i, j)] = "disjoint", ((f1, f2),)
+        elif len(common) == 1:
+            (u,) = common
+            v = tuple(x for x in f1 if x != u)
+            w = tuple(x for x in f2 if x != u)
+            kinds[(i, j)], tests[(i, j)] = "shared_vertex", ((v, (u,)), ((u,), w))
+    witnesses: Dict[Tuple[int, int], tuple] = {}
+
+    def margins_of(pair, dots) -> Optional[tuple]:
+        out = ()
+        for above, below in tests[pair]:
+            m = min(dots[a] for a in above) - max(dots[b] for b in below)
+            if m <= threshold:
+                return None
+            out += (m,)
+        return out
+
+    def separate(pairs, base, source, n) -> None:
+        plus = [x * base[0] + y * base[1] + z * base[2] for x, y, z in coords]
+        signed = ((1, plus), (-1, [-d for d in plus]))
+        for pair in pairs:
+            for sign, dots in signed:
+                margins = margins_of(pair, dots)
+                if margins is not None:
+                    normal = tuple(sign * c for c in base)
+                    witnesses[pair] = (kinds[pair], source, n, sign, normal, margins)
+                    break
+
+    for pair in sorted(kinds):
+        if pair in manual:
+            separate([pair], manual[pair], "manual", None)
+    scan = [p for p in sorted(kinds) if p not in witnesses and p not in skip]
+    for n in range(1, shared_limit):
+        if n == disjoint_limit:
+            scan = [p for p in scan if kinds[p] != "disjoint"]
+        if not scan:
+            break
+        base = rho_two_isqrt(n, cap)
+        if max(abs(c) for c in base) >= cap:
+            continue
+        separate(scan, base, "rho", n)
+        scan = [p for p in scan if p not in witnesses]
+    return witnesses, [(p, kinds[p]) for p in sorted(kinds) if p not in witnesses]
 
 
 # ---------------------------------------------------------------------------

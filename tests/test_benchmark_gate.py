@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["premises", "climb", "refine"])
+@pytest.mark.parametrize("workload", ["verify-all", "premises", "climb", "refine", "reject"])
 def test_traced_workload_is_correct(workload):
     done = subprocess.run(
         [

@@ -13,6 +13,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from kleincert import certify_embed
 from kleincert.certify_embed import (
     DEFAULT_CAP,
+    ROBUSTNESS,
     EmbeddingCertificate,
     SeparationWitness,
     _margins,
@@ -37,10 +39,12 @@ from kleincert.precision import CertificationError
 
 from oracles import (
     DegenerateConfiguration,
+    rho_two_isqrt,
     sqrt_enclosure,
     triangle_intersection_points,
     triangles_disjoint,
     triangles_meet_only_at,
+    witness_scan_reference,
 )
 
 # the candidate's lattice denominator is 10³², so δ = 10⁻⁷·10³²
@@ -134,6 +138,15 @@ def test_rho_stays_within_cap():
 def test_rho_rejects_nonpositive_index():
     with pytest.raises(ValueError):
         rho(0)
+
+
+def test_rho_equals_the_two_isqrt_formula():
+    # ⌊2C·n√k⌋ − 2C·⌊n√k⌋ = ⌊2C·n√k⌋ mod 2C, so one isqrt per coordinate
+    for n in range(1, 10**5):
+        assert rho(n) == rho_two_isqrt(n, DEFAULT_CAP), n
+    for cap in (1, 2, 3, 7, 1000):
+        for n in range(1, 5000):
+            assert rho(n, cap) == rho_two_isqrt(n, cap), (cap, n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +322,16 @@ def test_manual_pairs_skip_the_scan(candidate_surface, manual_normals, monkeypat
     cert = certify_embeddedness(candidate_surface, manual_normals=manual_normals)
     assert len(calls) <= 69265
     assert max(w.n for w in cert.witnesses if w.source == "rho") == 69265
+    assert cert.rho_candidates == len(calls)
+
+
+def test_scan_work_counters_on_the_candidate(certificate, candidate_surface):
+    # one ρ(n) drawn per n up to the last ρ witness; a (pair, n) decision for
+    # every pair still in the scan at each n whose ρ(n) is below the cap
+    assert certificate.rho_candidates == 69265
+    assert certificate.pair_tests == 331579
+    assert certificate.n_vertices == 10
+    assert certificate.surface_digest == candidate_surface.digest
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +526,133 @@ def test_interpenetrating_toy_mesh_fails():
     assert crossing
     with pytest.raises(CertificationError, match="no separating normal"):
         certify_embeddedness(S)
+
+
+# ---------------------------------------------------------------------------
+# The sign-first scan against the vertex-dot scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def _witness_table(certificate, faces):
+    index = {f: k for k, f in enumerate(faces)}
+    return {
+        (index[w.pair[0]], index[w.pair[1]]): (w.kind, w.source, w.n, w.sign, w.normal, w.margins)
+        for w in certificate.witnesses
+    }
+
+
+def _outcome(S, manual_normals=None, cap=DEFAULT_CAP):
+    """The certificate's witnesses by face-index pair, or the failure text."""
+    try:
+        certificate = certify_embeddedness(S, cap=cap, manual_normals=manual_normals)
+    except CertificationError as error:
+        return str(error)
+    return _witness_table(certificate, S.triangulation.faces)
+
+
+def _reference_outcome(S, manual_normals=None, cap=DEFAULT_CAP):
+    """What oracles.witness_scan_reference certifies, in the form of _outcome."""
+    scale = math.lcm(S.denominator, ROBUSTNESS.denominator)
+    m = scale // S.denominator
+    coords = [tuple(m * c for c in p) for p in S.lattice]
+    faces = S.triangulation.faces
+    manual = {
+        (i, j): manual_normals[frozenset((faces[i], faces[j]))]
+        for i, j in combinations(range(len(faces)), 2)
+        if manual_normals and frozenset((faces[i], faces[j])) in manual_normals
+    }
+    skip = frozenset(
+        (i, j) for i, j in classify_pairs(S.triangulation).shared_vertex
+        if _unwitnessable(_pair_tests(faces[i], faces[j]), coords)
+    )
+    threshold = 2 * int(scale * ROBUSTNESS) * cap
+    witnesses, pending = witness_scan_reference(coords, faces, threshold, cap, manual, skip)
+    if pending:
+        return "no separating normal found for: " + ", ".join(
+            f"{{{faces[i]}, {faces[j]}}} [{kind}]" for (i, j), kind in pending
+        )
+    return witnesses
+
+
+def test_candidate_certificate_equals_the_reference_scan(
+    certificate, candidate_surface, manual_normals
+):
+    faces = candidate_surface.triangulation.faces
+    expected = _reference_outcome(candidate_surface, manual_normals)
+    assert _witness_table(certificate, faces) == expected
+    assert all(w.threshold == THRESHOLD and w.cap == DEFAULT_CAP for w in certificate.witnesses)
+
+
+def test_scan_alone_fails_as_the_reference_scan(candidate_surface):
+    expected = _reference_outcome(candidate_surface)
+    assert expected.count("{") == 11
+    assert _outcome(candidate_surface) == expected
+
+
+def test_corrupt_mesh_fails_as_the_reference_scan(corrupt_surface, manual_normals):
+    expected = _reference_outcome(corrupt_surface, manual_normals)
+    assert expected.startswith("no separating normal found for: ")
+    assert _outcome(corrupt_surface, manual_normals) == expected
+
+
+def _tetra_pair_surface(points, glued):
+    """Two tetrahedra on lattice points/64, sharing vertex 0 when ``glued``."""
+    second = (0, 4, 5, 6) if glued else (4, 5, 6, 7)
+    faces = _TETRA_FACES + tuple(tuple(second[v] for v in f) for f in _TETRA_FACES)
+    coords = tuple(Point3(*(Fraction(c, 64) for c in p)) for p in points)
+    return EmbeddedSurface(Triangulation(n_vertices=len(points), faces=faces), coords)
+
+
+_TOY_MESHES = {
+    "separated": _two_tetra_surface((0, 0, Fraction(9, 16))),
+    "interpenetrating": _two_tetra_surface((Fraction(1, 16), Fraction(1, 16), Fraction(1, 16))),
+    "glued": _tetra_pair_surface(
+        [(0, 0, 0), (8, 8, 24), (8, -8, 24), (-8, 0, 24), (8, 8, -24), (-8, 8, -24), (0, -8, -24)],
+        glued=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOY_MESHES))
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 7, 3])
+def test_toy_meshes_match_the_reference_scan(name, cap):
+    # at caps 3 and 7 many ρ(n) have a coordinate −cap and are skipped
+    S = _TOY_MESHES[name]
+    expected = _reference_outcome(S, cap=cap)
+    if cap == DEFAULT_CAP:
+        assert isinstance(expected, dict) == (name != "interpenetrating")
+    assert _outcome(S, cap=cap) == expected
+
+
+_lattice_move = st.tuples(*[st.integers(min_value=-6, max_value=6)] * 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(glued=st.booleans(), moves=st.lists(_lattice_move, min_size=8, max_size=8))
+def test_perturbed_toy_meshes_match_the_reference_scan(glued, moves):
+    base = [(8, 8, 8), (8, -8, -8), (-8, 8, -8), (-8, -8, 8)]
+    base += [(x, y, z + 20) for x, y, z in base] if not glued else [
+        (8, 8, -24), (-8, 8, -24), (0, -8, -24)
+    ]
+    points = [tuple(c + d for c, d in zip(p, move)) for p, move in zip(base, moves)]
+    if len(set(points)) < len(points):
+        return
+    S = _tetra_pair_surface(points, glued)
+    assert _outcome(S) == _reference_outcome(S)
+
+
+def test_perturbed_candidates_match_the_reference_scan(candidate_surface, manual_normals):
+    # every coordinate moved by up to 10⁻⁴, and the same moves with vertex 3
+    # kept on vertex 5: certified and failing scans with other margins
+    rng = random.Random(1)
+    coords = [
+        Point3(*(c + Fraction(rng.randint(-100, 100), 10**6) for c in p))
+        for p in candidate_surface.coords
+    ]
+    moved = EmbeddedSurface(candidate_surface.triangulation, tuple(coords))
+    coords[3] = coords[5]
+    collapsed = EmbeddedSurface(candidate_surface.triangulation, tuple(coords))
+    for S, certifies in ((moved, True), (collapsed, False)):
+        expected = _reference_outcome(S, manual_normals)
+        assert isinstance(expected, dict) == certifies
+        assert _outcome(S, manual_normals) == expected

@@ -11,13 +11,14 @@ from kleincert.certify_flat import (
     FlatnessCertificate,
     LinkReference,
     LinkTable,
-    _alphas_and_signs,
     beta_values,
     certify_flatness,
     link_winding_number,
     lipschitz_on_range,
 )
-from kleincert.mesh import cone_angle
+from kleincert import mesh
+from kleincert.jacobian import crude_bounds
+from kleincert.mesh import EmbeddedSurface, cone_angle
 from kleincert.precision import CertificationError, pi_hp
 
 
@@ -42,11 +43,29 @@ def certificate(candidate_surface, candidate_links) -> FlatnessCertificate:
 
 
 def _alphas(S):
-    return {key: A for key, (A, _) in _alphas_and_signs(S).items()}
+    return {key: A for key, (A, _) in S.corners.items()}
 
 
 def test_alpha_table_has_72_entries(candidate_surface):
-    assert len(_alphas_and_signs(candidate_surface)) == 72
+    assert len(candidate_surface.corners) == 72
+
+
+def test_corner_table_is_derived_once_per_surface(
+    candidate_surface, candidate_links, monkeypatch
+):
+    # flatness and the crude bounds share one lazily built table
+    calls = []
+    real = mesh.cos2_and_sign
+    monkeypatch.setattr(mesh, "cos2_and_sign", lambda *c: calls.append(c) or real(*c))
+    S = EmbeddedSurface(candidate_surface.triangulation, candidate_surface.coords)
+    assert calls == []
+    certificate = certify_flatness(S, candidate_links)
+    crude_bounds(S)
+    assert len(calls) == len(S.corners) == 72
+    assert S.corners == candidate_surface.corners
+    assert (certificate.n_vertices, certificate.surface_digest) == (10, S.digest)
+    with pytest.raises(TypeError):
+        S.corners[(0, (1, 2))] = (Fraction(0), 0)
 
 
 def test_alpha_range(candidate_surface):
@@ -225,4 +244,6 @@ def test_certificate_invariant_enforced():
             epsilon=Fraction(1),  # below 9 * 2 * 0.1 = 1.8
             sign_agreements=True,
             winding_valid=True,
+            n_vertices=10,
+            surface_digest="0" * 64,
         )

@@ -27,6 +27,7 @@ from oracles import (
 )
 from strategies import corners
 
+from kleincert.certify_embed import certify_embeddedness
 from kleincert.jacobian import (
     ChainInequality,
     DefectVector,
@@ -767,3 +768,31 @@ def test_existence_requires_flatness_to_force_defect_cap(
     weak = dataclasses.replace(flatness_certificate, epsilon=Fraction(1, 10))
     with pytest.raises(CertificationError, match="does not force"):
         conclude_existence(weak, embedding_certificate, expansion_certificate)
+
+
+def test_existence_rejects_an_embedding_certificate_of_another_surface(
+    candidate_surface,
+    manual_normals,
+    flatness_certificate,
+    embedding_certificate,
+    expansion_certificate,
+):
+    heights = [p.z + Fraction((-1) ** i, 10**20) for i, p in enumerate(candidate_surface.coords)]
+    jittered = surface_with_heights(candidate_surface, heights)
+    other = certify_embeddedness(jittered, manual_normals=manual_normals)
+    assert other.n_vertices == embedding_certificate.n_vertices == 10
+    assert other.surface_digest == jittered.digest != candidate_surface.digest
+    with pytest.raises(CertificationError, match="^embedding certificate is for surface"):
+        conclude_existence(flatness_certificate, other, expansion_certificate)
+
+
+@pytest.mark.parametrize("name", ["flatness", "embedding"])
+def test_existence_rejects_a_certificate_with_another_vertex_count(
+    flatness_certificate, embedding_certificate, expansion_certificate, name
+):
+    certificates = {"flatness": flatness_certificate, "embedding": embedding_certificate}
+    certificates[name] = dataclasses.replace(certificates[name], n_vertices=11)
+    with pytest.raises(CertificationError, match=f"^{name} certificate has 11 vertices"):
+        conclude_existence(
+            certificates["flatness"], certificates["embedding"], expansion_certificate
+        )

@@ -26,6 +26,7 @@ from kleincert.klein import (
     klein_inner,
     norm_comparison_factor,
 )
+from kleincert.mesh import EmbeddedSurface
 from kleincert.precision import arccos_hp, pi_hp
 
 import oracles
@@ -308,7 +309,8 @@ def test_surface_geometry_reads_only_the_lattice():
         distance,
         jacobian._corner_partials,
         jacobian.crude_bounds,
-        certify_flat._alphas_and_signs,
+        EmbeddedSurface.corners.func,
+        certify_flat.certify_flatness,
         certify_embed.certify_embeddedness,
     ):
         assert ".coords" not in inspect.getsource(function), function.__qualname__

@@ -245,3 +245,13 @@ def test_lattice_is_derived_not_passed(candidate_surface):
         EmbeddedSurface(candidate_surface.triangulation, candidate_surface.coords, 1, ())
     copy = EmbeddedSurface(candidate_surface.triangulation, candidate_surface.coords)
     assert copy == candidate_surface and copy.lattice == candidate_surface.lattice
+
+
+def test_digest_names_the_lattice_and_the_faces(candidate_surface):
+    S = candidate_surface
+    assert len(S.digest) == 64
+    assert EmbeddedSurface(S.triangulation, S.coords).digest == S.digest
+    T = S.triangulation
+    flipped = Triangulation(T.n_vertices, tuple(f[::-1] for f in T.faces))
+    others = (_jittered(S), subdivide(S, 0), EmbeddedSurface(flipped, S.coords))
+    assert len({S.digest, *(T.digest for T in others)}) == 4
