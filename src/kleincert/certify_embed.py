@@ -339,8 +339,7 @@ def certify_embeddedness(
     kinds: Dict[PairIdx, str] = {p: "disjoint" for p in classes.disjoint}
     kinds.update((p, "shared_vertex") for p in classes.shared_vertex)
     tests = {(i, j): _pair_tests(faces[i], faces[j]) for i, j in kinds}
-    shared: Dict[IntVec3, IntVec3] = {}  # one tuple per vertex difference, held by every D
-    diffs = {p: [shared.setdefault(d, d) for d in _differences(t, coords)] for p, t in tests.items()}
+    diffs = {p: _differences(t, coords) for p, t in tests.items()}
     witnesses: Dict[PairIdx, SeparationWitness] = {}
 
     def separate(

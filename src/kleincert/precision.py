@@ -361,7 +361,10 @@ def sqrt_bounds(
     s = ⌊√x·10^k⌋ = isqrt(⌊x·10^(2k)⌋), exact as ⌊√⌊y⌋⌋ = ⌊√y⌋, has p digits:
     p = ``precision``, or the fewest digits whose ulp 10^−k is at most
     ``target_width`` if that is more.  If s² = x·10^(2k), the enclosure is
-    the point s·10^−k.  Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 1.
+    the point s·10^−k.  When the width asks for more than ``precision``
+    digits and √x is a finite decimal longer than p digits, the enclosure is
+    the point √x (see :func:`_decimal_sqrt`), not the one-ulp interval that
+    straddles it.  Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 1.
     """
     xf = as_fraction(x)
     if xf < 0:
@@ -382,7 +385,33 @@ def sqrt_bounds(
     # scaleb in a context wide enough for s + 1 is exact (no int-to-str limit)
     exact = Context(prec=p + 1)
     lo = exact.scaleb(Decimal(s), -k)
-    return Bound(lo, lo if s * s * den == num else exact.scaleb(Decimal(s + 1), -k))
+    if s * s * den == num:
+        return Bound(lo, lo)
+    root = _decimal_sqrt(xf) if p > precision else None
+    if root is not None:
+        return Bound(root, root)
+    return Bound(lo, exact.scaleb(Decimal(s + 1), -k))
+
+
+def _decimal_sqrt(x: Fraction) -> Decimal | None:
+    """√x exactly, when it is a finite decimal; else None.
+
+    That is x = a²/b² in lowest terms with b = 2^i·5^j, and then
+    √x = a·2^(e−i)·5^(e−j)·10^−e for e = max(i, j).
+    """
+    b = math.isqrt(x.denominator)
+    if b * b != x.denominator:
+        return None
+    i = (b & -b).bit_length() - 1
+    rest, j = b >> i, 0
+    while rest % 5 == 0:
+        rest, j = rest // 5, j + 1
+    a = math.isqrt(x.numerator)
+    if rest != 1 or a * a != x.numerator:
+        return None
+    e = max(i, j)
+    m = Decimal(a * 2 ** (e - i) * 5 ** (e - j))
+    return Context(prec=m.adjusted() + 1).scaleb(m, -e)
 
 
 # ---------------------------------------------------------------------------

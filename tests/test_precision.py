@@ -395,6 +395,7 @@ _POSITIVE_RATIONALS = st.one_of(
     ),
     p=st.sampled_from([1, 5, 20, 60]),
 )
+@example(x=Fraction(441, 4), width=Fraction(1), p=1)  # √x = 10.5, the width forces two digits
 def test_sqrt_bounds_agrees_with_the_stepped_reference(x, width, p):
     _check_against_stepped(x, width, p)
 
@@ -436,6 +437,26 @@ def test_sqrt_bounds_agrees_with_the_stepped_reference_on_the_candidate(
 @pytest.mark.parametrize("width", [None, Fraction(1, 10**30)])
 def test_sqrt_bounds_edge_cases(x, p, width):
     _check_against_stepped(x, width, p)
+
+
+def test_sqrt_bounds_is_the_finite_decimal_root_a_width_forces():
+    # two digits meet width 1, and √(441/4) = 10.5 needs three
+    b = sqrt_bounds(Fraction(441, 4), 1, 1)
+    assert b.lo == b.hi == Decimal("10.5")
+    r = 1 + Fraction(1, 10**5000)  # 5001 digits, past the int-to-str limit
+    b = sqrt_bounds(r * r, Fraction(1, 10**10), 1)
+    assert Fraction(b.lo) == Fraction(b.hi) == r
+
+
+def test_sqrt_bounds_straddles_a_root_the_width_does_not_force_or_that_never_ends():
+    b = sqrt_bounds(Fraction(441, 4), None, 1)  # one digit asked for and none forced
+    assert (b.lo, b.hi) == (Decimal(10), Decimal(20))
+    b = sqrt_bounds(Fraction(441, 4), 10, 1)
+    assert (b.lo, b.hi) == (Decimal(10), Decimal(20))
+    for x in (Fraction(4, 9), Fraction(2, 25), Fraction(441, 8)):  # √x is no finite decimal
+        b = sqrt_bounds(x, Fraction(1, 10**5), 1)
+        assert Fraction(b.hi) - Fraction(b.lo) == Fraction(1, 10**5)
+        assert Fraction(b.lo) ** 2 < x < Fraction(b.hi) ** 2
 
 
 def test_sqrt_bounds_beyond_the_int_to_str_digit_limit():
