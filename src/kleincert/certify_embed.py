@@ -44,6 +44,37 @@ until one fails.  The failing d moves to the front of D (the order of D
 decides nothing).  Only a pair that passes gets its vertex dots and margins,
 and a :class:`SeparationWitness` (which re-checks its margins and cap).
 
+Floats prune the scan and never decide it.  Each scanned pair gets a
+*chart* once, from D: a box that holds the direction of every normal that
+separates the pair with either sign, so a ρ(n) outside the box goes to no
+exact test.  Every separating N lies in the closed cone
+K̄ = {N : ⟨d,N⟩ ≥ 0 for all d ∈ D} and is not 0.
+
+* Rays.  When D spans R³, K̄ is pointed, so it is the conic hull of its
+  extreme rays (Minkowski–Weyl), and each extreme ray is the line
+  d_a⊥ ∩ d_b⊥ of two independent d.  So K̄ is the conic hull of
+  R = {±(d_a × d_b) ≠ 0 in K̄}, found in exact integers.  If D spans only a
+  plane, R holds both signs of its normal; if only a line, R is empty.
+* Box.  The chart needs a coordinate m and a sign σ with σ·r_m > 0 for
+  every r ∈ R; let i < j be the other two coordinates.  A nonzero
+  N = Σ λ_r·r ∈ K̄ (λ ≥ 0) then has σ·N_m > 0, and its ratios
+  (N_i/N_m, N_j/N_m) are the convex combination, with weights λ_r·r_m/N_m,
+  of the rays' ratios: the perspective map keeps convex hulls.  So they lie
+  in the box spanned by the rays' ratios.  The ratios do not change under
+  N → −N, so the box holds the ratios of both signs of every normal that
+  can separate; a ρ(n) with ρ_m = 0 separates with neither sign.
+* Floats.  The box ends are the correctly rounded quotients of the rays'
+  integers, and so are ρ(n)'s ratios.  Rounding to nearest is monotone, so
+  a ≤ x ≤ b for the exact ratios gives fl(a) ≤ fl(x) ≤ fl(b), and the box
+  needs no slack.
+
+A pair with no chart is tested exactly at every n.  That is the case when
+R is empty, when no coordinate has one strict sign over R (which covers a D
+that does not span R³), or when every such coordinate has a ray ratio beyond
+float range.  This is the filter pattern of exact geometric predicates
+(Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
+geometric predicates", 1997): floats prune, exact integers decide.
+
 Before the scan, every one-vertex-sharing pair that no normal can witness
 leaves it (and stays unwitnessed).  A witness needs ⟨d,N⟩ > 2δC ≥ 0
 for all d ∈ D, which Gordan's theorem rules out exactly when 0 ∈ conv(D);
@@ -62,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import inf, isqrt, lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .mesh import EmbeddedSurface, Face, Triangulation
@@ -134,9 +165,11 @@ class EmbeddingCertificate:
     """Outcome of a successful robust-embeddedness certification.
 
     ``n_vertices`` and ``surface_digest`` name the certified surface (see
-    :attr:`~kleincert.mesh.EmbeddedSurface.digest`).  Two deterministic work
-    counters describe the scan: ``rho_candidates`` is the number of ρ(n)
-    drawn, ``pair_tests`` the number of (pair, n) decisions.
+    :attr:`~kleincert.mesh.EmbeddedSurface.digest`).  Three deterministic
+    work counters describe the scan: ``rho_candidates`` is the number of ρ(n)
+    drawn, ``pair_tests`` the number of (pair, n) decisions, and
+    ``exact_tests`` the number of those that a pair's chart admitted to the
+    exact test.  They go into no report.
     """
 
     scale: int
@@ -152,12 +185,15 @@ class EmbeddingCertificate:
     surface_digest: str
     rho_candidates: int
     pair_tests: int
+    exact_tests: int
 
     def __post_init__(self) -> None:
         if self.robustness != Fraction(self.delta, self.scale):
             raise ValueError("robustness radius must equal delta/scale")
         if len(self.witnesses) != self.n_disjoint + self.n_shared_vertex:
             raise ValueError("witness count must cover every non-edge-sharing pair")
+        if not 0 <= self.exact_tests <= self.pair_tests:
+            raise ValueError("exact tests must be among the (pair, n) decisions")
 
 
 def classify_pairs(T: Triangulation) -> PairClassification:
@@ -280,6 +316,70 @@ def _unwitnessable(tests: PairTests, coords: Sequence[Sequence[int]]) -> bool:
     return any(_origin_in_simplex(s) for k in range(1, 5) for s in combinations(D, k))
 
 
+#: (m, lo_i, hi_i, lo_j, hi_j): the box in which the ratios (N_i/N_m, N_j/N_m),
+#: i < j the other two coordinates, of every normal that can separate a pair lie.
+Chart = Tuple[int, float, float, float, float]
+
+#: The chart of a pair without one: it admits every ratio, infinite ones too.
+NO_CHART: Chart = (0, -inf, inf, -inf, inf)
+
+
+def _rays(D: Sequence[IntVec3]) -> List[IntVec3]:
+    """R: each ±(d_a × d_b) ≠ 0 in K̄ = {N : ⟨d, N⟩ ≥ 0 for all d ∈ D}."""
+    rays = []
+    for a, b in combinations(D, 2):
+        r = _cross(a, b)
+        if any(r):
+            dots = [_dot(d, r) for d in D]
+            if min(dots) >= 0:
+                rays.append(r)
+            if max(dots) <= 0:
+                rays.append((-r[0], -r[1], -r[2]))
+    return rays
+
+
+def _chart(D: Sequence[IntVec3]) -> Chart:
+    """The box of the rays' ratios in the first coordinate m in which every
+    ray of R has one strict sign, or :data:`NO_CHART` (see the module docstring)."""
+    rays = _rays(D)
+    if not rays:
+        return NO_CHART
+    for m in range(3):
+        if not (all(r[m] > 0 for r in rays) or all(r[m] < 0 for r in rays)):
+            continue
+        i, j = (k for k in range(3) if k != m)
+        try:
+            xs = [r[i] / r[m] for r in rays]
+            ys = [r[j] / r[m] for r in rays]
+        except OverflowError:
+            continue  # a ratio beyond float range
+        return (m, min(xs), max(xs), min(ys), max(ys))
+    return NO_CHART
+
+
+def _admitted(
+    pairs: Sequence[PairIdx], charts: Mapping[PairIdx, Chart], normal: IntVec3
+) -> List[PairIdx]:
+    """The pairs whose chart's box holds the ratios of ``normal``, in order.
+
+    A ratio over N_m = 0 is taken as inf: it lies in no chart's box, whose
+    ends are finite, and in the box of :data:`NO_CHART`.
+    """
+    x, y, z = normal
+    ratios = (
+        (y / x, z / x) if x else (inf, inf),
+        (x / y, z / y) if y else (inf, inf),
+        (x / z, y / z) if z else (inf, inf),
+    )
+    admitted = []
+    for pair in pairs:
+        m, lo_i, hi_i, lo_j, hi_j = charts[pair]
+        ratio_i, ratio_j = ratios[m]
+        if lo_i <= ratio_i <= hi_i and lo_j <= ratio_j <= hi_j:
+            admitted.append(pair)
+    return admitted
+
+
 def _separating_sign(D: List[IntVec3], normal: IntVec3, threshold: int) -> int:
     """The sign s with ⟨d, s·normal⟩ > threshold for every d ∈ D, else 0.
 
@@ -320,7 +420,10 @@ def certify_embeddedness(
     (n, sign) below its kind's search limit; it stops as soon as no pair is
     left.  A one-vertex-sharing pair whose differences
     D (above minus below vertex) have 0 in their convex hull is left out of
-    the scan: for every N some ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.
+    the scan: for every N some ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.  Each
+    scanned pair's chart is built once from D; at each n only the pairs whose
+    chart holds ρ(n)'s ratios get the exact test, and the others cannot be
+    separated by ±ρ(n), so every pair keeps the same first (n, sign).
 
     Raises :class:`ValueError` if ``cap`` is below 1, and
     :class:`CertificationError` listing the unseparated pairs if any pair is
@@ -342,15 +445,11 @@ def certify_embeddedness(
     diffs = {p: _differences(t, coords) for p, t in tests.items()}
     witnesses: Dict[PairIdx, SeparationWitness] = {}
 
-    def separate(
-        pairs: List[PairIdx], base: IntVec3, source: str, n: Optional[int]
-    ) -> List[PairIdx]:
-        """Witness each pair that +base or −base separates; return the others."""
-        left = []
+    def separate(pairs: List[PairIdx], base: IntVec3, source: str, n: Optional[int]) -> None:
+        """Witness each pair that +base or −base separates."""
         for pair in pairs:
             sign = _separating_sign(diffs[pair], base, threshold)
             if not sign:
-                left.append(pair)
                 continue
             normal = (sign * base[0], sign * base[1], sign * base[2])
             dots = [x * normal[0] + y * normal[1] + z * normal[2] for x, y, z in coords]
@@ -359,7 +458,6 @@ def certify_embeddedness(
                 source=source, n=n, sign=sign, normal=normal,
                 margins=_margins(tests[pair], dots, threshold), threshold=threshold, cap=cap,
             )
-        return left
 
     for i, j in sorted(kinds):
         key = frozenset((faces[i], faces[j]))
@@ -370,7 +468,8 @@ def certify_embeddedness(
         p for p in sorted(kinds.keys() - witnesses.keys())
         if kinds[p] == "disjoint" or not _unwitnessable(tests[p], coords)
     ]
-    rho_candidates = pair_tests = 0
+    charts = {p: _chart(diffs[p]) for p in scan}
+    rho_candidates = pair_tests = exact_tests = 0
     for n in range(1, SHARED_SEARCH_LIMIT):
         if n == DISJOINT_SEARCH_LIMIT:
             scan = [p for p in scan if kinds[p] != "disjoint"]
@@ -381,7 +480,11 @@ def certify_embeddedness(
         if -cap in base:
             continue  # cannot certify with a normal at the cap
         pair_tests += len(scan)
-        scan = separate(scan, base, "rho", n)
+        admitted = _admitted(scan, charts, base)
+        if admitted:
+            exact_tests += len(admitted)
+            separate(admitted, base, "rho", n)
+            scan = [p for p in scan if p not in witnesses]
 
     pending = sorted(kinds.keys() - witnesses.keys())
     if pending:
@@ -404,4 +507,5 @@ def certify_embeddedness(
         surface_digest=S.digest,
         rho_candidates=rho_candidates,
         pair_tests=pair_tests,
+        exact_tests=exact_tests,
     )

@@ -9,6 +9,7 @@ intersection oracle under random z-perturbations up to the certified budget.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import re
@@ -22,11 +23,18 @@ from hypothesis import strategies as st
 from kleincert import certify_embed
 from kleincert.certify_embed import (
     DEFAULT_CAP,
+    NO_CHART,
     ROBUSTNESS,
     EmbeddingCertificate,
     SeparationWitness,
+    _admitted,
+    _chart,
+    _cross,
+    _differences,
     _margins,
     _pair_tests,
+    _rays,
+    _separating_sign,
     _unwitnessable,
     certify_embeddedness,
     classify_pairs,
@@ -327,11 +335,49 @@ def test_manual_pairs_skip_the_scan(candidate_surface, manual_normals, monkeypat
 
 def test_scan_work_counters_on_the_candidate(certificate, candidate_surface):
     # one ρ(n) drawn per n up to the last ρ witness; a (pair, n) decision for
-    # every pair still in the scan at each n whose ρ(n) is below the cap
+    # every pair still in the scan at each n whose ρ(n) is below the cap, of
+    # which the pairs' charts admit under 1% to the exact test
     assert certificate.rho_candidates == 69265
     assert certificate.pair_tests == 331579
+    assert certificate.exact_tests == 913 <= certificate.pair_tests // 100
     assert certificate.n_vertices == 10
     assert certificate.surface_digest == candidate_surface.digest
+
+
+def _count_exact_tests(monkeypatch):
+    """Record every normal that reaches the exact sign-first test."""
+    real = certify_embed._separating_sign
+    calls = []
+
+    def counting(D, normal, threshold):
+        calls.append(normal)
+        return real(D, normal, threshold)
+
+    monkeypatch.setattr(certify_embed, "_separating_sign", counting)
+    return calls
+
+
+def test_exact_tests_count_the_scan_calls_of_the_exact_test(
+    candidate_surface, corrupt_surface, manual_normals, monkeypatch
+):
+    # the 11 table pairs are tested once each before the scan
+    calls = _count_exact_tests(monkeypatch)
+    cert = certify_embeddedness(candidate_surface, manual_normals=manual_normals)
+    assert cert.exact_tests == len(calls) - 11 == 913
+    calls.clear()
+    with pytest.raises(CertificationError):
+        certify_embeddedness(corrupt_surface, manual_normals=manual_normals)
+    # pairs without a chart are tested at every n; on this mesh they take
+    # 16,211 of the exact tests, 9,995 of them on five disjoint pairs that
+    # share a point through the moved vertex (a zero difference in D)
+    assert len(calls) - 11 == 21405
+
+
+def test_exact_tests_cannot_exceed_the_decisions(certificate):
+    dataclasses.replace(certificate, exact_tests=certificate.pair_tests)
+    for wrong in (certificate.pair_tests + 1, -1):
+        with pytest.raises(ValueError, match="exact tests"):
+            dataclasses.replace(certificate, exact_tests=wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -656,3 +702,136 @@ def test_perturbed_candidates_match_the_reference_scan(candidate_surface, manual
         expected = _reference_outcome(S, manual_normals)
         assert isinstance(expected, dict) == certifies
         assert _outcome(S, manual_normals) == expected
+
+
+# ---------------------------------------------------------------------------
+# Charts: the float prefilter never drops a separating normal
+# ---------------------------------------------------------------------------
+
+
+def _assert_charts_admit_every_separating_rho(S, cap=DEFAULT_CAP, limit=3000):
+    """Every ρ(n), n ≤ limit, that separates a pair with either sign at
+    threshold 0 (every ⟨d, ±ρ(n)⟩ > 0, as for any normal the scan accepts)
+    lies in that pair's chart.  Returns the number of such (pair, n) and of
+    pairs with a chart."""
+    coords = _dilated(S)
+    faces = S.triangulation.faces
+    classes = classify_pairs(S.triangulation)
+    normals = [rho(n, cap) for n in range(1, limit + 1)]
+    separating = charted = 0
+    for pair in classes.disjoint + classes.shared_vertex:
+        D = _differences(_pair_tests(faces[pair[0]], faces[pair[1]]), coords)
+        charts = {pair: _chart(D)}
+        charted += charts[pair] != NO_CHART
+        passed = [N for N in normals if _separating_sign(D, N, 0)]
+        missed = [N for N in passed if not _admitted([pair], charts, N)]
+        assert not missed, (pair, charts[pair], missed[:3])
+        separating += len(passed)
+    return separating, charted
+
+
+def test_charts_admit_every_separating_rho_on_the_candidates(
+    candidate_surface, corrupt_surface
+):
+    rng = random.Random(1)
+    coords = [
+        Point3(*(c + Fraction(rng.randint(-100, 100), 10**6) for c in p))
+        for p in candidate_surface.coords
+    ]
+    moved = EmbeddedSurface(candidate_surface.triangulation, tuple(coords))
+    coords[3] = coords[5]
+    collapsed = EmbeddedSurface(candidate_surface.triangulation, tuple(coords))
+    for S in (candidate_surface, corrupt_surface, moved, collapsed):
+        separating, charted = _assert_charts_admit_every_separating_rho(S)
+        # about 300 of the 3,000 ρ(n) separate each pair, and most pairs have a chart
+        assert separating > 70000 and charted > 150
+
+
+@pytest.mark.parametrize("name", sorted(_TOY_MESHES))
+@pytest.mark.parametrize("cap", [DEFAULT_CAP, 7, 3])
+def test_charts_admit_every_separating_rho_on_the_toy_meshes(name, cap):
+    separating, charted = _assert_charts_admit_every_separating_rho(_TOY_MESHES[name], cap)
+    assert separating > 2000 and charted >= 12
+
+
+def _cone(*rays):
+    """D whose closed cone K̄ = {N : ⟨d, N⟩ ≥ 0} is spanned by three rays."""
+    a, b, c = rays
+    if _dot(a, _cross(b, c)) < 0:
+        a, b = b, a
+    return [_cross(b, c), _cross(c, a), _cross(a, b)]
+
+
+def _directions(rays):
+    """The rays' primitive integer vectors, each once, sorted."""
+    return sorted({tuple(x // math.gcd(*r) for x in r) for r in rays})
+
+
+def test_chart_is_the_box_of_the_ray_ratios():
+    rays = [(2, 1, 1), (1, 2, 1), (1, 1, 2)]
+    D = _cone(*rays)
+    assert _directions(_rays(D)) == sorted(rays)
+    assert _chart(D) == (0, 0.5, 2.0, 0.5, 2.0)
+    # the same cone with the opposite sign in every coordinate keeps the box
+    assert _chart([tuple(-x for x in d) for d in D]) == (0, 0.5, 2.0, 0.5, 2.0)
+
+
+def test_coplanar_or_collinear_differences_get_no_chart():
+    # K̄ then holds a line: both signs of the plane's normal
+    coplanar = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (3, -1, 0)]
+    assert _directions(_rays(coplanar)) == [(0, 0, -1), (0, 0, 1)]
+    assert _chart(coplanar) == NO_CHART
+    collinear = [(1, 2, 3), (2, 4, 6), (-1, -2, -3)]
+    assert _rays(collinear) == []
+    assert _chart(collinear) == NO_CHART
+
+
+def test_a_cone_across_every_coordinate_plane_gets_no_chart():
+    rays = [(-1, 1, 1), (1, -1, 1), (1, 1, -1)]
+    D = _cone(*rays)
+    assert _directions(_rays(D)) == sorted(rays)
+    assert _chart(D) == NO_CHART
+
+
+def test_a_cone_that_no_normal_separates_gets_no_chart():
+    # D positively spans R³, so K̄ = {0} and R is empty
+    D = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    assert _rays(D) == []
+    assert _chart(D) == NO_CHART
+
+
+def test_a_ray_ratio_beyond_float_range_gets_no_chart():
+    big = 10**400
+    D = _cone((1, big, 1), (big, 1, 1), (1, 1, big))
+    assert _chart(D) == NO_CHART  # and no OverflowError
+    # when only the first coordinate overflows, the next one makes the chart
+    D = _cone((1, big, 1), (1, big, 2), (2, big, 1))
+    assert _chart(D)[0] == 1
+
+
+def test_a_zero_rho_coordinate_is_outside_its_chart():
+    # every nonzero N in K̄ has N_0 > 0, so no N with N_0 = 0 separates with
+    # either sign, though the box holds (0, 0)
+    D = _cone((2, 1, 1), (2, -1, 1), (2, 0, -1))
+    charts = {(0, 1): _chart(D), (2, 3): NO_CHART}
+    assert charts[(0, 1)] == (0, -0.5, 0.5, -0.5, 0.5)
+    for N in ((0, 1, 1), (0, -1, -1), (0, 0, 5)):
+        assert _separating_sign(D, N, 0) == 0
+        assert _admitted([(0, 1), (2, 3)], charts, N) == [(2, 3)]
+    for N in ((1, 0, 0), (-1, 0, 0)):
+        assert _separating_sign(D, N, 0) == N[0]
+        assert _admitted([(0, 1), (2, 3)], charts, N) == [(0, 1), (2, 3)]
+
+
+def test_charts_on_a_lattice_at_scale_ten_to_the_432(
+    certificate, candidate_surface, manual_normals
+):
+    # the `refine` output's lattice has Q ≈ 10⁴³², so ray components near
+    # 10⁸⁶⁴, far beyond float range; their ratios are still floats
+    heights = [p.z for p in candidate_surface.coords]
+    heights[0] += Fraction(1, 10**432)
+    S = surface_with_heights(candidate_surface, heights)
+    assert S.denominator == 10**432
+    fine = certify_embeddedness(S, manual_normals=manual_normals)
+    assert _witness_keys(fine) == _witness_keys(certificate)
+    assert fine.exact_tests <= fine.pair_tests // 100
