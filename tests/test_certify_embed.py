@@ -344,8 +344,9 @@ def test_scan_work_counters_on_the_candidate(certificate, candidate_surface):
     assert certificate.surface_digest == candidate_surface.digest
 
 
-def _count_exact_tests(monkeypatch):
-    """Record every normal that reaches the exact sign-first test."""
+def test_exact_tests_count_the_scan_calls_of_the_exact_test(
+    candidate_surface, corrupt_surface, manual_normals, monkeypatch
+):
     real = certify_embed._separating_sign
     calls = []
 
@@ -354,14 +355,7 @@ def _count_exact_tests(monkeypatch):
         return real(D, normal, threshold)
 
     monkeypatch.setattr(certify_embed, "_separating_sign", counting)
-    return calls
-
-
-def test_exact_tests_count_the_scan_calls_of_the_exact_test(
-    candidate_surface, corrupt_surface, manual_normals, monkeypatch
-):
     # the 11 table pairs are tested once each before the scan
-    calls = _count_exact_tests(monkeypatch)
     cert = certify_embeddedness(candidate_surface, manual_normals=manual_normals)
     assert cert.exact_tests == len(calls) - 11 == 913
     calls.clear()
