@@ -9,7 +9,7 @@ pin down an exactly-flat surface near the numerical one.
 
 Layered structure (each layer trusts only the ones below):
 
-``precision``      decimals, rationals, outward-rounded Bounds, enclosures
+``precision``      decimals, rationals, Bounds, certified enclosures
 ``klein``          Klein-model metric, angles, distances
 ``mesh``           triangulation combinatorics and embedded surfaces
 ``certify_flat``   Lipschitz flatness certificate at a reference link
@@ -30,7 +30,6 @@ from .precision import (
     hyp_bounds,
     ln_bounds,
     sqrt_bounds,
-    taylor_exp_partial,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "hyp_bounds",
     "ln_bounds",
     "sqrt_bounds",
-    "taylor_exp_partial",
 ]

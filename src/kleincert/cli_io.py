@@ -8,15 +8,18 @@ search modules:
   terminates, ``p/q`` otherwise — and oriented face triples.  Files written
   by :func:`save_mesh` are canonical: loading and re-saving reproduces the
   bytes exactly.
-- certificate reports: JSON documents keyed by certification kind, carrying
-  a SHA-256 digest of the canonical input bytes, the parameters, the
-  outcome, and the certified margins.  Reports contain no timestamps, so
-  re-running a verification reproduces the report byte for byte.
+- certificate reports: plain JSON objects with six keys (kind, a SHA-256
+  digest of the input bytes, parameters, outcome, details with the
+  certified margins, tool version), dumped with sorted keys.  Reports
+  contain no timestamps, so re-running a verification reproduces the report
+  byte for byte.
 - plane slicing: exact rational cross-sections of an embedded surface.
   Vertices lying exactly on the plane count as the positive side (a
   symbolic perturbation, so the measure-zero case needs no special
   geometry), per-face segments chain into closed loops by exact endpoint
   matching, and any failure to close is reported with the offending point.
+  Loop points are given in the plane's projection chart: the two
+  coordinates left after dropping the normal's largest-magnitude one.
 - SVG/OFF export: fixed-layout text output (unit disk on a 1000x1000
   canvas, six-decimal coordinates; OFF with truncated fixed-point
   vertices), byte-identical across runs.
@@ -56,7 +59,6 @@ from .precision import CertificationError, _fraction_exponent
 from .search import SearchConfig, hill_climb, newton_refine
 
 __all__ = [
-    "CertificateReport",
     "SlicePolyline",
     "load_mesh",
     "save_mesh",
@@ -204,7 +206,7 @@ def _parse_mesh_document(text: str) -> Tuple[str, EmbeddedSurface]:
         if (
             not isinstance(face, list)
             or len(face) != 3
-            or not all(isinstance(v, int) for v in face)
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in face)
         ):
             raise ValueError(f"face {index} is not an index triple: {face!r}")
     triangulation = Triangulation(
@@ -317,38 +319,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Deterministic record of one verification run.
-
-    Reports deliberately omit timestamps and environment details: running
-    the same verification on the same input files reproduces the report
-    byte for byte, which is what makes third-party replay meaningful.
-    """
-
-    kind: str
-    inputs_digest: str
-    parameters: Mapping[str, str]
-    outcome: str
-    details: Mapping[str, object]
-    tool_version: str
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "inputs_digest": self.inputs_digest,
-            "parameters": dict(self.parameters),
-            "outcome": self.outcome,
-            "details": self.details,
-            "tool_version": self.tool_version,
-        }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
-
-    @property
-    def certified(self) -> bool:
-        return self.outcome == "certified"
-
-
 def _inputs_digest(parts: Sequence[Tuple[str, bytes]]) -> str:
     hasher = hashlib.sha256()
     for label, data in parts:
@@ -368,9 +338,10 @@ class SlicePolyline:
     """Closed cross-section loops of a surface in exact plane coordinates.
 
     ``plane`` is the rational pair (normal, offset) with the plane
-    ``normal . p = offset``; ``loops`` are tuples of 2-D rational points in
-    a fixed affine chart of the plane, each loop implicitly closed (the
-    last point connects back to the first).
+    ``normal . p = offset``; ``loops`` are tuples of 2-D rational points,
+    the coordinates a point keeps when the normal's largest-magnitude one is
+    dropped, each loop implicitly closed (the last point connects back to
+    the first).
     """
 
     plane: Tuple[Tuple[Fraction, Fraction, Fraction], Fraction]
@@ -394,45 +365,6 @@ def _resolve_plane(
     return normal, Fraction(offset)
 
 
-def _cross(
-    u: Tuple[Fraction, Fraction, Fraction], v: Tuple[Fraction, Fraction, Fraction]
-) -> Tuple[Fraction, Fraction, Fraction]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _plane_chart(
-    normal: Tuple[Fraction, Fraction, Fraction],
-) -> Tuple[Tuple[Fraction, Fraction, Fraction], Tuple[Fraction, Fraction, Fraction]]:
-    """Two independent rational in-plane directions (an affine 2-D chart)."""
-    if normal[0] == 0 and normal[1] == 0:
-        return (Fraction(1), Fraction(0), Fraction(0)), (
-            Fraction(0),
-            Fraction(1),
-            Fraction(0),
-        )
-    if normal[0] == 0 and normal[2] == 0:
-        return (Fraction(1), Fraction(0), Fraction(0)), (
-            Fraction(0),
-            Fraction(0),
-            Fraction(1),
-        )
-    if normal[1] == 0 and normal[2] == 0:
-        return (Fraction(0), Fraction(1), Fraction(0)), (
-            Fraction(0),
-            Fraction(0),
-            Fraction(1),
-        )
-    axis_index = min(range(3), key=lambda k: abs(normal[k]))
-    axis = tuple(Fraction(1 if k == axis_index else 0) for k in range(3))
-    first = _cross(normal, axis)
-    second = _cross(normal, first)
-    return first, second
-
-
 def slice_plane(surface: EmbeddedSurface, plane: PlaneSpec) -> SlicePolyline:
     """Exact cross-section of the surface with a plane, as closed loops.
 
@@ -443,18 +375,13 @@ def slice_plane(surface: EmbeddedSurface, plane: PlaneSpec) -> SlicePolyline:
     chain would contradict the surface being closed).
     """
     normal, offset = _resolve_plane(plane)
-    chart_u, chart_v = _plane_chart(normal)
+    # dropping a coordinate whose normal component is nonzero is an affine
+    # chart of the plane; for xy, xz and yz it keeps the other two in order
+    dropped = max(range(3), key=lambda k: abs(normal[k]))
+    kept = [k for k in range(3) if k != dropped]
 
     def side(p: Point3) -> Fraction:
         return normal[0] * p.x + normal[1] * p.y + normal[2] * p.z - offset
-
-    def to_chart(
-        p: Tuple[Fraction, Fraction, Fraction],
-    ) -> Tuple[Fraction, Fraction]:
-        return (
-            chart_u[0] * p[0] + chart_u[1] * p[1] + chart_u[2] * p[2],
-            chart_v[0] * p[0] + chart_v[1] * p[1] + chart_v[2] * p[2],
-        )
 
     segments: List[Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]] = []
     for face in surface.triangulation.faces:
@@ -470,12 +397,7 @@ def slice_plane(surface: EmbeddedSurface, plane: PlaneSpec) -> SlicePolyline:
                 continue
             pa, pb = points[a], points[b]
             t = sides[a] / (sides[a] - sides[b])
-            point3 = (
-                pa.x + t * (pb.x - pa.x),
-                pa.y + t * (pb.y - pa.y),
-                pa.z + t * (pb.z - pa.z),
-            )
-            crossings.append(to_chart(point3))
+            crossings.append(tuple(pa[k] + t * (pb[k] - pa[k]) for k in kept))
         if len(crossings) != 2:
             raise CertificationError(
                 f"face {face} crosses the plane {len(crossings)} times"
@@ -590,14 +512,21 @@ def _deliver(text: str, args) -> None:
 
 
 def _report_text(kind: str, parts, parameters, outcome: str, details) -> str:
-    return CertificateReport(
-        kind=kind,
-        inputs_digest=_inputs_digest(parts),
-        parameters=parameters,
-        outcome=outcome,
-        details=details,
-        tool_version=__version__,
-    ).to_json()
+    """The JSON report of one run.
+
+    Reports deliberately omit timestamps and environment details: running
+    the same verification on the same input files reproduces the report
+    byte for byte, which is what makes third-party replay meaningful.
+    """
+    payload = {
+        "kind": kind,
+        "inputs_digest": _inputs_digest(parts),
+        "parameters": dict(parameters),
+        "outcome": outcome,
+        "details": details,
+        "tool_version": __version__,
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def _run_flatness(surface, links):

@@ -12,7 +12,7 @@ runs through four stages that live in this module:
    of one triangle corner, the derivative of θ = arccos(u/(vw)) in any of the
    three heights is [u·(P_v·w² + P_w·v²)/(v²w²) − P_u] / √(v²w² − u²), where
    P_u, P_v, P_w are the rational polynomials assembled below.  Only the
-   single square root needs enclosure arithmetic.
+   single square root needs an enclosure.
 
 2. `crude_bounds` — certified coarse geometry on a height-ball around the
    candidate: Euclidean edge norms, metric tangent norms, hyperbolic edge
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Sequence, Tuple
@@ -213,13 +213,23 @@ def dtheta_enclosure(
 ) -> List[List[Bound]]:
     """Certified enclosures of every Jacobian entry ∂Θ_i/∂z_l.
 
+    Each entry Σ N/√D is summed twice by directed rounding: its lower end in
+    a ``ROUND_FLOOR`` context, its upper end in a ``ROUND_CEILING`` one, so
+    every rounding moves that end outward.  A term's lower end divides ⌊N⌋
+    by ``root.hi`` when ⌊N⌋ ≥ 0 and by ``root.lo`` otherwise, as
+    x/√D ≥ x/root.hi for x ≥ 0 and x/√D ≥ x/root.lo for x < 0, where
+    0 < root.lo ≤ √D ≤ root.hi (``sqrt_bounds`` keeps p significant
+    digits); the upper end mirrors it with ⌈N⌉.
+
     Entries outside the sparsity pattern (l neither i nor a neighbor of i)
     stay exactly zero.  Raises on geometrically degenerate corners, i.e.
     sin θ below the 10⁻⁶ guard (far beneath the certified 0.24 floor).
     """
     n = S.triangulation.n_vertices
-    zero = Bound.point(0)
-    rows: List[List[Bound]] = [[zero] * n for _ in range(n)]
+    down = Context(prec=precision, rounding=ROUND_FLOOR)
+    up = Context(prec=precision, rounding=ROUND_CEILING)
+    lo = [[Decimal(0)] * n for _ in range(n)]
+    hi = [[Decimal(0)] * n for _ in range(n)]
     for face in S.triangulation.faces:
         for r in range(3):
             i, j, k = face[r], face[(r + 1) % 3], face[(r + 2) % 3]
@@ -231,11 +241,13 @@ def dtheta_enclosure(
                 )
             root = sqrt_bounds(D, target_width, precision=precision)
             for l, numer in numerators.items():
-                term = Bound.from_fraction_pair(numer, numer, precision).div(
-                    root, precision
-                )
-                rows[i][l] = rows[i][l].add(term, precision)
-    return rows
+                p, q = Decimal(numer.numerator), Decimal(numer.denominator)
+                n_lo, n_hi = down.divide(p, q), up.divide(p, q)
+                term_lo = down.divide(n_lo, root.hi if n_lo >= 0 else root.lo)
+                term_hi = up.divide(n_hi, root.lo if n_hi >= 0 else root.hi)
+                lo[i][l] = down.add(lo[i][l], term_lo)
+                hi[i][l] = up.add(hi[i][l], term_hi)
+    return [[Bound(a, b) for a, b in zip(*rows)] for rows in zip(lo, hi)]
 
 
 def dtheta_analytic(

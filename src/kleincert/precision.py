@@ -9,14 +9,13 @@ Three kinds of numbers flow through this package:
 * ``Rational`` — an exact rational, realized by :class:`fractions.Fraction`.
   All trusted comparisons in the certification paths reduce to exact rational
   (ultimately integer) arithmetic.
-* :class:`Bound` — an outward-rounded interval ``[lo, hi]`` of Decimals.  Every
-  operation on Bounds preserves containment: if the true real inputs lie inside
-  the input Bounds, the true real output lies inside the output Bound.
+* :class:`Bound` — an enclosure ``[lo, hi]`` of a real number by Decimals.  It
+  is a container and does no arithmetic: each function that produces one
+  rounds its two ends outward itself.
 
 On top of these sit certified enclosures of the transcendental functions used
 by the geometry layers:
 
-* :func:`taylor_exp_partial` — partial sums S_n(x) of the Taylor series of e^x,
 * :func:`exp_bounds` — enclosure of e^x from S_n(x) plus the remainder
   a^(n+1)·3^a/(n+1)! valid on |x| ≤ a,
 * :func:`ln_bounds` — enclosure of ln x around the library logarithm, its two
@@ -38,9 +37,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, ROUND_CEILING, ROUND_DOWN, ROUND_FLOOR, Underflow, localcontext
+from decimal import Context, Decimal, ROUND_CEILING, ROUND_DOWN, ROUND_FLOOR, localcontext
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 __all__ = [
     "DEFAULT_PRECISION",
@@ -50,7 +49,6 @@ __all__ = [
     "as_decimal",
     "as_fraction",
     "decimal_from_fraction",
-    "taylor_exp_partial",
     "exp_bounds",
     "ln_bounds",
     "sqrt_bounds",
@@ -115,13 +113,10 @@ def decimal_from_fraction(value: Fraction, precision: int, rounding: str) -> Dec
 
 @dataclass(frozen=True)
 class Bound:
-    """An outward-rounded enclosure ``[lo, hi]`` of a real number.
+    """An enclosure ``[lo, hi]`` of a real number.
 
-    Arithmetic computes candidate endpoints at the working precision and then
-    widens each endpoint by one unit in the last place, which dominates the
-    at-most-half-ulp rounding of each elementary Decimal operation.  An
-    endpoint that is 0 because its operation was exact stays 0.  Division
-    rejects divisor Bounds containing zero.
+    A container only: whoever builds a Bound rounds its ends outward, the
+    lower one down and the upper one up, so the true value lies inside.
     """
 
     lo: Decimal
@@ -163,41 +158,6 @@ class Bound:
         with localcontext(_context(precision)):
             return (self.lo + self.hi) / 2
 
-    # -- outward-rounded arithmetic ---------------------------------------
-
-    @staticmethod
-    def _outward(candidates_lo: Iterable[Decimal], candidates_hi: Iterable[Decimal], ctx: Context) -> "Bound":
-        # An end that is 0 stays 0 when no operation in ctx underflowed:
-        # Decimal rounds a nonzero result to 0 only by underflow, so such a 0
-        # is exact.  Stepping it would give a subnormal near 10^(Emin − prec),
-        # and exact queries on it would build million-digit integers.
-        exact_zero = not ctx.flags[Underflow]
-        lo, hi = min(candidates_lo), max(candidates_hi)
-        return Bound(
-            lo if lo == 0 and exact_zero else ctx.next_minus(lo),
-            hi if hi == 0 and exact_zero else ctx.next_plus(hi),
-        )
-
-    def add(self, other: "Bound", precision: int = DEFAULT_PRECISION) -> "Bound":
-        ctx = _context(precision)
-        return self._outward([ctx.add(self.lo, other.lo)], [ctx.add(self.hi, other.hi)], ctx)
-
-    def sub(self, other: "Bound", precision: int = DEFAULT_PRECISION) -> "Bound":
-        ctx = _context(precision)
-        return self._outward([ctx.subtract(self.lo, other.hi)], [ctx.subtract(self.hi, other.lo)], ctx)
-
-    def div(self, other: "Bound", precision: int = DEFAULT_PRECISION) -> "Bound":
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError(f"divisor Bound contains zero: [{other.lo}, {other.hi}]")
-        ctx = _context(precision)
-        quotients = [
-            ctx.divide(self.lo, other.lo),
-            ctx.divide(self.lo, other.hi),
-            ctx.divide(self.hi, other.lo),
-            ctx.divide(self.hi, other.hi),
-        ]
-        return self._outward(quotients, quotients, ctx)
-
     def __repr__(self) -> str:  # compact: full precision stays available via .lo/.hi
         return f"Bound({self.lo}, {self.hi})"
 
@@ -230,20 +190,6 @@ def _exp_taylor_fraction(x: Fraction, n: int) -> Fraction:
         term = term * p // (q * k)
         total += term
     return Fraction(total, denominator)
-
-
-def taylor_exp_partial(x: ScalarLike, n: int, precision: int = DEFAULT_PRECISION) -> Decimal:
-    """The n-th partial sum S_n(x) of the Taylor series of e^x.
-
-    The sum is accumulated exactly in rational arithmetic and rounded once to
-    the working precision, so the result is the correctly rounded value of the
-    exact partial sum.
-    """
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    value = _exp_taylor_fraction(as_fraction(x), n)
-    with localcontext(_context(precision)):
-        return Decimal(value.numerator) / Decimal(value.denominator)
 
 
 def _exp_remainder(a: int, n: int) -> Fraction:

@@ -2,7 +2,7 @@
 
 This module houses the non-certified half of the build: it manufactures a
 candidate surface whose cone angles are numerically flat, which the
-certification modules then verify rigorously.  Four stages:
+certification modules then verify rigorously.  Three stages:
 
 1. ``prepare_from_lattice`` rescales an integer-lattice embedding into the
    model ball: translate the centroid to the origin, then scale by an exact
@@ -18,8 +18,6 @@ certification modules then verify rigorously.  Four stages:
    working precision, solving each linear system by LU with partial
    pivoting, and records the defect-norm sequence so quadratic convergence
    can be checked after the fact.
-4. ``truncate_coords`` truncates coordinates toward zero at a fixed decimal
-   depth, producing the short exact rationals that certification consumes.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
     "objective",
     "hill_climb",
     "newton_refine",
-    "truncate_coords",
 ]
 
 #: Name of the deterministic generator used by ``hill_climb``, recorded in
@@ -320,30 +317,3 @@ def newton_refine(
             increases = 0
         previous = norm_sq
     return current
-
-
-def truncate_coords(
-    surface: EmbeddedSurface, digits: int = 32, which: str = "z"
-) -> EmbeddedSurface:
-    """Truncate coordinates toward zero at 10**(-digits).
-
-    ``which`` selects ``"z"`` (heights only, the default) or ``"all"``.
-    A surface whose coordinates already terminate within ``digits`` decimal
-    places is a fixed point.
-    """
-    if digits <= 0:
-        raise ValueError("digits must be positive")
-    if which not in ("z", "all"):
-        raise ValueError(f'which must be "z" or "all", got {which!r}')
-    scale = 10**digits
-
-    def cut(value: Fraction) -> Fraction:
-        return Fraction(int(value * scale), scale)
-
-    if which == "z":
-        coords = tuple(Point3.of(p.x, p.y, cut(p.z)) for p in surface.coords)
-    else:
-        coords = tuple(
-            Point3.of(cut(p.x), cut(p.y), cut(p.z)) for p in surface.coords
-        )
-    return EmbeddedSurface(surface.triangulation, coords)

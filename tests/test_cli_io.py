@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from kleincert import cli_io
 from kleincert.cli_io import (
-    CertificateReport,
     emit_svg,
     export_off,
     fraction_to_text,
@@ -191,6 +190,7 @@ def test_render_parse_render_is_a_fixed_point(points, candidate_surface):
         (lambda d: d["vertices"].__setitem__(1, ["0.1", "0.2"]), "vertex 1"),
         (lambda d: d["faces"].__setitem__(3, [0, 1]), "face 3"),
         (lambda d: d["faces"].__setitem__(0, [0, 1, "2"]), "face 0"),
+        (lambda d: d["faces"].__setitem__(0, [False, 1, 7]), "face 0 is not an index triple"),
         (lambda d: d["vertices"][0].__setitem__(0, "x.y"), "unreadable coordinate"),
     ],
 )
@@ -343,6 +343,36 @@ def test_hundred_random_planes_close(candidate_surface):
             assert len(set(loop)) == len(loop)
 
 
+@pytest.mark.parametrize(
+    "normal",
+    [(3, -1, 2), (1, -4, 2), (-1, 2, 5), (2, -2, 1)],
+)
+def test_general_plane_loops_are_the_kept_coordinates_of_the_crossings(
+    candidate_surface, normal
+):
+    # the chart drops the normal's largest-magnitude coordinate, the first on
+    # a tie: x for (2, -2, 1)
+    normal = tuple(Fraction(c) for c in normal)
+    dropped = max(range(3), key=lambda k: abs(normal[k]))
+    kept = [k for k in range(3) if k != dropped]
+    coords = candidate_surface.coords
+    offset = sum(n * (a + b) / 2 for n, a, b in zip(normal, coords[0], coords[5]))
+    side = [sum(n * c for n, c in zip(normal, p)) - offset for p in coords]
+    crossings = set()
+    for face in candidate_surface.triangulation.faces:
+        for a, b in ((face[0], face[1]), (face[1], face[2]), (face[2], face[0])):
+            if (side[a] >= 0) != (side[b] >= 0):
+                t = side[a] / (side[a] - side[b])
+                point = [pa + t * (pb - pa) for pa, pb in zip(coords[a], coords[b])]
+                assert sum(n * c for n, c in zip(normal, point)) == offset
+                crossings.add(tuple(point[k] for k in kept))
+    result = slice_plane(candidate_surface, (normal, offset))
+    points = [point for loop in result.loops for point in loop]
+    assert result.loops
+    assert len(set(points)) == len(points)
+    assert set(points) == crossings
+
+
 # ---------------------------------------------------------------------------
 # SVG and OFF export
 # ---------------------------------------------------------------------------
@@ -403,46 +433,23 @@ def test_off_truncates_toward_zero():
 
 
 # ---------------------------------------------------------------------------
-# Certificate reports
-# ---------------------------------------------------------------------------
-
-
-def test_report_json_is_deterministic_and_timestamp_free():
-    report = CertificateReport(
-        kind="flatness",
-        inputs_digest="00" * 32,
-        parameters={"arithmetic": "exact"},
-        outcome="certified",
-        details={"epsilon": "0.1"},
-        tool_version="0.1.0",
-    )
-    text = report.to_json()
-    assert text == report.to_json()
-    payload = json.loads(text)
-    assert set(payload) == {
-        "kind",
-        "inputs_digest",
-        "parameters",
-        "outcome",
-        "details",
-        "tool_version",
-    }
-    assert report.certified
-
-
-# ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------
 
-# SHA-256 of the reports the commands below write; the verify-all and the
-# coincident-vertex verify-embed digests are perfbench/golden.json's
-# "verify-all.report" and "reject.report".
+# SHA-256 of the reports the commands below write, and of the slice SVGs and
+# the OFF export on standard output; the verify-all and the coincident-vertex
+# verify-embed digests are perfbench/golden.json's "verify-all.report" and
+# "reject.report".
 _REPORT_SHA256 = {
     "validate": "669c9659e49903ce3ab4af646712124a4be7dc4d7aa8f5fa03233e08088aa04c",
     "verify-flat": "f2f4731bfb438e2b0763d030445b8b9c3bdbbf1255e5a845d47065bd4d380a51",
     "verify-expansion": "f784f75c42399d955dcbefcdf9a2eb90bcd70a8bd54839a72fc46b0b4f206ec8",
     "verify-all": "a4dd4fc6a556c639bf260f2ba2247daf26f008080d9cc8e4c97e107a770f41d1",
     "verify-embed": "15781ad52a195759c955042452a746571032bfbc9c646d0c3d6e547d77040589",
+    "slice --plane xy": "f4afb15118f8eddb9b3dad392f805afdcb53d860f6278308a11e167bbb2655e6",
+    "slice --plane xz": "2216991ad7a2d4fc0ebb1cc8181ccb11a65ff8194984a7f0d4fdee8386424af3",
+    "slice --plane yz": "0f045d8c28baaf080194347a3929454465263039deff42bee380ceb315d9db49",
+    "export": "362275820ba3444aaaa0a88e29da0cb6d82737d4488515d34b79f307e8a0f14a",
 }
 
 
@@ -740,6 +747,26 @@ def test_cli_slice_and_export_to_stdout(capsys):
     assert "slice xy: 1 loop(s)" in captured.err
     assert main(["export"]) == 0
     assert capsys.readouterr().out.startswith("OFF\n10 24 36\n")
+
+
+@pytest.mark.parametrize(
+    "command", ["slice --plane xy", "slice --plane xz", "slice --plane yz", "export"]
+)
+def test_cli_slice_and_export_bytes_are_pinned(capsys, command):
+    assert main(command.split()) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == _REPORT_SHA256[command]
+
+
+def test_cli_boolean_face_index_exits_2(tmp_path, capsys, candidate_bytes):
+    doc = json.loads(candidate_bytes)
+    doc["faces"][0] = [False, 1, 7]
+    mesh = tmp_path / "bool-face.json"
+    mesh.write_text(json.dumps(doc))
+    for command in ("validate", "export", "verify-flat"):
+        assert main([command, "--mesh", str(mesh)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: face 0 is not an index triple: [False, 1, 7]" in captured.err
 
 
 def test_cli_digest_tracks_input_bytes(tmp_path, candidate_bytes):

@@ -10,12 +10,14 @@ oracle); and the expansion/existence certificates with their failure modes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     corner_partials,
@@ -24,6 +26,7 @@ from oracles import (
     interval_mul,
     sinh_enclosure,
     smallest_singular_value,
+    sqrt_enclosure,
 )
 from strategies import corners
 
@@ -214,6 +217,81 @@ def test_jacobian_enclosure_widths_certified(candidate_enclosure):
     assert max(widths) < Fraction(1, 10**30)
 
 
+def _one_face_surface(corner, labels):
+    """The corner's three points as the one face ``labels`` of an 8-vertex
+    surface, the other vertices at the origin."""
+    return EmbeddedSurface(
+        triangulation=Triangulation(n_vertices=8, faces=(labels,)),
+        coords=tuple(
+            corner[labels.index(v)] if v in labels else Point3.of(0, 0, 0)
+            for v in range(8)
+        ),
+    )
+
+
+def _root_enclosure(D: Fraction):
+    """√D as a point when D is a rational square, else a bisection enclosure
+    whose width is at most 10⁻⁶⁰ of √D."""
+    a, b = math.isqrt(D.numerator), math.isqrt(D.denominator)
+    if a * a == D.numerator and b * b == D.denominator:
+        return Fraction(a, b), Fraction(a, b)
+    return sqrt_enclosure(D, min(D, 1) / 10**60)
+
+
+def _exact_entries(S: EmbeddedSurface):
+    """{(i, l): [A, B]} around Σ N_l/√D over the corners at vertex i, from the
+    oracle's corner partials: each term N/√D lies between N/r_lo and N/r_hi."""
+    entries = {}
+    for face in S.triangulation.faces:
+        for r in range(3):
+            i, j, k = face[r], face[(r + 1) % 3], face[(r + 2) % 3]
+            numerators, D, _ = corner_partials(*(S.coords[v] for v in (i, j, k)), i, j, k)
+            r_lo, r_hi = _root_enclosure(D)
+            for l, N in numerators.items():
+                a, b = sorted((N / r_hi, N / r_lo))
+                lo, hi = entries.get((i, l), (0, 0))
+                entries[(i, l)] = (lo + a, hi + b)
+    return entries
+
+
+def _assert_enclosure_holds_the_exact_entries(S, exact, precision):
+    rows = dtheta_enclosure(S, precision=precision, target_width=Fraction(1, 10))
+    for i, row in enumerate(rows):
+        for l, b in enumerate(row):
+            if (i, l) in exact:
+                lo, hi = exact[(i, l)]
+                assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi), (i, l, b)
+            else:
+                assert b.lo == b.hi == 0
+
+
+@pytest.fixture(scope="module")
+def candidate_exact_entries(candidate_surface):
+    return _exact_entries(candidate_surface)
+
+
+# at 3 to 8 digits and width 1/10 the rounding of each term is as large as the
+# root's width, so each end must round away from the entry on its own
+@pytest.mark.parametrize("precision", range(3, 9))
+def test_jacobian_enclosure_contains_the_exact_entry_on_the_candidate(
+    candidate_surface, candidate_exact_entries, precision
+):
+    _assert_enclosure_holds_the_exact_entries(
+        candidate_surface, candidate_exact_entries, precision
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(corner=corners, precision=st.integers(min_value=3, max_value=8))
+def test_jacobian_enclosure_contains_the_exact_entry_on_generated_corners(corner, precision):
+    labels = (7, 2, 5)
+    S = _one_face_surface(corner, labels)
+    for r in range(3):  # no corner below the degeneracy guard
+        _, D, v2w2 = _corner_partials(S, *labels[r:], *labels[:r])
+        assume(D * 10**12 >= v2w2)
+    _assert_enclosure_holds_the_exact_entries(S, _exact_entries(S), precision)
+
+
 def test_jacobian_matrix_validates_shape():
     with pytest.raises(ValueError, match="square"):
         JacobianMatrix(entries=((Decimal(1), Decimal(2)), (Decimal(3),)))
@@ -226,13 +304,7 @@ def test_jacobian_matrix_validates_shape():
 @given(corner=corners)
 def test_corner_partials_equal_the_fraction_expansion(corner):
     labels = (7, 2, 5)
-    S = EmbeddedSurface(
-        triangulation=Triangulation(n_vertices=8, faces=(labels,)),
-        coords=tuple(
-            corner[labels.index(v)] if v in labels else Point3.of(0, 0, 0)
-            for v in range(8)
-        ),
-    )
+    S = _one_face_surface(corner, labels)
     got = _corner_partials(S, *labels)
     want = corner_partials(*corner, *labels)
     assert got == want

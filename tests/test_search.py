@@ -1,5 +1,5 @@
 """Tests for the construction pipeline: lattice rescaling, hill climbing,
-Newton refinement on vertex heights, and coordinate truncation."""
+Newton refinement on vertex heights."""
 
 import math
 from decimal import Context, Decimal, localcontext
@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kleincert.jacobian import JacobianMatrix, reference_jacobian, theta_map
+from kleincert.jacobian import JacobianMatrix, theta_map
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
 from kleincert.precision import CertificationError, two_pi
@@ -19,7 +19,6 @@ from kleincert.search import (
     newton_refine,
     objective,
     prepare_from_lattice,
-    truncate_coords,
 )
 
 # Nearest 5x5x5 lattice points to the candidate's vertices (k = round(3c + 2)),
@@ -412,56 +411,3 @@ def test_newton_detects_divergence(candidate_surface, monkeypatch):
     cfg = SearchConfig(newton_precision=60, newton_tol=F(1, 10**40), max_steps=10)
     with pytest.raises(CertificationError, match="diverged"):
         newton_refine(candidate_surface, cfg)
-
-
-# ---------------------------------------------------------------------------
-# truncate_coords
-
-
-def test_truncate_candidate_is_fixed_point(candidate_surface):
-    assert truncate_coords(candidate_surface).coords == candidate_surface.coords
-
-
-def test_truncate_changes_heights_below_grid(newton_run):
-    refined, _ = newton_run
-    cut = truncate_coords(refined)
-    grid = F(1, 10**32)
-    for original, truncated in zip(refined.coords, cut.coords):
-        assert truncated.x == original.x and truncated.y == original.y
-        assert abs(truncated.z - original.z) < grid
-        assert abs(truncated.z) <= abs(original.z)  # toward zero
-        assert (truncated.z * 10**32).denominator == 1
-
-
-def test_truncate_all_coordinates_mode(newton_run):
-    refined, _ = newton_run
-    tail = F(1, 3 * 10**40)
-    noisy = EmbeddedSurface(
-        refined.triangulation,
-        tuple(Point3.of(p.x + tail, p.y - tail, p.z) for p in refined.coords),
-    )
-    z_only = truncate_coords(noisy, which="z")
-    assert all(p.x == q.x and p.y == q.y for p, q in zip(noisy.coords, z_only.coords))
-    everything = truncate_coords(noisy, which="all")
-    for p in everything.coords:
-        for c in (p.x, p.y, p.z):
-            assert (c * 10**32).denominator == 1
-
-
-def test_truncate_validates_arguments(candidate_surface):
-    with pytest.raises(ValueError, match="digits"):
-        truncate_coords(candidate_surface, digits=0)
-    with pytest.raises(ValueError, match="which"):
-        truncate_coords(candidate_surface, which="w")
-
-
-def test_truncate_objective_drift_is_first_order(newton_run):
-    # truncating the refined heights moves the objective by at most ten times
-    # the largest Jacobian row sum across the 1e-32 truncation grid
-    refined, _ = newton_run
-    row_cap = max(sum(abs(entry) for entry in row) for row in reference_jacobian())
-    before = objective(refined, 60)
-    after = objective(truncate_coords(refined), 60)
-    budget = Decimal(10) * Decimal(float(row_cap)) * Decimal("1e-32")
-    assert after <= before + budget
-    assert after > before  # the tails genuinely moved
