@@ -48,6 +48,7 @@ from .precision import (
     Bound,
     CertificationError,
     DEFAULT_PRECISION,
+    _short_ratio,
     hyp_bounds,
     sqrt_bounds,
     two_pi,
@@ -154,18 +155,20 @@ def surface_with_heights(S: EmbeddedSurface, z: Sequence[Fraction]) -> EmbeddedS
 
 def _corner_partials(
     S: EmbeddedSurface, i: int, j: int, k: int
-) -> Tuple[Dict[int, Fraction], Fraction, Fraction]:
-    """Exact data for the angle at vertex i of triangle (i, j, k).
+) -> Tuple[Dict[int, int], int, int, int, int]:
+    """Exact integer data for the angle at vertex i of triangle (i, j, k).
 
-    Returns ({l: N_l}, D, v2w2) with the angle partial in height l equal to
-    N_l / √D, where D = v²w² − u² = (vw·sin θ)².
+    Returns ({l: N_l}, den, d, gg, a4): the angle partial in height l is
+    (N_l/den) / √D with D = d/a4 = v²w² − u² = (vw·sin θ)², and
+    v²w² = gg/a4.  den, gg and a4 are positive.  No fraction is reduced:
+    on Newton iterates these integers run to thousands of digits.
 
     Integer form, on the surface's lattice (denominator q, heights h = q·z;
     see :mod:`kleincert.klein`): u, v², w² = G_vw, G_vv, G_ww over a′², so
-    D and v2w2 are G_vv·G_ww − G_vw² and G_vv·G_ww over a′⁴, and the height
+    d and gg are G_vv·G_ww − G_vw² and G_vv·G_ww, a4 = a′⁴, and the height
     partials of u, and the half-partials v·∂v, w·∂w, are q·P_u, q·P_v, q·P_w
     over a′³ with integer P's.  Hence
-    N_l = q·[G_vw·(P_v·G_ww + P_w·G_vv) − P_u·G_vv·G_ww] / (a′³·G_vv·G_ww).
+    N_l = q·[G_vw·(P_v·G_ww + P_w·G_vv) − P_u·G_vv·G_ww], den = a′³·G_vv·G_ww.
     """
     q, lattice = S.denominator, S.lattice
     x = lattice[i]
@@ -193,14 +196,12 @@ def _corner_partials(
     pw_i = a * a * (hi - hk) + a * (hi * t5 + (hk - 2 * hi) * t2) + 2 * hi * t2 * t2
 
     gg = g_vv * g_ww
-    den = a**3 * gg
     numerators = {
-        i: Fraction(q * (g_vw * (pv_i * g_ww + pw_i * g_vv) - pu_i * gg), den),
-        j: Fraction(q * (g_vw * pv_j * g_ww - pu_j * gg), den),
-        k: Fraction(q * (g_vw * pw_k * g_vv - pu_k * gg), den),
+        i: q * (g_vw * (pv_i * g_ww + pw_i * g_vv) - pu_i * gg),
+        j: q * (g_vw * pv_j * g_ww - pu_j * gg),
+        k: q * (g_vw * pw_k * g_vv - pu_k * gg),
     }
-    a4 = a**4
-    return numerators, Fraction(gg - g_vw * g_vw, a4), Fraction(gg, a4)
+    return numerators, a**3 * gg, gg - g_vw * g_vw, gg, a**4
 
 
 _SIN_FLOOR_GUARD = Fraction(1, 10**6)
@@ -221,6 +222,13 @@ def dtheta_enclosure(
     0 < root.lo ≤ √D ≤ root.hi (``sqrt_bounds`` keeps p significant
     digits); the upper end mirrors it with ⌈N⌉.
 
+    ⌊N⌋ and ⌈N⌉ round the exact integer ratio of :func:`_corner_partials`
+    from its :func:`~kleincert.precision._short_ratio` pair, a quotient of
+    p + 3 digits with a sticky last digit, which rounds to the same Decimal
+    as the full ratio.  On a Newton iterate, whose heights have hundreds of
+    digits, N and its denominator have thousands, and neither is reduced
+    nor converted to a Decimal.
+
     Entries outside the sparsity pattern (l neither i nor a neighbor of i)
     stay exactly zero.  Raises on geometrically degenerate corners, i.e.
     sin θ below the 10⁻⁶ guard (far beneath the certified 0.24 floor).
@@ -233,16 +241,16 @@ def dtheta_enclosure(
     for face in S.triangulation.faces:
         for r in range(3):
             i, j, k = face[r], face[(r + 1) % 3], face[(r + 2) % 3]
-            numerators, D, v2w2 = _corner_partials(S, i, j, k)
-            if D * 10**12 < v2w2:  # sin²θ < 10⁻¹²
+            numerators, den, d, gg, a4 = _corner_partials(S, i, j, k)
+            if d * 10**12 < gg:  # sin²θ < 10⁻¹²
                 raise CertificationError(
                     f"degenerate corner at vertex {i} of face {face}: "
                     f"sin(angle) below {_SIN_FLOOR_GUARD}"
                 )
-            root = sqrt_bounds(D, target_width, precision=precision)
+            root = sqrt_bounds(Fraction(d, a4), target_width, precision=precision)
             for l, numer in numerators.items():
-                p, q = Decimal(numer.numerator), Decimal(numer.denominator)
-                n_lo, n_hi = down.divide(p, q), up.divide(p, q)
+                ratio = _short_ratio(numer, den, precision)
+                n_lo, n_hi = down.divide(*ratio), up.divide(*ratio)
                 term_lo = down.divide(n_lo, root.hi if n_lo >= 0 else root.lo)
                 term_hi = up.divide(n_hi, root.lo if n_hi >= 0 else root.hi)
                 lo[i][l] = down.add(lo[i][l], term_lo)

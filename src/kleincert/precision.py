@@ -8,7 +8,12 @@ Three kinds of numbers flow through this package:
   is no ambient mutable precision state, so everything here is thread-safe.
 * ``Rational`` — an exact rational, realized by :class:`fractions.Fraction`.
   All trusted comparisons in the certification paths reduce to exact rational
-  (ultimately integer) arithmetic.
+  (ultimately integer) arithmetic.  A rational is rounded to p digits
+  (:func:`decimal_from_fraction`) from a quotient of p + 3 digits whose last
+  digit is sticky, 1 when the quotient was cut short (:func:`_short_ratio`):
+  every rounding mode sees only whether the dropped tail is zero, below, at
+  or above half an ulp, which that digit keeps, so the result is the one the
+  whole operands give, at a cost that does not grow with their digits.
 * :class:`Bound` — an enclosure ``[lo, hi]`` of a real number by Decimals.  It
   is a container and does no arithmetic: each function that produces one
   rounds its two ends outward itself.
@@ -105,10 +110,44 @@ def as_fraction(x: NumberLike) -> Fraction:
     raise TypeError(f"expected Fraction, Decimal, int or decimal string, got {type(x).__name__}")
 
 
+_LOG10_2 = math.log10(2)
+
+
+def _short_ratio(num: int, den: int, digits: int) -> tuple[Decimal, Decimal]:
+    """(M, 10^(m+1)) as Decimals, M/10^(m+1) the sticky-digit cut of num/den.
+
+    q = ⌊|num|·10^m/den⌋, one ``divmod``, has at least digits + 2 digits,
+    and M = ±(10·q + s), signed as num, with s = 1 if the division left a
+    remainder.  A context of p ≤ ``digits`` digits divides this pair to the
+    same Decimal, in value and representation, as ``Decimal(num) /
+    Decimal(den)``, in every rounding mode.  An inexact quotient drops at
+    least two digits of M: half an ulp is a multiple of ten units of M's
+    last place, and s ≠ 0 iff num/den goes on beyond q, so the dropped part
+    is zero, below, at or above half an ulp exactly when num/den's is.  A
+    quotient of at most p digits is exact in q (s = 0), and as both pairs
+    are integers of exponent 0 both keep the ideal exponent 0: hence the
+    divisor is the integer 10^(m+1), not ``1E+m``.  den > 0; m comes from
+    the bit lengths, with one guard digit for their one-bit slack.  Brent
+    and Zimmermann, *Modern Computer Arithmetic*, ch. 3.
+    """
+    # ⌊log10(|num|/den)⌋ ≥ e − 1, the − 1 taken up by the guard digit
+    e = math.floor((abs(num).bit_length() - den.bit_length()) * _LOG10_2)
+    m = max(0, digits + 2 - e)
+    q, r = divmod(abs(num) * 10**m, den)
+    cut = 10 * q + (r != 0)
+    return Decimal(-cut if num < 0 else cut), Decimal(10 ** (m + 1))
+
+
 def decimal_from_fraction(value: Fraction, precision: int, rounding: str) -> Decimal:
-    """Round an exact rational to a Decimal in the given direction."""
-    with localcontext(_context(precision, rounding)):
-        return Decimal(value.numerator) / Decimal(value.denominator)
+    """Round an exact rational to a Decimal in the given direction.
+
+    Equal to ``Decimal(numerator) / Decimal(denominator)`` in that context,
+    representation included, but divides the short :func:`_short_ratio`
+    pair, so its cost does not grow with the operands' digits.
+    """
+    return _context(precision, rounding).divide(
+        *_short_ratio(value.numerator, value.denominator, precision)
+    )
 
 
 @dataclass(frozen=True)
@@ -128,13 +167,6 @@ class Bound:
         if self.lo > self.hi:
             raise ValueError(f"Bound endpoints out of order: {self.lo} > {self.hi}")
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def point(cls, x: ScalarLike) -> "Bound":
-        d = as_decimal(x)
-        return cls(d, d)
-
     @classmethod
     def from_fraction_pair(
         cls, lo: Fraction, hi: Fraction, precision: int = DEFAULT_PRECISION
@@ -146,13 +178,6 @@ class Bound:
             decimal_from_fraction(lo, precision, ROUND_FLOOR),
             decimal_from_fraction(hi, precision, ROUND_CEILING),
         )
-
-    # -- exact queries ---------------------------------------------------
-
-    def contains(self, x: NumberLike) -> bool:
-        """Exact containment test (no rounding)."""
-        xf = as_fraction(x)
-        return Fraction(self.lo) <= xf <= Fraction(self.hi)
 
     def midpoint(self, precision: int = DEFAULT_PRECISION) -> Decimal:
         with localcontext(_context(precision)):
@@ -203,7 +228,7 @@ def exp_bounds(
     """Certified enclosure of e^x for |x| ≤ a, a a positive integer.
 
     The enclosure is S_n(x) ± a^(n+1)·3^a/(n+1)!, evaluated exactly in rational
-    arithmetic, rounded outward, and widened one ulp per endpoint.
+    arithmetic and rounded outward, its lower end down and its upper end up.
     """
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"a must be a positive integer, got {a!r}")
@@ -214,10 +239,10 @@ def exp_bounds(
         raise ValueError(f"|x| = {abs(xf)} exceeds the stated range bound a = {a}")
     s = _exp_taylor_fraction(xf, n)
     r = _exp_remainder(a, n)
-    ctx = _context(precision)
-    lo = ctx.next_minus(decimal_from_fraction(s - r, precision, ROUND_FLOOR))
-    hi = ctx.next_plus(decimal_from_fraction(s + r, precision, ROUND_CEILING))
-    return Bound(lo, hi)
+    return Bound(
+        decimal_from_fraction(s - r, precision, ROUND_FLOOR),
+        decimal_from_fraction(s + r, precision, ROUND_CEILING),
+    )
 
 
 def _classify_exp(t: Decimal, x: Fraction, tolerance: Fraction, precision: int) -> int:
@@ -288,15 +313,23 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
 
 
 def _fraction_exponent(x: Fraction) -> int:
-    """floor(log10 x) for a positive rational, exact: with e the numerator's
-    digit count minus the denominator's (counted by Decimal, at any size),
-    10^(e−1) < x < 10^(e+1), so one integer comparison picks e or e − 1."""
+    """floor(log10 x) for a positive rational, exact: the bit lengths of
+    numerator and denominator set log10 x to within log10 2, so
+    e = ⌊(difference)·log10 2⌋ is within one of the answer, and exact
+    integer comparisons of x against 10^e and 10^(e+1) step it there."""
     if x <= 0:
         raise ValueError("expected a positive rational")
     n, d = x.numerator, x.denominator
-    e = Decimal(n).adjusted() - Decimal(d).adjusted()
-    below = n < d * 10**e if e >= 0 else n * 10**-e < d
-    return e - 1 if below else e
+
+    def below(e: int) -> bool:  # x < 10^e
+        return n < d * 10**e if e >= 0 else n * 10**-e < d
+
+    e = math.floor((n.bit_length() - d.bit_length()) * _LOG10_2)
+    while below(e):
+        e -= 1
+    while not below(e + 1):
+        e += 1
+    return e
 
 
 def sqrt_bounds(

@@ -10,13 +10,15 @@ Conventions: every oracle returns an exact rational *enclosure* ``(lo, hi)``
 with lo ≤ true value ≤ hi, never a point estimate — except the reference
 bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
 :func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`rho_two_isqrt`,
-:func:`witness_scan_reference`), which return the value the old code returned.
+:func:`witness_scan_reference`, :func:`decimal_quotient_reference`,
+:func:`dtheta_enclosure_reference`), which return the value the old code
+returned.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -94,6 +96,41 @@ def corner_partials(X: Vec3, Y: Vec3, Z: Vec3, i: int = 0, j: int = 1, k: int = 
         l: u * (pv[l] * w2 + pw[l] * v2) / v2w2 - pu[l] for l in (i, j, k)
     }
     return numerators, D, v2w2
+
+
+def decimal_quotient_reference(num: int, den: int, precision: int, rounding: str) -> Decimal:
+    """num/den rounded to ``precision`` digits in ``rounding``, from the whole
+    operands: the body ``decimal_from_fraction`` replaced."""
+    with localcontext(Context(prec=precision, rounding=rounding)):
+        return Decimal(num) / Decimal(den)
+
+
+def dtheta_enclosure_reference(
+    n: int,
+    corners: Sequence[Tuple[int, Mapping[int, Fraction], Tuple[Decimal, Decimal]]],
+    precision: int,
+) -> list:
+    """n×n rows of (lo, hi) Decimal pairs around Σ N/√D, from the body
+    ``dtheta_enclosure`` replaced: each rational N is converted whole, its
+    numerator and denominator to Decimals, and divided in ``ROUND_FLOOR``
+    and ``ROUND_CEILING``.
+
+    ``corners`` holds, for every corner, its vertex i, the partial
+    numerators {l: N_l} and the enclosure (lo, hi) of its √D.
+    """
+    down = Context(prec=precision, rounding=ROUND_FLOOR)
+    up = Context(prec=precision, rounding=ROUND_CEILING)
+    lo = [[Decimal(0)] * n for _ in range(n)]
+    hi = [[Decimal(0)] * n for _ in range(n)]
+    for i, numerators, (root_lo, root_hi) in corners:
+        for l, numer in numerators.items():
+            p, q = Decimal(numer.numerator), Decimal(numer.denominator)
+            n_lo, n_hi = down.divide(p, q), up.divide(p, q)
+            term_lo = down.divide(n_lo, root_hi if n_lo >= 0 else root_lo)
+            term_hi = up.divide(n_hi, root_lo if n_hi >= 0 else root_hi)
+            lo[i][l] = down.add(lo[i][l], term_lo)
+            hi[i][l] = up.add(hi[i][l], term_hi)
+    return [list(zip(*rows)) for rows in zip(lo, hi)]
 
 
 def exp_enclosure(x: Fraction, n: int = 200) -> Enclosure:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from oracles import (
     corner_partials,
     cosh_enclosure,
+    dtheta_enclosure_reference,
     interval_div,
     interval_mul,
     sinh_enclosure,
@@ -55,7 +56,8 @@ from kleincert.jacobian import (
 )
 from kleincert.klein import Point3, cos2_and_sign
 from kleincert.mesh import EmbeddedSurface, Triangulation, cone_angle, vertex_link
-from kleincert.precision import Bound, CertificationError, two_pi
+from kleincert.precision import Bound, CertificationError, sqrt_bounds, two_pi
+from kleincert.search import SearchConfig, newton_refine
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +289,8 @@ def test_jacobian_enclosure_contains_the_exact_entry_on_generated_corners(corner
     labels = (7, 2, 5)
     S = _one_face_surface(corner, labels)
     for r in range(3):  # no corner below the degeneracy guard
-        _, D, v2w2 = _corner_partials(S, *labels[r:], *labels[:r])
-        assume(D * 10**12 >= v2w2)
+        _, _, d, gg, _ = _corner_partials(S, *labels[r:], *labels[:r])
+        assume(d * 10**12 >= gg)
     _assert_enclosure_holds_the_exact_entries(S, _exact_entries(S), precision)
 
 
@@ -305,9 +307,49 @@ def test_jacobian_matrix_validates_shape():
 def test_corner_partials_equal_the_fraction_expansion(corner):
     labels = (7, 2, 5)
     S = _one_face_surface(corner, labels)
-    got = _corner_partials(S, *labels)
+    numerators, den, d, gg, a4 = _corner_partials(S, *labels)
+    got = {l: Fraction(N, den) for l, N in numerators.items()}, Fraction(d, a4), Fraction(gg, a4)
     want = corner_partials(*corner, *labels)
     assert got == want
+
+
+def _first_newton_iterate(candidate_surface):
+    """One Newton step at 400 digits from the candidate with the height
+    jitter of the benchmark's seed-0 refine operation (≤ 10⁻¹², tag
+    "refine:0:0"); its heights have hundreds of digits."""
+    rng = Random("refine:0:0")
+    heights = [
+        p.z + Fraction(rng.choice((-1, 1)) * rng.randint(1, 10), 10**13)
+        for p in candidate_surface.coords
+    ]
+    start = surface_with_heights(candidate_surface, heights)
+    return newton_refine(start, SearchConfig(max_steps=1))
+
+
+@pytest.mark.parametrize(
+    "surface, precision, target_width",
+    [("candidate", 60, Fraction(1, 10**40)), ("newton iterate", 400, Fraction(1, 10**150))],
+)
+def test_jacobian_enclosure_rounds_as_the_whole_fraction_body(
+    candidate_surface, surface, precision, target_width
+):
+    # every endpoint, digits and exponent, as when each N was reduced to a
+    # Fraction and converted whole
+    S = candidate_surface if surface == "candidate" else _first_newton_iterate(candidate_surface)
+    corners = []
+    for face in S.triangulation.faces:
+        for r in range(3):
+            i, j, k = face[r], face[(r + 1) % 3], face[(r + 2) % 3]
+            numerators, den, d, _, a4 = _corner_partials(S, i, j, k)
+            root = sqrt_bounds(Fraction(d, a4), target_width, precision=precision)
+            corners.append(
+                (i, {l: Fraction(N, den) for l, N in numerators.items()}, (root.lo, root.hi))
+            )
+    want = dtheta_enclosure_reference(S.triangulation.n_vertices, corners, precision)
+    got = dtheta_enclosure(S, precision=precision, target_width=target_width)
+    for got_row, want_row in zip(got, want):
+        for b, (lo, hi) in zip(got_row, want_row):
+            assert (b.lo.as_tuple(), b.hi.as_tuple()) == (lo.as_tuple(), hi.as_tuple())
 
 
 def test_degenerate_corner_rejected(tetrahedron):
@@ -737,7 +779,7 @@ def test_expansion_drift_precheck_boundary(reference_matrix, candidate_enclosure
 def test_expansion_caps_scale_with_matrix_size():
     # an 11×11 matrix gets n = 11 in every cap, not the candidate's 10
     M = [[Fraction(3) if i == j else Fraction(0) for j in range(11)] for i in range(11)]
-    center = [[Bound.point(int(x)) for x in row] for row in M]
+    center = [[Bound(Decimal(int(x)), Decimal(int(x))) for x in row] for row in M]
     e_inf = Fraction(1, 1000)
     # 11 · 10⁻¹⁸ · 10¹³ stays inside this e_inf's 5·10⁻⁴ drift budget
     cert = certify_expansion(

@@ -12,7 +12,16 @@ import contextlib
 import math
 import random
 import time
-from decimal import Context, Decimal, localcontext
+from decimal import (
+    ROUND_CEILING,
+    ROUND_DOWN,
+    ROUND_FLOOR,
+    ROUND_HALF_EVEN,
+    ROUND_UP,
+    Context,
+    Decimal,
+    localcontext,
+)
 from fractions import Fraction
 
 import mpmath
@@ -62,8 +71,8 @@ def contains_enclosure(bound: Bound, lo: Fraction, hi: Fraction) -> bool:
 
 def test_exp_bounds_at_zero():
     b = exp_bounds(0, 1, 20)
-    assert b.contains(1)
-    # Stated remainder 2.3/21! plus a sliver for the two one-ulp widenings.
+    assert Fraction(b.lo) <= 1 <= Fraction(b.hi)
+    # Stated remainder 3/21! each side, plus a sliver for rounding each end outward.
     width = Fraction(b.hi) - Fraction(b.lo)
     assert width <= 2 * Fraction(3, math.factorial(21)) + Fraction(1, 10**390)
 
@@ -112,7 +121,7 @@ def test_exp_bounds_overlap_ordering_is_monotone():
 
 def test_ln_bounds_at_one_contains_zero():
     b = ln_bounds(1, "1e-30")
-    assert b.contains(0)
+    assert Fraction(b.lo) <= 0 <= Fraction(b.hi)
     assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**30)
 
 
@@ -447,7 +456,7 @@ def test_sqrt_bounds_beyond_the_int_to_str_digit_limit():
 def test_sqrt_bounds_argument_checks_keep_their_order():
     with pytest.raises(ValueError, match="x >= 0"):
         sqrt_bounds(-1, 0, 0)
-    assert sqrt_bounds(0, 0, 0) == Bound.point(0)
+    assert sqrt_bounds(0, 0, 0) == Bound(Decimal(0), Decimal(0))
     with pytest.raises(ValueError, match="target width"):
         sqrt_bounds(2, 0, 0)
     with pytest.raises(ValueError, match="precision must be >= 1"):
@@ -462,10 +471,70 @@ def test_sqrt_bounds_argument_checks_keep_their_order():
         st.integers(min_value=-400, max_value=400).map(
             lambda e: Fraction(10) ** e - Fraction(1, 10**500)
         ),
+        st.builds(
+            lambda e, s: Fraction(10) ** e + s * Fraction(1, 10**400),
+            st.integers(min_value=-299, max_value=299),
+            st.sampled_from((1, -1)),
+        ),
+        # about 3,000 digits above and below the bar
+        st.builds(
+            lambda a, b: Fraction(a * 7**3550, b * 3**6290 + 1),
+            st.integers(min_value=1, max_value=10**6),
+            st.integers(min_value=1, max_value=10**6),
+        ),
     )
 )
 def test_fraction_exponent_matches_stepped_powers_of_ten(x):
     assert precision_module._fraction_exponent(x) == oracles.fraction_exponent(x)
+
+
+# ---------------------------------------------------------------------------
+# exact quotients rounded from the short sticky-digit ratio
+# ---------------------------------------------------------------------------
+
+_ROUNDINGS = (ROUND_FLOOR, ROUND_CEILING, ROUND_HALF_EVEN, ROUND_DOWN, ROUND_UP)
+
+
+@st.composite
+def _quotients(draw):
+    """(num, den), den > 0: a general ratio, zero, an exact quotient with
+    trailing zeros, a power of ten or its neighbour, or operands past the
+    4,300-digit int-to-str limit."""
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("general", "zero", "exact", "power", "huge")))
+    if kind == "zero":
+        return 0, draw(st.integers(min_value=1, max_value=10**50))
+    if kind == "exact":
+        den = draw(st.integers(min_value=1, max_value=10**20))
+        num = den * draw(st.integers(min_value=1, max_value=10**10))
+        num *= 10 ** draw(st.integers(min_value=0, max_value=450))
+        return sign * num, den * draw(st.sampled_from((1, 2**40, 5**17, 10**30)))
+    if kind == "power":
+        num = 10 ** draw(st.integers(min_value=0, max_value=500)) + draw(st.integers(-1, 1))
+        return sign * num, 10 ** draw(st.integers(min_value=0, max_value=500))
+    if kind == "huge":
+        num = 7 ** draw(st.integers(min_value=5100, max_value=7100))
+        num += draw(st.integers(min_value=-(10**20), max_value=10**20))
+        return sign * num, 3 ** draw(st.integers(min_value=9100, max_value=12600))
+    num = draw(st.integers(min_value=-(10**60), max_value=10**60))
+    return num, draw(st.integers(min_value=1, max_value=10**60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quotient=_quotients(), digits=st.sampled_from((1, 2, 3, 28, 60, 400)))
+@example(quotient=(10**500 + 1, 10**500), digits=3)  # only the sticky digit rounds it up
+@example(quotient=(-(10**500 + 1), 10**500), digits=400)
+@example(quotient=(1, 3), digits=1)  # ⌊log10⌋ one below the bit-length estimate
+def test_short_ratio_rounds_as_the_whole_quotient(quotient, digits):
+    num, den = quotient
+    cut, scale = precision_module._short_ratio(num, den, digits)
+    # at least digits + 3 digits, sticky last digit included, over 10^(m+1)
+    assert num == 0 or cut.adjusted() >= digits + 2
+    assert scale.as_tuple().exponent == 0
+    for rounding in _ROUNDINGS:
+        got = Context(prec=digits, rounding=rounding).divide(cut, scale)
+        want = oracles.decimal_quotient_reference(num, den, digits, rounding)
+        assert got.as_tuple() == want.as_tuple(), rounding
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +544,9 @@ def test_fraction_exponent_matches_stepped_powers_of_ten(x):
 
 def test_hyp_bounds_at_zero():
     h = hyp_bounds(0)
-    assert h.sinh.contains(0)
-    assert h.cosh.contains(1)
-    assert h.tanh.contains(0)
+    assert Fraction(h.sinh.lo) <= 0 <= Fraction(h.sinh.hi)
+    assert Fraction(h.cosh.lo) <= 1 <= Fraction(h.cosh.hi)
+    assert Fraction(h.tanh.lo) <= 0 <= Fraction(h.tanh.hi)
 
 
 def test_hyp_bounds_at_half():
