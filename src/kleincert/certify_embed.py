@@ -418,12 +418,13 @@ def certify_embeddedness(
     normal first.  The scan then walks n once and tests every
     still-unwitnessed pair against +ρ(n), then −ρ(n), so each gets its first
     (n, sign) below its kind's search limit; it stops as soon as no pair is
-    left.  A one-vertex-sharing pair whose differences
-    D (above minus below vertex) have 0 in their convex hull is left out of
-    the scan: for every N some ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.  Each
-    scanned pair's chart is built once from D; at each n only the pairs whose
-    chart holds ρ(n)'s ratios get the exact test, and the others cannot be
-    separated by ±ρ(n), so every pair keeps the same first (n, sign).
+    left.  A pair whose differences D (above minus below vertex) hold the
+    zero vector, and a one-vertex-sharing pair whose D has 0 in its convex
+    hull, is left out of the scan and stays pending: for every N some
+    ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.  Each scanned pair's chart is
+    built once from D; at each n only the pairs whose chart holds ρ(n)'s
+    ratios get the exact test, and the others cannot be separated by ±ρ(n),
+    so every pair keeps the same first (n, sign).
 
     Raises :class:`ValueError` if ``cap`` is below 1, and
     :class:`CertificationError` listing the unseparated pairs if any pair is
@@ -466,7 +467,8 @@ def certify_embeddedness(
 
     scan = [
         p for p in sorted(kinds.keys() - witnesses.keys())
-        if kinds[p] == "disjoint" or not _unwitnessable(tests[p], coords)
+        if (0, 0, 0) not in diffs[p]
+        and (kinds[p] == "disjoint" or not _unwitnessable(tests[p], coords))
     ]
     charts = {p: _chart(diffs[p]) for p in scan}
     rho_candidates = pair_tests = exact_tests = 0

@@ -127,14 +127,21 @@ class JacobianMatrix:
         return len(self.entries)
 
 
-def theta_map(S: EmbeddedSurface, precision: int = DEFAULT_PRECISION) -> DefectVector:
-    """Cone defects Θ_i = (cone angle at vertex i) − 2π for every vertex."""
-    full_turn = two_pi(precision + 10)
+def _vertex_defect(S: EmbeddedSurface, i: int, precision: int) -> Decimal:
+    """Θ_i = (cone angle at vertex i) − 2π, both taken and rounded at precision + 10 digits."""
     with localcontext(Context(prec=precision + 10)):
-        theta = tuple(
-            +(cone_angle(S, i, precision + 10) - full_turn)
-            for i in range(S.triangulation.n_vertices)
-        )
+        return +(cone_angle(S, i, precision + 10) - two_pi(precision + 10))
+
+
+def theta_map(S: EmbeddedSurface, precision: int = DEFAULT_PRECISION) -> DefectVector:
+    """Cone defects Θ_i = (cone angle at vertex i) − 2π for every vertex.
+
+    Each Θ_i is :func:`_vertex_defect`, the one definition of a vertex's
+    defect, which ``search.hill_climb`` also calls vertex by vertex.
+    """
+    theta = tuple(
+        _vertex_defect(S, i, precision) for i in range(S.triangulation.n_vertices)
+    )
     return DefectVector(z=tuple(p.z for p in S.coords), theta=theta)
 
 

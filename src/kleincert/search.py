@@ -13,7 +13,10 @@ certification modules then verify rigorously.  Three stages:
    coordinate perturbations, drawn from a counter-based deterministic
    generator (``sha256-counter``): the k-th uniform is
    ``int(sha256(tag || seed || k)) / 2**256``, converted exactly to a
-   rational.  The entire trajectory is a pure function of the seed.
+   rational.  The entire trajectory is a pure function of the seed.  A
+   proposal is evaluated one vertex defect at a time and rejected at the
+   first vertex whose |Θ_i| reaches the best objective, so most proposals
+   cost a few cone angles instead of n.
 3. ``newton_refine`` runs Newton's method on the vertex heights at high
    working precision, solving each linear system by LU with partial
    pivoting, and records the defect-norm sequence so quadratic convergence
@@ -28,7 +31,7 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import List, MutableMapping, Optional, Sequence, Tuple
 
-from .jacobian import dtheta_analytic, surface_with_heights, theta_map
+from .jacobian import _vertex_defect, dtheta_analytic, surface_with_heights, theta_map
 from .klein import Point3
 from .mesh import EmbeddedSurface, Triangulation
 from .precision import CertificationError
@@ -186,6 +189,18 @@ def hill_climb(
     ``start`` untouched); ``record``, if given, is filled with the
     generator name, seed, and summary counters; ``history`` receives an
     ``(iteration, objective)`` pair for every acceptance.
+
+    A proposal's defects |Θ_i| are computed one vertex at a time, and it is
+    rejected at the first vertex with |Θ_i| ≥ the best objective, since its
+    maximum cannot then be smaller.  Vertices are tried in a kept order:
+    ``range(n)`` at first, re-sorted after each acceptance by that
+    proposal's |Θ_i|, largest first (a stable sort), so the vertex most
+    likely to reject comes first.  An accepted proposal has had every defect
+    computed, and its objective is their maximum.  The comparisons are exact
+    Decimal comparisons, and a proposal on which a vertex the early exit
+    never reaches would raise is rejected either way, so every decision,
+    ``record``, ``history`` and the result are those of evaluating
+    :func:`objective` on every proposal.
     """
     budget = config.max_steps if steps is None else steps
     if budget < 0:
@@ -199,19 +214,28 @@ def hill_climb(
     grid = 10**config.climb_precision
     rejections = 0
     accepts = 0
+    order = list(range(len(start.coords)))
     for iteration in range(budget):
         deltas = [
             Fraction(int((rng.uniform() * 2 - 1) * step * grid), grid)
             for _ in range(n_coords)
         ]
+        accepted = False
         try:
             proposal = _perturbed(best, deltas)
-            value = objective(proposal, config.climb_precision)
+            defects = [None] * len(order)
+            for i in order:
+                defects[i] = _vertex_defect(proposal, i, config.climb_precision).copy_abs()
+                if defects[i] >= best_objective:
+                    break
+            else:
+                accepted = True
         except (CertificationError, ValueError, ZeroDivisionError):
-            value = None  # escaped the ball or degenerate geometry: a rejection
-        accepted = value is not None and value < best_objective
+            pass  # escaped the ball or degenerate geometry: a rejection
         if accepted:
-            best, best_objective = proposal, value
+            # max over the defects in vertex order is objective(proposal)
+            best, best_objective = proposal, max(defects)
+            order.sort(key=defects.__getitem__, reverse=True)
             accepts += 1
             rejections = 0
             if history is not None:

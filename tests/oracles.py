@@ -11,17 +11,18 @@ with lo ≤ true value ≤ hi, never a point estimate — except the reference
 bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
 :func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`rho_two_isqrt`,
 :func:`witness_scan_reference`, :func:`decimal_quotient_reference`,
-:func:`dtheta_enclosure_reference`), which return the value the old code
-returned.
+:func:`dtheta_enclosure_reference`, :func:`hill_climb_reference`), which
+return the value the old code returned.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 Enclosure = Tuple[Fraction, Fraction]
 Vec3 = Tuple[Fraction, Fraction, Fraction]
@@ -484,6 +485,79 @@ def witness_scan_reference(
         separate(scan, base, "rho", n)
         scan = [p for p in scan if p not in witnesses]
     return witnesses, [(p, kinds[p]) for p in sorted(kinds) if p not in witnesses]
+
+
+# ---------------------------------------------------------------------------
+# The hill climb with every proposal evaluated in full
+# ---------------------------------------------------------------------------
+
+
+def hill_climb_reference(
+    start,
+    config,
+    objective: Callable,
+    perturbed: Callable,
+    rejected: Tuple[type, ...],
+    steps: Optional[int] = None,
+    record: Optional[dict] = None,
+    history: Optional[list] = None,
+):
+    """The body ``hill_climb`` replaced: ``objective(proposal, precision)``,
+    every cone defect, on every proposal, and accept when it is smaller.
+
+    ``perturbed(surface, deltas)`` builds a proposal, and a proposal on which
+    it or ``objective`` raises one of ``rejected`` is a rejection.  The k-th
+    uniform is ``sha256(b"kleincert-search:<seed>:<k>")`` over 2**256.
+    """
+    budget = config.max_steps if steps is None else steps
+    if budget < 0:
+        raise ValueError("steps must be nonnegative")
+    counter = 0
+
+    def uniform() -> Fraction:
+        nonlocal counter
+        digest = hashlib.sha256(b"kleincert-search:%d:%d" % (config.rng_seed, counter)).digest()
+        counter += 1
+        return Fraction(int.from_bytes(digest, "big"), 2**256)
+
+    n_coords = 3 * len(start.coords)
+    best = start
+    best_objective = objective(start, config.climb_precision)
+    step = config.initial_step
+    floor = config.step_floor
+    grid = 10**config.climb_precision
+    rejections = 0
+    accepts = 0
+    for iteration in range(budget):
+        deltas = [
+            Fraction(int((uniform() * 2 - 1) * step * grid), grid)
+            for _ in range(n_coords)
+        ]
+        try:
+            proposal = perturbed(best, deltas)
+            value = objective(proposal, config.climb_precision)
+        except rejected:
+            value = None
+        accepted = value is not None and value < best_objective
+        if accepted:
+            best, best_objective = proposal, value
+            accepts += 1
+            rejections = 0
+            if history is not None:
+                history.append((iteration, best_objective))
+        else:
+            rejections += 1
+            if rejections >= config.decay_rejections:
+                step = max(step / 2, floor)
+                rejections = 0
+    if record is not None:
+        record["algorithm"] = "sha256-counter"
+        record["seed"] = config.rng_seed
+        record["steps"] = budget
+        record["accepts"] = accepts
+        record["final_step"] = step
+        record["final_objective"] = best_objective
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
+from kleincert import jacobian, search
 from kleincert.jacobian import JacobianMatrix, theta_map
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
@@ -299,9 +301,9 @@ def test_climb_step_never_drops_below_floor(newton_run):
     assert record["final_step"] == F(1, 100)
 
 
-def test_climb_rejects_proposals_leaving_the_ball():
+def _near_boundary_tetrahedron():
     tet = Triangulation(4, ((0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)))
-    near_boundary = EmbeddedSurface(
+    return EmbeddedSurface(
         tet,
         (
             Point3.of(F(9, 10), 0, 0),
@@ -310,6 +312,10 @@ def test_climb_rejects_proposals_leaving_the_ball():
             Point3.of(F(-1, 2), F(-1, 2), F(-1, 2)),
         ),
     )
+
+
+def test_climb_rejects_proposals_leaving_the_ball():
+    near_boundary = _near_boundary_tetrahedron()
     cfg = SearchConfig(
         rng_seed=1, initial_step=F(10), decay_rejections=100, climb_precision=20
     )
@@ -317,6 +323,61 @@ def test_climb_rejects_proposals_leaving_the_ball():
     out = hill_climb(near_boundary, cfg, steps=5, record=record)
     assert record["accepts"] == 0
     assert out is near_boundary
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("sketch", seed) for seed in range(2026, 2031)] + [("near_boundary", 1), ("decay", 3)],
+    ids=lambda case: f"{case[0]}-{case[1]}",
+)
+def test_climb_equals_the_full_evaluation_reference(case, prepared_sketch, newton_run):
+    """The early-rejecting climb makes every decision the full evaluation makes."""
+    kind, seed = case
+    if kind == "sketch":
+        start, cfg, steps = prepared_sketch, SearchConfig(rng_seed=seed), 40
+    elif kind == "near_boundary":
+        start, steps = _near_boundary_tetrahedron(), 5
+        cfg = SearchConfig(
+            rng_seed=seed, initial_step=F(10), decay_rejections=100, climb_precision=20
+        )
+    else:
+        start, steps = newton_run[0], 15
+        cfg = SearchConfig(
+            rng_seed=seed, initial_step=F(1, 100), decay_rejections=5, climb_precision=25
+        )
+    record: dict = {}
+    history: list = []
+    out = hill_climb(start, cfg, steps=steps, record=record, history=history)
+    ref_record: dict = {}
+    ref_history: list = []
+    ref = oracles.hill_climb_reference(
+        start, cfg, objective, search._perturbed,
+        (CertificationError, ValueError, ZeroDivisionError),
+        steps=steps, record=ref_record, history=ref_history,
+    )
+    assert out.coords == ref.coords
+    # repr tells Decimals of equal value but different exponent apart
+    assert repr(record) == repr(ref_record)
+    assert repr(history) == repr(ref_history)
+
+
+def test_climb_computes_a_defect_only_until_it_rejects(prepared_sketch, monkeypatch):
+    real = jacobian.cone_angle
+    calls = []
+
+    def counting(S, i, precision):
+        calls.append(i)
+        return real(S, i, precision)
+
+    # the climb reaches cone_angle through jacobian._vertex_defect
+    monkeypatch.setattr(jacobian, "cone_angle", counting)
+    record: dict = {}
+    out = hill_climb(prepared_sketch, SearchConfig(), steps=40, record=record)
+    # objective on the start and on each of the 40 proposals would take 410
+    full = (40 + 1) * prepared_sketch.triangulation.n_vertices
+    assert len(calls) == 138 <= full * 2 // 5
+    monkeypatch.undo()
+    assert record["final_objective"] == objective(out, SearchConfig().climb_precision)
 
 
 def test_climb_rejects_negative_budget(prepared_sketch):
