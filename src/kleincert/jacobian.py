@@ -25,15 +25,18 @@ runs through four stages that live in this module:
 
 4. `singular_lower_bound` / `certify_expansion` / `conclude_existence` — an
    exact-arithmetic lower bound on the smallest singular value of the
-   reference Jacobian: bisection on the 2⁻²⁰ grid for the largest x with
-   MᵀM − x·I positive definite, each test one exact LDLᵀ (Sylvester's
-   criterion), combined with the deviation caps into a 1/2-expansivity
+   reference Jacobian: the bracket on the 2⁻²⁰ grid of the largest x with
+   MᵀM − x·I positive definite, each deciding test one exact LDLᵀ
+   (Sylvester's criterion).  A float bisection only chooses which grid
+   points get the exact test, so a right guess costs two of them.  The
+   bound is combined with the deviation caps into a 1/2-expansivity
    certificate and the final existence report.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
@@ -366,6 +369,9 @@ def crude_bounds(
     It reads ``S.lattice`` only: each edge's chord integers A, B, C from
     :mod:`kleincert.klein` decide the norm and ln-argument checks exactly, one
     ``distance`` per edge its length, and the surface's corner table the cosines.
+    The lengths are enclosed at ``distance``'s default width 10⁻⁸: the check
+    reads only whether each lies in [0.63, 2.08], and the candidate's lie
+    0.0087 or more inside it.
     """
     T = S.triangulation
     q, lattice = S.denominator, S.lattice
@@ -404,7 +410,7 @@ def crude_bounds(
         _req(above_low and high >= 0 and disc <= high * high, f"sqrt argument of edge {(ia, ib)}")
         arg2 = 4 * C * (A + B + C)  # q⁴ times the log argument
         _req(lg_lo * q2 * q2 <= arg2 <= lg_hi * q2 * q2, f"log argument of edge {(ia, ib)}")
-        d = distance(q, lattice[ia], lattice[ib], Fraction(1, 10**20), precision)
+        d = distance(q, lattice[ia], lattice[ib], precision=precision)
         _req(
             el_lo <= Fraction(d.lo) and Fraction(d.hi) <= el_hi,
             f"hyperbolic length of edge {(ia, ib)}",
@@ -634,34 +640,72 @@ def _definiteness(A: RationalMatrix, x: Fraction) -> int:
     return 0 if singular else 1
 
 
-def smallest_gram_root_bracket(M: RationalMatrix) -> Tuple[Fraction, Fraction]:
-    """Bracket [lo, lo + 2⁻²⁰] of the smallest eigenvalue λ of MᵀM.
+def _float_bracket(A: RationalMatrix, lo: int, hi: int, grid: int) -> Tuple[int, ...]:
+    """The grid bisection's bracket (lo, hi) on a float copy of A.
 
-    Forms the Gram matrix exactly and bisects on the 2⁻²⁰ grid over
-    [0, Gershgorin + 2], testing MᵀM − x·I for definiteness (Sylvester's
-    criterion by exact LDLᵀ), so lo = ⌊λ·2²⁰⌋/2²⁰.  A grid point that is
-    itself an eigenvalue yields the point bracket (λ, λ); a singular Gram
-    matrix yields (0, 0).
+    A guess only, for :func:`smallest_gram_root_bracket` to confirm exactly;
+    () when an entry of A overflows a float.
     """
-    n = len(M)
-    M = [[Fraction(x) for x in row] for row in M]
-    A = [
-        [sum((M[k][i] * M[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    if _definiteness(A, Fraction(0)) <= 0:
-        return Fraction(0), Fraction(0)
-
-    gersh = max(sum(abs(x) for x in row) for row in A)
-    grid = 2**20
-    lo, hi = 0, (int(gersh) + 2) * grid  # A − lo·I is definite, A − hi·I is not
+    try:
+        approx = [[float(x) for x in row] for row in A]
+    except OverflowError:
+        return ()
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _definiteness(A, Fraction(mid, grid)) > 0:
+        if _definiteness(approx, mid / grid) > 0:
             lo = mid
         else:
             hi = mid
-    if _definiteness(A, Fraction(hi, grid)) == 0:
+    return lo, hi
+
+
+def smallest_gram_root_bracket(M: RationalMatrix) -> Tuple[Fraction, Fraction]:
+    """Bracket [lo, lo + 2⁻²⁰] of the smallest eigenvalue λ of MᵀM.
+
+    Forms the Gram matrix exactly, over the common denominator of M, and
+    closes a bracket on the 2⁻²⁰ grid for the last x with MᵀM − x·I
+    positive definite (Sylvester's criterion by exact LDLᵀ), so
+    lo = ⌊λ·2²⁰⌋/2²⁰.  A grid point that is itself an eigenvalue yields the
+    point bracket (λ, λ); a singular Gram matrix yields (0, 0).  The bracket
+    starts at (−2⁻²⁰, Gershgorin + 2], both ends known without a test: MᵀM
+    is positive semidefinite, and beyond Gershgorin's bound MᵀM − x·I is
+    negative definite.
+
+    Floats only choose which grid points get the exact test: the bisection
+    on a float copy (:func:`_float_bracket`) guesses the bracket, the exact
+    test is run at its two points, and exact bisection goes on from
+    whatever those two tests established.  Definiteness is monotone in x,
+    so any sequence of exact tests that closes the bracket to one grid step
+    gives the same bracket; a right guess costs two exact tests instead of
+    about 26.  The test that set hi also tells whether hi is an eigenvalue.
+    """
+    n = len(M)
+    M = [[Fraction(x) for x in row] for row in M]
+    d = math.lcm(*(x.denominator for row in M for x in row))
+    N = [[x.numerator * (d // x.denominator) for x in row] for row in M]
+    A = [
+        [Fraction(sum(N[k][i] * N[k][j] for k in range(n)), d * d) for j in range(n)]
+        for i in range(n)
+    ]
+    gersh = max(sum(abs(x) for x in row) for row in A)
+    grid = 2**20
+    # A − lo·I is definite; A − hi·I is not, and at_hi is its definiteness
+    lo, hi, at_hi = -1, (int(gersh) + 2) * grid, -1
+
+    def test(m: int) -> None:
+        nonlocal lo, hi, at_hi
+        sign = _definiteness(A, Fraction(m, grid))
+        if sign > 0:
+            lo = m
+        else:
+            hi, at_hi = m, sign
+
+    for guess in _float_bracket(A, lo, hi, grid):
+        if lo < guess < hi:
+            test(guess)
+    while hi - lo > 1:
+        test((lo + hi) // 2)
+    if at_hi == 0:
         return Fraction(hi, grid), Fraction(hi, grid)
     return Fraction(lo, grid), Fraction(hi, grid)
 

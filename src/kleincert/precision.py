@@ -200,12 +200,11 @@ class HypBounds(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _exp_taylor_fraction(x: Fraction, n: int) -> Fraction:
-    """Exact rational value of S_n(x) = sum_{k<=n} x^k / k!.
+def _exp_taylor_integers(x: Fraction, n: int) -> tuple[int, int]:
+    """(T, n!·qⁿ) with S_n(x) = sum_{k<=n} x^k / k! = T / (n!·qⁿ), x = p/q.
 
-    Summed in integers over the common denominator n!·qⁿ, x = p/q: the terms
-    t_k = n!/k!·p^k·q^(n−k) follow from t_0 = n!·qⁿ by the exact division
-    t_k = t_{k−1}·p // (q·k), and S_n(x) = Σ t_k / (n!·qⁿ).
+    The terms t_k = n!/k!·p^k·q^(n−k) follow from t_0 = n!·qⁿ by the exact
+    division t_k = t_{k−1}·p // (q·k), and T = Σ t_k.  Not reduced.
     """
     p, q = x.numerator, x.denominator
     term = math.factorial(n) * q**n
@@ -214,7 +213,12 @@ def _exp_taylor_fraction(x: Fraction, n: int) -> Fraction:
     for k in range(1, n + 1):
         term = term * p // (q * k)
         total += term
-    return Fraction(total, denominator)
+    return total, denominator
+
+
+def _exp_taylor_fraction(x: Fraction, n: int) -> Fraction:
+    """Exact rational value of S_n(x) = sum_{k<=n} x^k / k!."""
+    return Fraction(*_exp_taylor_integers(x, n))
 
 
 def _exp_remainder(a: int, n: int) -> Fraction:
@@ -227,8 +231,11 @@ def exp_bounds(
 ) -> Bound:
     """Certified enclosure of e^x for |x| ≤ a, a a positive integer.
 
-    The enclosure is S_n(x) ± a^(n+1)·3^a/(n+1)!, evaluated exactly in rational
-    arithmetic and rounded outward, its lower end down and its upper end up.
+    The enclosure is S_n(x) ± a^(n+1)·3^a/(n+1)!, evaluated exactly and
+    rounded outward, its lower end down and its upper end up.  Both ends are
+    (T·(n+1) ∓ a^(n+1)·3^a·qⁿ) / ((n+1)!·qⁿ) over the unreduced integers of
+    :func:`_exp_taylor_integers`; :func:`_short_ratio` rounds any
+    representation of a value to the same Decimal, so no gcd is taken.
     """
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"a must be a positive integer, got {a!r}")
@@ -237,11 +244,13 @@ def exp_bounds(
     xf = as_fraction(x)
     if abs(xf) > a:
         raise ValueError(f"|x| = {abs(xf)} exceeds the stated range bound a = {a}")
-    s = _exp_taylor_fraction(xf, n)
-    r = _exp_remainder(a, n)
+    total, denominator = _exp_taylor_integers(xf, n)
+    s = total * (n + 1)
+    r = a ** (n + 1) * 3**a * xf.denominator**n
+    den = denominator * (n + 1)
     return Bound(
-        decimal_from_fraction(s - r, precision, ROUND_FLOOR),
-        decimal_from_fraction(s + r, precision, ROUND_CEILING),
+        _context(precision, ROUND_FLOOR).divide(*_short_ratio(s - r, den, precision)),
+        _context(precision, ROUND_CEILING).divide(*_short_ratio(s + r, den, precision)),
     )
 
 
@@ -250,8 +259,11 @@ def _classify_exp(t: Decimal, x: Fraction, tolerance: Fraction, precision: int) 
 
     The only rational point with rational exponential is t = 0, handled by
     exact comparison (0 when e^0 = x exactly).  Elsewhere one enclosure
-    decides, at the least Taylor order whose remainder is at most
-    ``tolerance``; raises if it does not separate e^t from x.
+    decides, at the least Taylor order n whose remainder
+    :func:`_exp_remainder` (a, n) is at most ``tolerance`` = num/den; raises
+    if it does not separate e^t from x.  That n is found in integers, as the
+    least with a^(n+1)·3^a·den ≤ (n+1)!·num, both sides grown one order at a
+    time by the factors a and n + 1.
     """
     if t == 0:
         if x == 1:
@@ -259,8 +271,10 @@ def _classify_exp(t: Decimal, x: Fraction, tolerance: Fraction, precision: int) 
         return -1 if x > 1 else 1
     a = max(1, math.ceil(abs(Fraction(t))))
     n = 0
-    while _exp_remainder(a, n) > tolerance:
+    lhs, rhs = a * 3**a * tolerance.denominator, tolerance.numerator
+    while lhs > rhs:
         n += 1
+        lhs, rhs = lhs * a, rhs * (n + 1)
     enclosure = exp_bounds(t, a, n, precision)
     if Fraction(enclosure.hi) <= x:
         return -1

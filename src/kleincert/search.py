@@ -12,8 +12,9 @@ certification modules then verify rigorously.  Three stages:
 2. ``hill_climb`` minimises the maximum absolute cone defect by random
    coordinate perturbations, drawn from a counter-based deterministic
    generator (``sha256-counter``): the k-th uniform is
-   ``int(sha256(tag || seed || k)) / 2**256``, converted exactly to a
-   rational.  The entire trajectory is a pure function of the seed.  A
+   ``int(sha256(tag || seed || k)) / 2**256``, and each coordinate delta is
+   computed from that integer exactly, in integers.  The entire trajectory
+   is a pure function of the seed.  A
    proposal is evaluated one vertex defect at a time and rejected at the
    first vertex whose |Θ_i| reaches the best objective, so most proposals
    cost a few cone angles instead of n.
@@ -57,7 +58,8 @@ class CounterRng:
     """Counter-based deterministic uniform generator.
 
     Draw ``k`` is ``sha256(b"kleincert-search:<seed>:<k>")`` read as a
-    big-endian integer and divided by 2**256, an exact rational in [0, 1).
+    big-endian integer U (:meth:`draw`); :meth:`uniform` divides it by
+    2**256, an exact rational in [0, 1).
     The stream depends only on the seed and the counter, never on platform,
     process, or call history, so searches are bit-reproducible and proposals
     could even be evaluated out of order.
@@ -67,13 +69,17 @@ class CounterRng:
         self.seed = int(seed)
         self.counter = 0
 
-    def uniform(self) -> Fraction:
-        """Next uniform variate in [0, 1) as an exact rational."""
+    def draw(self) -> int:
+        """Next integer variate U in [0, 2**256): the draw's digest as an integer."""
         digest = hashlib.sha256(
             b"kleincert-search:%d:%d" % (self.seed, self.counter)
         ).digest()
         self.counter += 1
-        return Fraction(int.from_bytes(digest, "big"), _TWO_POW_256)
+        return int.from_bytes(digest, "big")
+
+    def uniform(self) -> Fraction:
+        """Next uniform variate U/2**256 in [0, 1) as an exact rational."""
+        return Fraction(self.draw(), _TWO_POW_256)
 
 
 @dataclass(frozen=True)
@@ -216,10 +222,13 @@ def hill_climb(
     accepts = 0
     order = list(range(len(start.coords)))
     for iteration in range(budget):
-        deltas = [
-            Fraction(int((rng.uniform() * 2 - 1) * step * grid), grid)
-            for _ in range(n_coords)
-        ]
+        # int((U/2²⁵⁶·2 − 1)·step·grid) = (2U − 2²⁵⁶)·scale/den, truncated
+        # toward zero in integers
+        scale, den = step.numerator * grid, step.denominator * _TWO_POW_256
+        deltas = []
+        for _ in range(n_coords):
+            t = (2 * rng.draw() - _TWO_POW_256) * scale
+            deltas.append(Fraction(t // den if t >= 0 else -(-t // den), grid))
         accepted = False
         try:
             proposal = _perturbed(best, deltas)

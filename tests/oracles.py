@@ -11,8 +11,9 @@ with lo ≤ true value ≤ hi, never a point estimate — except the reference
 bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
 :func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`rho_two_isqrt`,
 :func:`witness_scan_reference`, :func:`decimal_quotient_reference`,
-:func:`dtheta_enclosure_reference`, :func:`hill_climb_reference`), which
-return the value the old code returned.
+:func:`dtheta_enclosure_reference`, :func:`hill_climb_reference`,
+:func:`gram_root_bracket_bisection`), which return the value the old code
+returned.
 """
 
 from __future__ import annotations
@@ -666,6 +667,61 @@ def triangles_meet_only_at(t1, t2, allowed: Vec3) -> bool:
     allowed_f = tuple(Fraction(c) for c in allowed)
     pts = triangle_intersection_points(t1, t2)
     return bool(pts) and all(p == allowed_f for p in pts)
+
+
+# ---------------------------------------------------------------------------
+# The σ floor's grid bracket by exact bisection alone
+# ---------------------------------------------------------------------------
+
+
+def _ldlt_definiteness(A, x: Fraction) -> int:
+    """+1 if A − x·I is positive definite, 0 if semidefinite and singular,
+    −1 otherwise, by exact LDLᵀ; a zero pivot is admissible only with a zero
+    column below it."""
+    n = len(A)
+    a = [[A[i][j] - (x if i == j else 0) for j in range(n)] for i in range(n)]
+    singular = False
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot < 0:
+            return -1
+        if pivot == 0:
+            if any(a[i][k] for i in range(k + 1, n)):
+                return -1
+            singular = True
+            continue
+        for i in range(k + 1, n):
+            factor = a[i][k] / pivot
+            if factor:
+                for j in range(k + 1, i + 1):
+                    a[i][j] -= factor * a[j][k]
+    return 0 if singular else 1
+
+
+def gram_root_bracket_bisection(M) -> Tuple[Fraction, Fraction]:
+    """The body ``smallest_gram_root_bracket`` replaced: the Gram matrix in
+    Fractions, one exact definiteness test per bisection step on the 2⁻²⁰
+    grid over [0, Gershgorin + 2], and one more at the final upper end."""
+    n = len(M)
+    M = [[Fraction(x) for x in row] for row in M]
+    A = [
+        [sum((M[k][i] * M[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    if _ldlt_definiteness(A, Fraction(0)) <= 0:
+        return Fraction(0), Fraction(0)
+    gersh = max(sum(abs(x) for x in row) for row in A)
+    grid = 2**20
+    lo, hi = 0, (int(gersh) + 2) * grid
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _ldlt_definiteness(A, Fraction(mid, grid)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    if _ldlt_definiteness(A, Fraction(hi, grid)) == 0:
+        return Fraction(hi, grid), Fraction(hi, grid)
+    return Fraction(lo, grid), Fraction(hi, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from oracles import (
     corner_partials,
     cosh_enclosure,
     dtheta_enclosure_reference,
+    gram_root_bracket_bisection,
     interval_div,
     interval_mul,
     sinh_enclosure,
@@ -54,7 +55,8 @@ from kleincert.jacobian import (
     surface_with_heights,
     theta_map,
 )
-from kleincert.klein import Point3, cos2_and_sign
+import kleincert.jacobian as jacobian_module
+from kleincert.klein import Point3, cos2_and_sign, distance
 from kleincert.mesh import EmbeddedSurface, Triangulation, cone_angle, vertex_link
 from kleincert.precision import Bound, CertificationError, sqrt_bounds, two_pi
 from kleincert.search import SearchConfig, newton_refine
@@ -556,6 +558,32 @@ def test_crude_bounds_rejects_oversized_ball(candidate_surface):
         crude_bounds(candidate_surface, ball_radius=Fraction(1, 50))
 
 
+def test_crude_lengths_at_the_default_width_clear_their_range(candidate_surface):
+    # crude_bounds encloses each edge length at distance's default width
+    # 10⁻⁸; every enclosure lies at least 10⁻³ inside [0.63, 2.08]
+    q, lattice = candidate_surface.denominator, candidate_surface.lattice
+    faces = candidate_surface.triangulation.faces
+    edges = {tuple(sorted((f[r], f[(r + 1) % 3]))) for f in faces for r in range(3)}
+    margin = Fraction(1, 1000)
+    for a, b in sorted(edges):
+        d = distance(q, lattice[a], lattice[b], precision=80)
+        assert Fraction(63, 100) + margin <= Fraction(d.lo), (a, b)
+        assert Fraction(d.hi) <= Fraction(208, 100) - margin, (a, b)
+
+
+def test_crude_bounds_equal_on_premises_jitters(candidate_surface, candidate_crude):
+    # heights moved by k·10⁻²¹, 1 ≤ |k| ≤ 10, as the benchmark's premises
+    # workload moves them
+    for tag in ("premises:0:0", "premises:0:1", "premises:7:3"):
+        rng = Random(tag)
+        heights = [
+            p.z + Fraction(rng.choice((-1, 1)) * rng.randint(1, 10), 10**21)
+            for p in candidate_surface.coords
+        ]
+        jittered = surface_with_heights(candidate_surface, heights)
+        assert crude_bounds(jittered) == candidate_crude, tag
+
+
 # ---------------------------------------------------------------------------
 # Second-order constant chain
 # ---------------------------------------------------------------------------
@@ -673,6 +701,114 @@ def test_singular_floor_below_oracle_on_random_matrices():
             assert bound >= truth - Fraction(1, 10**4)
         successes += 1
     assert successes >= 6
+
+
+def _exact_definiteness_calls(monkeypatch):
+    """Record the x of every exact (Fraction) definiteness test."""
+    calls = []
+    real = jacobian_module._definiteness
+
+    def counting(A, x):
+        if isinstance(x, Fraction):
+            calls.append(x)
+        return real(A, x)
+
+    monkeypatch.setattr(jacobian_module, "_definiteness", counting)
+    return calls
+
+
+def test_gram_bracket_takes_two_exact_tests_on_the_reference(reference_matrix, monkeypatch):
+    calls = _exact_definiteness_calls(monkeypatch)
+    bracket = smallest_gram_root_bracket(reference_matrix)
+    assert bracket == (Fraction(2403459, 2**20), Fraction(2403460, 2**20))
+    assert bracket == gram_root_bracket_bisection(reference_matrix)
+    assert len(calls) <= 4
+    assert calls == [Fraction(2403459, 2**20), Fraction(2403460, 2**20)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.fractions(min_value=-6, max_value=6, max_denominator=8),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_gram_bracket_equals_the_bisection(M):
+    assert smallest_gram_root_bracket(M) == gram_root_bracket_bisection(M)
+
+
+def _rotated(diagonal):
+    """D·Q for the rational rotation Q = (3/5, 4/5): its Gram matrix QᵀD²Q
+    has eigenvalues d², and off-diagonal entries."""
+    F = Fraction
+    d0, d1 = diagonal
+    return [[d0 * F(3, 5), d0 * F(4, 5)], [-d1 * F(4, 5), d1 * F(3, 5)]]
+
+
+GRAM_CASES = {
+    "reference": reference_jacobian(),
+    # smallest eigenvalue (1537/1024)² = 2362369·2⁻²⁰, a grid point
+    "grid-eigenvalue": _rotated((Fraction(1537, 1024), Fraction(2))),
+    "grid-eigenvalue-tiny": _rotated((Fraction(3, 1024), Fraction(1))),
+    # eigenvalues 1 and (1 + 10⁻⁹)², inside one grid cell
+    "clustered": [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1) + Fraction(1, 10**9)]],
+    "clustered-off-grid": _rotated(
+        (Fraction(1) + Fraction(1, 10**12), Fraction(1) + Fraction(2, 10**12))
+    ),
+    "singular": [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+    "zero": [[Fraction(0)] * 3 for _ in range(3)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_gram_bracket_equals_the_bisection_on_edge_cases(name):
+    M = GRAM_CASES[name]
+    assert smallest_gram_root_bracket(M) == gram_root_bracket_bisection(M)
+
+
+def test_gram_bracket_point_cases():
+    grid = 2**20
+    assert smallest_gram_root_bracket(GRAM_CASES["grid-eigenvalue"]) == (
+        Fraction(2362369, grid),
+        Fraction(2362369, grid),
+    )
+    assert smallest_gram_root_bracket(GRAM_CASES["grid-eigenvalue-tiny"]) == (
+        Fraction(9, grid),
+        Fraction(9, grid),
+    )
+    assert smallest_gram_root_bracket(GRAM_CASES["singular"]) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "guess",
+    [(), (0, 1), (-1, 0), (1, 0), (2403460, 2403461), (2403458, 2403459), (2403460, 2403459),
+     (2362368, 2362369), (2362369, 2362370), (8, 9), (9, 10), (5 * 2**20, 5 * 2**20 + 1),
+     (10**9, 10**9 + 7), (-5, 10**12)],
+)
+@pytest.mark.parametrize("name", sorted(GRAM_CASES))
+def test_gram_bracket_survives_a_wrong_float_guess(name, guess, monkeypatch):
+    # the float path only picks grid points: whatever it returns, the exact
+    # tests decide and the bracket is the bisection's
+    monkeypatch.setattr(jacobian_module, "_float_bracket", lambda A, lo, hi, grid: guess)
+    M = GRAM_CASES[name]
+    assert smallest_gram_root_bracket(M) == gram_root_bracket_bisection(M)
+
+
+def test_gram_bracket_falls_back_to_exact_bisection_on_float_overflow():
+    # 10⁴⁰⁰ overflows a float, so no guess is made
+    M = [[Fraction(10**200), Fraction(0)], [Fraction(0), Fraction(1)]]
+    with pytest.raises(OverflowError):
+        float(Fraction(10**400))
+    assert jacobian_module._float_bracket([[Fraction(10**400)]], -1, 2, 2**20) == ()
+    assert smallest_gram_root_bracket(M) == (Fraction(1), Fraction(1))
+    assert smallest_gram_root_bracket(M) == gram_root_bracket_bisection(M)
 
 
 # ---------------------------------------------------------------------------

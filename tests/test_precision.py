@@ -240,6 +240,57 @@ def test_ln_bounds_sums_one_taylor_series_per_endpoint(monkeypatch):
     assert orders == [(1, 29), (1, 29)]
 
 
+def _order_of_the_remainder_loop(a, tolerance):
+    """The order search ``_classify_exp`` replaced: one Fraction per order."""
+    n = 0
+    while precision_module._exp_remainder(a, n) > tolerance:
+        n += 1
+    return n
+
+
+def test_classify_exp_picks_the_order_of_the_remainder_loop(monkeypatch):
+    orders = []
+
+    def recording(x, a, n=20, precision=precision_module.DEFAULT_PRECISION):
+        orders.append((a, n))
+        return Bound(Decimal(0), Decimal(0))  # below x = 1: e^t < x is decided
+
+    monkeypatch.setattr(precision_module, "exp_bounds", recording)
+    tolerances = {a: [Fraction(1, 10**k) for k in range(1, 81)] for a in range(1, 6)}
+    for a in range(1, 6):
+        # the boundary: tolerance equal to a remainder, and just either side of it
+        for n in range(0, 90, 3):
+            r = precision_module._exp_remainder(a, n)
+            tolerances[a] += [r, r * (1 - Fraction(1, 10**30)), r * (1 + Fraction(1, 10**30))]
+    expected = []
+    for a, values in tolerances.items():
+        for tolerance in values:
+            assert precision_module._classify_exp(Decimal(a), Fraction(1), tolerance, 30) == -1
+            expected.append((a, _order_of_the_remainder_loop(a, tolerance)))
+    assert orders == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    a=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+    n=st.integers(min_value=0, max_value=60),
+    p=st.sampled_from([1, 5, 30, 80, 400]),
+)
+def test_exp_bounds_equals_the_reduced_fraction_rounding(a, data, n, p):
+    # the body exp_bounds replaced: S_n ∓ R as reduced Fractions, rounded
+    # outward; as_tuple tells Decimals of equal value apart
+    x = data.draw(st.fractions(min_value=-a, max_value=a, max_denominator=10**30))
+    s = oracles.exp_partial_sum(x, n)
+    r = precision_module._exp_remainder(a, n)
+    got = exp_bounds(x, a, n, p)
+    lo, hi = s - r, s + r
+    want_lo = oracles.decimal_quotient_reference(lo.numerator, lo.denominator, p, ROUND_FLOOR)
+    want_hi = oracles.decimal_quotient_reference(hi.numerator, hi.denominator, p, ROUND_CEILING)
+    assert got.lo.as_tuple() == want_lo.as_tuple()
+    assert got.hi.as_tuple() == want_hi.as_tuple()
+
+
 def test_ln_bounds_rejects_a_candidate_that_fails_verification(monkeypatch):
     # claim e^t > x for every t: the lower endpoint can no longer be certified
     monkeypatch.setattr(precision_module, "_classify_exp", lambda t, x, tolerance, precision: 1)

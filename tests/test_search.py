@@ -155,6 +155,37 @@ def test_rng_is_counter_addressable():
     assert jump.uniform() == sequence[3]
 
 
+def test_rng_uniform_is_the_integer_draw_over_two_to_the_256():
+    a, b = CounterRng(31), CounterRng(31)
+    for _ in range(50):
+        u = b.draw()
+        assert 0 <= u < 2**256
+        assert a.uniform() == F(u, 2**256)
+    assert a.counter == b.counter == 50
+
+
+@pytest.mark.parametrize("step", [F(1, 10), F(1, 10**25), F(3, 7)], ids=str)
+def test_climb_deltas_equal_the_rational_formula(step, prepared_sketch, monkeypatch):
+    # each delta is int((uniform·2 − 1)·step·grid)/grid, taken in integers
+    proposed = []
+    real = search._perturbed
+
+    def recording(surface, deltas):
+        proposed.append(list(deltas))
+        return real(surface, deltas)
+
+    monkeypatch.setattr(search, "_perturbed", recording)
+    cfg = SearchConfig(rng_seed=77, initial_step=step, decay_rejections=1000)
+    hill_climb(prepared_sketch, cfg, steps=6)
+    rng, grid = CounterRng(77), 10**cfg.climb_precision
+    n_coords = 3 * len(prepared_sketch.coords)
+    expected = [
+        [F(int((rng.uniform() * 2 - 1) * step * grid), grid) for _ in range(n_coords)]
+        for _ in range(6)
+    ]
+    assert proposed == expected
+
+
 # ---------------------------------------------------------------------------
 # prepare_from_lattice
 
