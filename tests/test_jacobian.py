@@ -804,8 +804,6 @@ def test_gram_bracket_survives_a_wrong_float_guess(name, guess, monkeypatch):
 def test_gram_bracket_falls_back_to_exact_bisection_on_float_overflow():
     # 10⁴⁰⁰ overflows a float, so no guess is made
     M = [[Fraction(10**200), Fraction(0)], [Fraction(0), Fraction(1)]]
-    with pytest.raises(OverflowError):
-        float(Fraction(10**400))
     assert jacobian_module._float_bracket([[Fraction(10**400)]], -1, 2, 2**20) == ()
     assert smallest_gram_root_bracket(M) == (Fraction(1), Fraction(1))
     assert smallest_gram_root_bracket(M) == gram_root_bracket_bisection(M)
