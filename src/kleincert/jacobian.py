@@ -171,7 +171,8 @@ def _corner_partials(
     Returns ({l: N_l}, den, d, gg, a4): the angle partial in height l is
     (N_l/den) / √D with D = d/a4 = v²w² − u² = (vw·sin θ)², and
     v²w² = gg/a4.  den, gg and a4 are positive.  No fraction is reduced:
-    on Newton iterates these integers run to thousands of digits.
+    on meshes with long lattice denominators these integers run to
+    thousands of digits.
 
     Integer form, on the surface's lattice (denominator q, heights h = q·z;
     see :mod:`kleincert.klein`): u, v², w² = G_vw, G_vv, G_ww over a′², so

@@ -21,7 +21,9 @@ certification modules then verify rigorously.  Three stages:
 3. ``newton_refine`` runs Newton's method on the vertex heights at high
    working precision, solving each linear system by LU with partial
    pivoting, and records the defect-norm sequence so quadratic convergence
-   can be checked after the fact.
+   can be checked after the fact.  Each new height is rounded exactly to
+   ten digits below the defect norm the step predicts, the digits it
+   determined; the stopping test runs exactly on the rounded iterate.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import List, MutableMapping, Optional, Sequence, Tuple
 from .jacobian import _vertex_defect, dtheta_analytic, surface_with_heights, theta_map
 from .klein import Point3
 from .mesh import EmbeddedSurface, Triangulation
-from .precision import CertificationError
+from .precision import CertificationError, _fraction_exponent
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -305,12 +307,19 @@ def newton_refine(
     Iterates ``z <- z - J(z)^{-1} Theta(z)`` on the z-coordinates only
     (x and y stay exactly fixed), with the Jacobian evaluated analytically
     and each linear system solved by LU with partial pivoting at
-    ``config.newton_precision`` digits.  Stops once the Euclidean defect
-    norm is at most ``config.newton_tol`` (compared exactly via squared
-    norms) or after ``config.max_steps`` iterations.  ``trace``, if given,
-    receives the squared defect norm after every evaluation, so convergence
-    order can be audited.  Raises if an LU pivot vanishes (a singular
-    Jacobian), or if the defect norm increases on two consecutive
+    ``config.newton_precision`` digits.  A step from an iterate whose
+    squared defect norm is 10^e (e = ⌊log10⌋, exact) predicts a next
+    defect norm near 10^e and determines no more digits than that, so each
+    new height is rounded half-even to a multiple of 10^(e − 10); unrounded,
+    every height would carry the working precision's noise digits, and
+    every later kernel call would multiply integers of that length.  Stops
+    once the Euclidean defect norm of the rounded iterate is at most
+    ``config.newton_tol`` (compared exactly via squared norms), so the
+    rounding can slow convergence but never returns a surface that misses
+    the tolerance; or after ``config.max_steps`` iterations.  ``trace``, if
+    given, receives the squared defect norm after every evaluation, so
+    convergence order can be audited.  Raises if an LU pivot vanishes (a
+    singular Jacobian), or if the defect norm increases on two consecutive
     iterations.
     """
     precision = config.newton_precision
@@ -330,8 +339,9 @@ def newton_refine(
         jacobian = dtheta_analytic(current, precision=precision, target_width=jac_width)
         rows = jacobian.entries
         delta = _lu_solve(rows, list(defect.theta), precision)
+        grid = Fraction(10) ** (_fraction_exponent(norm_sq) - 10)
         heights = tuple(
-            p.z - Fraction(d) for p, d in zip(current.coords, delta)
+            round((p.z - Fraction(d)) / grid) * grid for p, d in zip(current.coords, delta)
         )
         current = surface_with_heights(current, heights)
         defect = theta_map(current, precision)

@@ -702,7 +702,9 @@ def test_cli_refine_writes_mesh(tmp_path, capsys):
 
 
 def test_cli_refine_output_passes_verify_all(tmp_path):
-    # the refined heights carry about 400 digits; the embedding scale follows
+    # Newton rounds the refined heights to the digits its last step
+    # determined, so the lattice denominator has about 70 digits, not the
+    # 400-digit working precision; the embedding scale follows it
     refined = tmp_path / "refined.json"
     assert main(["refine", "--report", str(refined)]) == 0
     report = tmp_path / "report.json"
@@ -712,6 +714,24 @@ def test_cli_refine_output_passes_verify_all(tmp_path):
     embed = doc["details"]["embeddedness"]
     assert embed["robustness"] == "0.0000001"
     assert embed["scale"] == load_mesh(refined).denominator == embed["delta"] * 10**7
+    assert embed["scale"] < 10**100
+
+
+def test_cli_verify_all_certifies_a_mesh_with_a_400_digit_lattice(tmp_path, candidate_bytes):
+    # heights moved by k·10⁻⁴²¹ with seeded 1 <= k <= 10²⁰: the embedding
+    # scale is the lattice denominator, more than 400 digits long
+    rng = random.Random(421)
+    doc = json.loads(candidate_bytes)
+    doc["vertices"] = [
+        [x, y, fraction_to_text(Fraction(z) + Fraction(rng.randint(1, 10**20), 10**421))]
+        for x, y, z in doc["vertices"]
+    ]
+    mesh = tmp_path / "long.json"
+    mesh.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["verify-all", "--mesh", str(mesh), "--report", str(report)]) == 0
+    embed = json.loads(report.read_text())["details"]["embeddedness"]
+    assert embed["scale"] == load_mesh(mesh).denominator == embed["delta"] * 10**7
     assert embed["scale"] > 10**400
 
 

@@ -59,7 +59,7 @@ import kleincert.jacobian as jacobian_module
 from kleincert.klein import Point3, cos2_and_sign, distance
 from kleincert.mesh import EmbeddedSurface, Triangulation, cone_angle, vertex_link
 from kleincert.precision import Bound, CertificationError, sqrt_bounds, two_pi
-from kleincert.search import SearchConfig, newton_refine
+from kleincert.search import _lu_solve
 
 
 @pytest.fixture(scope="module")
@@ -316,16 +316,24 @@ def test_corner_partials_equal_the_fraction_expansion(corner):
 
 
 def _first_newton_iterate(candidate_surface):
-    """One Newton step at 400 digits from the candidate with the height
-    jitter of the benchmark's seed-0 refine operation (≤ 10⁻¹², tag
-    "refine:0:0"); its heights have hundreds of digits."""
+    """One unrounded Newton step at 400 digits from the candidate with the
+    height jitter of the benchmark's seed-0 refine operation (≤ 10⁻¹², tag
+    "refine:0:0").  Each height is z − δ taken whole, where ``newton_refine``
+    would round it to the digits the step determined, so the lattice
+    denominator q has hundreds of digits."""
     rng = Random("refine:0:0")
     heights = [
         p.z + Fraction(rng.choice((-1, 1)) * rng.randint(1, 10), 10**13)
         for p in candidate_surface.coords
     ]
     start = surface_with_heights(candidate_surface, heights)
-    return newton_refine(start, SearchConfig(max_steps=1))
+    jacobian = dtheta_analytic(start, precision=400, target_width=Fraction(1, 10**150))
+    delta = _lu_solve(jacobian.entries, list(theta_map(start, 400).theta), 400)
+    iterate = surface_with_heights(
+        start, [p.z - Fraction(d) for p, d in zip(start.coords, delta)]
+    )
+    assert iterate.denominator > 10**400
+    return iterate
 
 
 @pytest.mark.parametrize(

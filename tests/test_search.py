@@ -2,6 +2,7 @@
 Newton refinement on vertex heights."""
 
 import math
+from random import Random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
 
@@ -9,10 +10,10 @@ import pytest
 
 import oracles
 from kleincert import jacobian, search
-from kleincert.jacobian import JacobianMatrix, theta_map
+from kleincert.jacobian import JacobianMatrix, surface_with_heights, theta_map
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
-from kleincert.precision import CertificationError, two_pi
+from kleincert.precision import CertificationError, _fraction_exponent, two_pi
 from kleincert.search import (
     RNG_ALGORITHM,
     CounterRng,
@@ -434,6 +435,36 @@ def test_newton_decay_is_quadratic(deep_newton_run):
     for before, after in zip(logs, logs[1:]):
         assert 1.9 < after / before < 2.1
         assert abs(after - 2 * before) < 3
+
+
+def test_newton_rounds_each_height_to_the_digits_its_step_determined(candidate_surface):
+    # the benchmark's seed-0 refine input: heights jittered by at most 1e-12
+    rng = Random("refine:0:0")
+    start = surface_with_heights(
+        candidate_surface,
+        [p.z + F(rng.choice((-1, 1)) * rng.randint(1, 10), 10**13) for p in candidate_surface.coords],
+    )
+    trace: list = []
+    refined = newton_refine(start, SearchConfig(), trace=trace)
+    assert len(trace) == 3 and trace[-1] <= F(1, 10**35) ** 2
+    # the last step started from norm_sq = trace[1]; its grid is 10^(e1 - 10)
+    scale = 10 ** (10 - _fraction_exponent(trace[1]))
+    for p in refined.coords:
+        assert (p.z * scale).denominator == 1
+    assert refined.denominator < 10**100
+
+
+def test_newton_grid_exponent_below_float_range(candidate_surface):
+    # the fifth step starts from norm_sq ~ 1e-508, which is 0.0 as a float;
+    # the grid is taken from the exact exponent, so Newton still converges
+    tol = F(1, 10**300)
+    trace: list = []
+    refined = newton_refine(candidate_surface, SearchConfig(newton_tol=tol), trace=trace)
+    assert len(trace) - 1 <= 5
+    assert trace[-1] <= tol**2
+    assert float(trace[-2]) == 0.0
+    scale = 10 ** (10 - _fraction_exponent(trace[-2]))
+    assert all((p.z * scale).denominator == 1 for p in refined.coords)
 
 
 def test_newton_preserves_xy_exactly(candidate_surface, newton_run):
