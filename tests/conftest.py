@@ -9,9 +9,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from importlib import resources
+from random import Random
 
 import pytest
 
+from kleincert.jacobian import surface_with_heights
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
 
@@ -26,6 +28,18 @@ def candidate_surface() -> EmbeddedSurface:
     coords = tuple(Point3.of(x, y, z) for x, y, z in raw["vertices"])
     tri = Triangulation(n_vertices=len(coords), faces=tuple(tuple(f) for f in raw["faces"]))
     return EmbeddedSurface(triangulation=tri, coords=coords)
+
+
+@pytest.fixture(scope="session")
+def refine_input(candidate_surface) -> EmbeddedSurface:
+    """The candidate with the height jitter of the benchmark's seed-0 refine
+    operation: each height moved by k·10⁻¹³, 1 <= |k| <= 10 (tag "refine:0:0")."""
+    rng = Random("refine:0:0")
+    heights = [
+        p.z + Fraction(rng.choice((-1, 1)) * rng.randint(1, 10), 10**13)
+        for p in candidate_surface.coords
+    ]
+    return surface_with_heights(candidate_surface, heights)
 
 
 @pytest.fixture(scope="session")

@@ -315,18 +315,11 @@ def test_corner_partials_equal_the_fraction_expansion(corner):
     assert got == want
 
 
-def _first_newton_iterate(candidate_surface):
-    """One unrounded Newton step at 400 digits from the candidate with the
-    height jitter of the benchmark's seed-0 refine operation (≤ 10⁻¹², tag
-    "refine:0:0").  Each height is z − δ taken whole, where ``newton_refine``
-    would round it to the digits the step determined, so the lattice
-    denominator q has hundreds of digits."""
-    rng = Random("refine:0:0")
-    heights = [
-        p.z + Fraction(rng.choice((-1, 1)) * rng.randint(1, 10), 10**13)
-        for p in candidate_surface.coords
-    ]
-    start = surface_with_heights(candidate_surface, heights)
+def _first_newton_iterate(start):
+    """One unrounded Newton step at 400 digits from ``start``.  Each height
+    is z − δ taken whole, where ``newton_refine`` would round it to the
+    digits the step determined, so the lattice denominator q has hundreds
+    of digits."""
     jacobian = dtheta_analytic(start, precision=400, target_width=Fraction(1, 10**150))
     delta = _lu_solve(jacobian.entries, list(theta_map(start, 400).theta), 400)
     iterate = surface_with_heights(
@@ -341,11 +334,11 @@ def _first_newton_iterate(candidate_surface):
     [("candidate", 60, Fraction(1, 10**40)), ("newton iterate", 400, Fraction(1, 10**150))],
 )
 def test_jacobian_enclosure_rounds_as_the_whole_fraction_body(
-    candidate_surface, surface, precision, target_width
+    candidate_surface, refine_input, surface, precision, target_width
 ):
     # every endpoint, digits and exponent, as when each N was reduced to a
     # Fraction and converted whole
-    S = candidate_surface if surface == "candidate" else _first_newton_iterate(candidate_surface)
+    S = candidate_surface if surface == "candidate" else _first_newton_iterate(refine_input)
     corners = []
     for face in S.triangulation.faces:
         for r in range(3):

@@ -2,7 +2,6 @@
 Newton refinement on vertex heights."""
 
 import math
-from random import Random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
 
@@ -10,7 +9,7 @@ import pytest
 
 import oracles
 from kleincert import jacobian, search
-from kleincert.jacobian import JacobianMatrix, surface_with_heights, theta_map
+from kleincert.jacobian import JacobianMatrix, theta_map
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
 from kleincert.precision import CertificationError, _fraction_exponent, two_pi
@@ -437,15 +436,9 @@ def test_newton_decay_is_quadratic(deep_newton_run):
         assert abs(after - 2 * before) < 3
 
 
-def test_newton_rounds_each_height_to_the_digits_its_step_determined(candidate_surface):
-    # the benchmark's seed-0 refine input: heights jittered by at most 1e-12
-    rng = Random("refine:0:0")
-    start = surface_with_heights(
-        candidate_surface,
-        [p.z + F(rng.choice((-1, 1)) * rng.randint(1, 10), 10**13) for p in candidate_surface.coords],
-    )
+def test_newton_rounds_each_height_to_the_digits_its_step_determined(refine_input):
     trace: list = []
-    refined = newton_refine(start, SearchConfig(), trace=trace)
+    refined = newton_refine(refine_input, SearchConfig(), trace=trace)
     assert len(trace) == 3 and trace[-1] <= F(1, 10**35) ** 2
     # the last step started from norm_sq = trace[1]; its grid is 10^(e1 - 10)
     scale = 10 ** (10 - _fraction_exponent(trace[1]))
