@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .mesh import CornerKey, EmbeddedSurface, vertex_link
-from .precision import CertificationError, _fraction_exponent
+from .precision import CertificationError, _round_significant
 
 __all__ = [
     "LinkTable",
@@ -165,20 +165,6 @@ def lipschitz_on_range(lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(k)
 
 
-def _widen_down_1_digit(x: Fraction) -> Fraction:
-    """Round a positive rational down to one significant decimal digit."""
-    e = _fraction_exponent(x)
-    unit = Fraction(10) ** e
-    return (x / unit).__floor__() * unit
-
-
-def _widen_up_2_digits(x: Fraction) -> Fraction:
-    """Round a positive rational up to two significant decimal digits."""
-    e = _fraction_exponent(x)
-    unit = Fraction(10) ** (e - 1)
-    return math.ceil(x / unit) * unit
-
-
 def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificate:
     """Certify |θ_i − 2π| ≤ ε for every vertex, entirely in exact arithmetic.
 
@@ -235,8 +221,8 @@ def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificat
     all_alpha = list(alphas.values())
     all_values = all_alpha + list(betas.values())
     alpha_range = (min(all_alpha), max(all_alpha))
-    joint_lo = _widen_down_1_digit(min(all_values))
-    joint_hi = _widen_up_2_digits(max(all_values))
+    joint_lo = _round_significant(min(all_values), 1, up=False)
+    joint_hi = _round_significant(max(all_values), 2, up=True)
     K = lipschitz_on_range(joint_lo, joint_hi)
     max_degree = max(len(vertex_link(S.triangulation, i)) for i in range(S.triangulation.n_vertices))
     epsilon = max_degree * K * max_delta

@@ -51,11 +51,10 @@ from .jacobian import (
     crude_bounds,
     dtheta_enclosure,
     second_partial_bound,
-    theta_map,
 )
 from .klein import Point3
 from .mesh import EmbeddedSurface, Triangulation, validate
-from .precision import CertificationError, _fraction_exponent
+from .precision import CertificationError, _round_significant
 from .search import SearchConfig, hill_climb, newton_refine
 
 __all__ = [
@@ -137,16 +136,7 @@ def _directed_text(value: Fraction, round_up: bool, digits: int = 12) -> str:
     rounding a lower bound down (or an upper bound up) keeps the printed
     number a true bound, unlike nearest-rounding.
     """
-    value = Fraction(value)
-    if value == 0:
-        return "0"
-    exponent = _fraction_exponent(abs(value))
-    quantum = Fraction(10) ** (exponent - digits + 1)
-    steps = value / quantum
-    floor_steps = steps.numerator // steps.denominator
-    if round_up and steps != floor_steps:
-        floor_steps += 1
-    return fraction_to_text(floor_steps * quantum)
+    return fraction_to_text(_round_significant(value, digits, round_up))
 
 
 # ---------------------------------------------------------------------------
@@ -478,10 +468,8 @@ def export_off(surface: EmbeddedSurface, digits: int = 32) -> str:
     if digits < 1:
         raise ValueError("digits must be at least 1")
     faces = surface.triangulation.faces
-    edges = {
-        frozenset((face[a], face[(a + 1) % 3])) for face in faces for a in range(3)
-    }
-    lines = ["OFF", f"{len(surface.coords)} {len(faces)} {len(edges)}"]
+    n_edges = len(surface.triangulation.edges())
+    lines = ["OFF", f"{len(surface.coords)} {len(faces)} {n_edges}"]
     for p in surface.coords:
         lines.append(
             " ".join(_fixed_point(c, digits, toward_zero=True) for c in (p.x, p.y, p.z))
@@ -642,12 +630,12 @@ def _cmd_validate(args, surface, parts) -> int:
 
 
 def _cmd_refine(args, surface, parts) -> int:
-    refined = newton_refine(surface, SearchConfig(newton_precision=args.precision))
-    norm_sq = theta_map(refined, args.precision).norm_sq()
+    trace: List[Fraction] = []  # its last entry is the returned mesh's squared norm
+    refined = newton_refine(surface, SearchConfig(newton_precision=args.precision), trace)
     _deliver(render_mesh(refined, name="refined"), args)
     print(
         f"refined at {args.precision} digits; squared defect norm <= "
-        f"{float(norm_sq):.3e}",
+        f"{float(trace[-1]):.3e}",
         file=sys.stderr,
     )
     return 0

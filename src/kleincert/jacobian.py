@@ -236,9 +236,9 @@ def dtheta_enclosure(
     ⌊N⌋ and ⌈N⌉ round the exact integer ratio of :func:`_corner_partials`
     from its :func:`~kleincert.precision._short_ratio` pair, a quotient of
     p + 3 digits with a sticky last digit, which rounds to the same Decimal
-    as the full ratio.  On a Newton iterate, whose heights have hundreds of
-    digits, N and its denominator have thousands, and neither is reduced
-    nor converted to a Decimal.
+    as the full ratio.  On a mesh with a long lattice denominator, N and
+    its denominator have thousands of digits, and neither is reduced nor
+    converted to a Decimal.
 
     Entries outside the sparsity pattern (l neither i nor a neighbor of i)
     stay exactly zero.  Raises on geometrically degenerate corners, i.e.
@@ -383,7 +383,7 @@ def crude_bounds(
         _req(x.norm_sq() <= center_cap**2 * q2, f"vertex {idx} norm exceeds {center_cap}")
     _req(center_cap + ball_radius <= coord_cap, "ball escapes the coordinate cap")
 
-    edges = sorted({tuple(sorted((f[r], f[(r + 1) % 3]))) for f in T.faces for r in range(3)})
+    edges = sorted(tuple(sorted(e)) for e in T.edges())
     chords = {(ia, ib): _chord(q, lattice[ia], lattice[ib]) for (ia, ib) in edges}
 
     # Euclidean edge norms (exact squares)
@@ -842,8 +842,6 @@ class ExistenceReport:
     """The combined conclusion: a flat embedded surface exists near the center."""
 
     defect_norm_cap: Fraction
-    lam: Fraction
-    radius: Fraction
     solution_radius: Fraction  # height distance from the center to the flat surface
     coverage_radius: Fraction  # radius of the defect ball the expansion covers
     robustness: Fraction  # embeddedness perturbation budget
@@ -921,8 +919,6 @@ def conclude_existence(
 
     return ExistenceReport(
         defect_norm_cap=defect_norm_cap,
-        lam=expansion.lam,
-        radius=expansion.radius,
         solution_radius=solution_radius,
         coverage_radius=coverage_radius,
         robustness=embed.robustness,

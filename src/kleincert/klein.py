@@ -194,7 +194,9 @@ def distance(
     as a + b + c = ‖Y‖² − 1.  With (A, B, C) = q²·(a, b, c) from :func:`_chord`,
     Δ = (B² − 4AC)/q⁴ > 0 since A > 0 > C.  √Δ and both logarithms are
     certified enclosures of exact rationals, combined outward, so the result
-    contains the true distance; ``target_width`` sets each one's width.
+    contains the true distance; ``target_width`` sets each one's width.  The
+    first argument lies in [u, v] from √Δ's enclosure, and one ln enclosure
+    of u serves both ends: ln is concave, so ln v ≤ ln u + (v − u)/u.
     """
     A, B, C = _chord(q, x, y)
     if A == 0:
@@ -208,11 +210,10 @@ def distance(
     if arg1_lo <= 0:
         raise ValueError("logarithm arguments must be positive for model points")
 
-    ln1_lo = ln_bounds(arg1_lo, tw / 4, precision)
-    ln1_hi = ln1_lo if arg1_hi == arg1_lo else ln_bounds(arg1_hi, tw / 4, precision)
+    ln1 = ln_bounds(arg1_lo, tw / 4, precision)
     ln2 = ln_bounds(Fraction(4 * C * (A + B + C), q2 * q2), tw / 4, precision)
-    lo = Fraction(ln1_lo.lo) - Fraction(ln2.hi) / 2
-    hi = Fraction(ln1_hi.hi) - Fraction(ln2.lo) / 2
+    lo = Fraction(ln1.lo) - Fraction(ln2.hi) / 2
+    hi = Fraction(ln1.hi) + (arg1_hi - arg1_lo) / arg1_lo - Fraction(ln2.lo) / 2
     return Bound.from_fraction_pair(lo, hi, precision)
 
 

@@ -27,8 +27,8 @@ by the geometry layers:
   endpoints t certified via e^t ≶ x with exact rational comparisons,
 * :func:`sqrt_bounds` — enclosure [s, s + 1]·10^−k of √x from one integer
   square root s = ⌊√x·10^k⌋, a point when s² matches x exactly,
-* :func:`hyp_bounds` — sinh/cosh/tanh enclosures from the degree-20 partial
-  sums, with fixed error radii checked against the remainder on [−3, 3],
+* :func:`hyp_bounds` — sinh/cosh/tanh enclosures on [−3, 3], combined
+  outward from the two :func:`exp_bounds` enclosures of e^x and e^−x,
 * :func:`arccos_hp` — a *non-certified* high-precision arccos used only by the
   search/evaluation paths (the certificates never evaluate arccos, they only
   Lipschitz-bound it); accuracy contract |err| ≤ 10^(2−p) at precision p.  It
@@ -216,11 +216,6 @@ def _exp_taylor_integers(x: Fraction, n: int) -> tuple[int, int]:
     return total, denominator
 
 
-def _exp_taylor_fraction(x: Fraction, n: int) -> Fraction:
-    """Exact rational value of S_n(x) = sum_{k<=n} x^k / k!."""
-    return Fraction(*_exp_taylor_integers(x, n))
-
-
 def _exp_remainder(a: int, n: int) -> Fraction:
     """Taylor remainder cap a^(n+1) * 3^a / (n+1)! valid on [-a, a]."""
     return Fraction(a ** (n + 1) * 3**a, math.factorial(n + 1))
@@ -346,6 +341,16 @@ def _fraction_exponent(x: Fraction) -> int:
     return e
 
 
+def _round_significant(x: Fraction, digits: int, up: bool) -> Fraction:
+    """x rounded to ``digits`` significant decimals, toward +∞ if ``up``
+    else toward −∞, exactly; 0 stays 0."""
+    if x == 0:
+        return x
+    quantum = Fraction(10) ** (_fraction_exponent(abs(x)) - digits + 1)
+    steps = x / quantum
+    return (math.ceil(steps) if up else math.floor(steps)) * quantum
+
+
 def sqrt_bounds(
     x: NumberLike, target_width: NumberLike | None = None, precision: int = DEFAULT_PRECISION
 ) -> Bound:
@@ -408,39 +413,34 @@ def _decimal_sqrt(x: Fraction) -> Decimal | None:
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic function enclosures (degree-20 partial sums, range [-3, 3])
+# hyperbolic function enclosures (from exp_bounds, range [-3, 3])
 # ---------------------------------------------------------------------------
-
-_SINH_COSH_RADIUS = Fraction(1, 10**8)
-_TANH_RADIUS = Fraction(1, 10**6)
 
 
 def hyp_bounds(x: NumberLike, precision: int = DEFAULT_PRECISION) -> HypBounds:
     """Certified sinh/cosh/tanh enclosures for |x| ≤ 3.
 
-    Built from the exact rational values P, M of S_20 at ±x, widened by the
-    error radii 10⁻⁸ (sinh, cosh) and 10⁻⁶ (tanh).  Both are checked against
-    R = :func:`_exp_remainder` (3, 20) ≈ 5.53·10⁻⁹, which caps |P − eˣ| and
-    |M − e⁻ˣ| on [−3, 3]: sinh and cosh are off by at most R, and
-    |t − tanh x| ≤ 2R/(P + M) ≤ R/(1 − R) as P + M ≥ 2 − 2R.  Arguments
-    outside [−3, 3] are rejected — the radii are not valid there, the caller
-    must rescale.
+    Built from the enclosures [P⁻, P⁺] ∋ eˣ and [M⁻, M⁺] ∋ e⁻ˣ of
+    :func:`exp_bounds` (a = 3, n = 20), whose remainder is inside each by
+    construction: sinh ∈ [(P⁻ − M⁺)/2, (P⁺ − M⁻)/2], cosh ∈ [(P⁻ + M⁻)/2,
+    (P⁺ + M⁺)/2], and tanh ∈ [(P⁻ − M⁺)/(P⁻ + M⁺), (P⁺ − M⁻)/(P⁺ + M⁻)],
+    since (u − v)/(u + v) rises in u and falls in v for u, v > 0 (both lower
+    ends are positive: e⁻³ far exceeds the remainder).  Arguments outside
+    [−3, 3] are rejected; the caller must rescale.
     """
     xf = as_fraction(x)
     if abs(xf) > 3:
         raise ValueError(f"hyp_bounds only covers [-3, 3], got {x}")
-    r = _exp_remainder(3, 20)
-    if not (r <= _SINH_COSH_RADIUS and r / (1 - r) <= _TANH_RADIUS):
-        raise CertificationError(f"degree-20 remainder {float(r):.3e} exceeds a hyp radius")
-    plus = _exp_taylor_fraction(xf, 20)
-    minus = _exp_taylor_fraction(-xf, 20)
-    s = (plus - minus) / 2
-    c = (plus + minus) / 2
-    t = (plus - minus) / (plus + minus)
+    plus = exp_bounds(xf, 3, 20, precision)
+    minus = exp_bounds(-xf, 3, 20, precision)
+    p_lo, p_hi = Fraction(plus.lo), Fraction(plus.hi)
+    m_lo, m_hi = Fraction(minus.lo), Fraction(minus.hi)
     return HypBounds(
-        sinh=Bound.from_fraction_pair(s - _SINH_COSH_RADIUS, s + _SINH_COSH_RADIUS, precision),
-        cosh=Bound.from_fraction_pair(c - _SINH_COSH_RADIUS, c + _SINH_COSH_RADIUS, precision),
-        tanh=Bound.from_fraction_pair(t - _TANH_RADIUS, t + _TANH_RADIUS, precision),
+        sinh=Bound.from_fraction_pair((p_lo - m_hi) / 2, (p_hi - m_lo) / 2, precision),
+        cosh=Bound.from_fraction_pair((p_lo + m_lo) / 2, (p_hi + m_hi) / 2, precision),
+        tanh=Bound.from_fraction_pair(
+            (p_lo - m_hi) / (p_lo + m_hi), (p_hi - m_lo) / (p_hi + m_lo), precision
+        ),
     )
 
 

@@ -60,8 +60,8 @@ class CounterRng:
     """Counter-based deterministic uniform generator.
 
     Draw ``k`` is ``sha256(b"kleincert-search:<seed>:<k>")`` read as a
-    big-endian integer U (:meth:`draw`); :meth:`uniform` divides it by
-    2**256, an exact rational in [0, 1).
+    big-endian integer U (:meth:`draw`), the uniform variate U/2**256 in
+    [0, 1) scaled to an integer.
     The stream depends only on the seed and the counter, never on platform,
     process, or call history, so searches are bit-reproducible and proposals
     could even be evaluated out of order.
@@ -78,10 +78,6 @@ class CounterRng:
         ).digest()
         self.counter += 1
         return int.from_bytes(digest, "big")
-
-    def uniform(self) -> Fraction:
-        """Next uniform variate U/2**256 in [0, 1) as an exact rational."""
-        return Fraction(self.draw(), _TWO_POW_256)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleincert import cli_io
+from kleincert import cli_io, jacobian, search
 from kleincert.cli_io import (
     emit_svg,
     export_off,
@@ -42,6 +42,7 @@ from kleincert.mesh import EmbeddedSurface, Triangulation
 
 from strategies import ball_points
 from kleincert.precision import CertificationError
+from kleincert.search import SearchConfig, newton_refine
 
 
 @pytest.fixture(scope="module")
@@ -699,6 +700,27 @@ def test_cli_refine_writes_mesh(tmp_path, capsys):
     refined = load_mesh(out)
     assert len(refined.coords) == 10
     assert "refined at 120 digits" in capsys.readouterr().err
+
+
+def test_cli_refine_evaluates_theta_once_per_newton_evaluation(
+    tmp_path, capsys, candidate_surface, monkeypatch
+):
+    # the reported norm is Newton's last trace entry, not a re-evaluation
+    trace = []
+    newton_refine(candidate_surface, SearchConfig(newton_precision=120), trace)
+    calls = []
+    real = jacobian.theta_map
+
+    def counting(surface, precision=120):
+        calls.append(precision)
+        return real(surface, precision)
+
+    for module in (jacobian, search, cli_io):
+        monkeypatch.setattr(module, "theta_map", counting, raising=False)
+    out = tmp_path / "refined.json"
+    assert main(["refine", "--precision", "120", "--report", str(out)]) == 0
+    assert len(calls) == len(trace) >= 2
+    assert f"squared defect norm <= {float(trace[-1]):.3e}" in capsys.readouterr().err
 
 
 def test_cli_refine_output_passes_verify_all(tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleincert import certify_embed, certify_flat, jacobian
+from kleincert import certify_embed, certify_flat, jacobian, klein
 from kleincert.klein import (
     Point3,
     angle,
@@ -266,6 +266,24 @@ def test_distance_matches_artanh_oracle_along_axis():
         )
         lo, hi = oracles.artanh_enclosure(r)
         assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
+
+
+def test_distance_encloses_one_logarithm_per_term(monkeypatch):
+    # √Δ is inexact here, so the first argument is an interval [u, v]; its
+    # upper end comes from ln u by concavity, not from a third enclosure
+    calls = []
+    real = klein.ln_bounds
+
+    def counting(x, target_width, precision):
+        calls.append(x)
+        return real(x, target_width, precision)
+
+    monkeypatch.setattr(klein, "ln_bounds", counting)
+    x, y = Point3.of("0.1", "-0.2", "0.3"), Point3.of("-0.4", "0.15", "0.05")
+    b = distance(*lattice_corner(x, y), target_width="1e-10", precision=60)
+    assert len(calls) == 2
+    lo, hi = _arccosh_enclosure(x, y, 80)
+    assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
 
 
 def _arccosh_enclosure(x: Point3, y: Point3, digits: int) -> tuple:

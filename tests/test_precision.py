@@ -199,7 +199,7 @@ def test_ln_bounds_of_two_at_width_thirty():
     n=st.sampled_from((0, 1, 20, 40, 80, 160)),
 )
 def test_exp_taylor_fraction_equals_the_fraction_loop(x, n):
-    got = precision_module._exp_taylor_fraction(x, n)
+    got = Fraction(*precision_module._exp_taylor_integers(x, n))
     want = oracles.exp_partial_sum(x, n)
     assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
@@ -207,7 +207,8 @@ def test_exp_taylor_fraction_equals_the_fraction_loop(x, n):
 def test_exp_taylor_fraction_sign_and_order_cases():
     for x in (Fraction(-7, 3), Fraction(-1, 10**20), Fraction(0), Fraction(5, 7 * 10**6)):
         for n in (0, 1, 20, 40, 80, 160):
-            assert precision_module._exp_taylor_fraction(x, n) == oracles.exp_partial_sum(x, n)
+            got = Fraction(*precision_module._exp_taylor_integers(x, n))
+            assert got == oracles.exp_partial_sum(x, n)
 
 
 def test_ln_bounds_certifies_exactly_two_endpoints(monkeypatch):
@@ -819,17 +820,39 @@ def test_hyp_bounds_contain_the_mpmath_intervals(x, p):
         assert _contains_interval(h.tanh, (e2 - 1) / (e2 + 1))
 
 
-@pytest.mark.parametrize(
-    "name, radius",
-    [
-        ("_SINH_COSH_RADIUS", Fraction(55, 10**10)),  # below R ≈ 5.53·10⁻⁹
-        ("_TANH_RADIUS", precision_module._exp_remainder(3, 20)),  # below R/(1 − R)
-    ],
+def test_hyp_bounds_combines_two_exp_enclosures(monkeypatch):
+    calls = []
+    real = precision_module.exp_bounds
+
+    def counting(x, a, n=20, precision=precision_module.DEFAULT_PRECISION):
+        calls.append((x, a, n, precision))
+        return real(x, a, n, precision)
+
+    monkeypatch.setattr(precision_module, "exp_bounds", counting)
+    hyp_bounds(Fraction(1, 2), 30)
+    assert calls == [(Fraction(1, 2), 3, 20, 30), (Fraction(-1, 2), 3, 20, 30)]
+
+
+# ---------------------------------------------------------------------------
+# _round_significant
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(min_value=-(10**40), max_value=10**40),
+    den=st.integers(min_value=1, max_value=10**40),
+    digits=st.sampled_from((1, 2, 12)),
+    up=st.booleans(),
 )
-def test_hyp_bounds_checks_its_radii_against_the_remainder(monkeypatch, name, radius):
-    monkeypatch.setattr(precision_module, name, radius)
-    with pytest.raises(CertificationError, match="remainder"):
-        hyp_bounds(Fraction(1, 2), 30)
+@example(num=0, den=7, digits=1, up=True)
+@example(num=-1, den=3, digits=12, up=False)
+@example(num=95, den=1, digits=1, up=True)
+@example(num=-10**20, den=10**7, digits=2, up=True)
+def test_round_significant_matches_the_decimal_context(num, den, digits, up):
+    rounding = ROUND_CEILING if up else ROUND_FLOOR
+    want = Fraction(Context(prec=digits, rounding=rounding).divide(Decimal(num), Decimal(den)))
+    assert precision_module._round_significant(Fraction(num, den), digits, up) == want
 
 
 def test_bound_rejects_inverted_endpoints():

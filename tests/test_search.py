@@ -134,33 +134,33 @@ def test_config_tolerance_respects_precision():
 
 def test_rng_stream_is_deterministic():
     a, b = CounterRng(2026), CounterRng(2026)
-    assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+    assert [F(a.draw(), 2**256) for _ in range(10)] == [F(b.draw(), 2**256) for _ in range(10)]
     assert a.counter == 10
 
 
 def test_rng_values_are_unit_interval_rationals():
     rng = CounterRng(1)
-    draws = [rng.uniform() for _ in range(20)]
+    draws = [F(rng.draw(), 2**256) for _ in range(20)]
     assert all(0 <= u < 1 for u in draws)
     assert len(set(draws)) == 20
     other = CounterRng(2)
-    assert [other.uniform() for _ in range(20)] != draws
+    assert [F(other.draw(), 2**256) for _ in range(20)] != draws
 
 
 def test_rng_is_counter_addressable():
     rng = CounterRng(9)
-    sequence = [rng.uniform() for _ in range(5)]
+    sequence = [F(rng.draw(), 2**256) for _ in range(5)]
     jump = CounterRng(9)
     jump.counter = 3
-    assert jump.uniform() == sequence[3]
+    assert F(jump.draw(), 2**256) == sequence[3]
 
 
-def test_rng_uniform_is_the_integer_draw_over_two_to_the_256():
+def test_rng_draws_are_256_bit_integers():
     a, b = CounterRng(31), CounterRng(31)
     for _ in range(50):
         u = b.draw()
         assert 0 <= u < 2**256
-        assert a.uniform() == F(u, 2**256)
+        assert F(a.draw(), 2**256) == F(u, 2**256)
     assert a.counter == b.counter == 50
 
 
@@ -180,7 +180,7 @@ def test_climb_deltas_equal_the_rational_formula(step, prepared_sketch, monkeypa
     rng, grid = CounterRng(77), 10**cfg.climb_precision
     n_coords = 3 * len(prepared_sketch.coords)
     expected = [
-        [F(int((rng.uniform() * 2 - 1) * step * grid), grid) for _ in range(n_coords)]
+        [F(int((F(rng.draw(), 2**256) * 2 - 1) * step * grid), grid) for _ in range(n_coords)]
         for _ in range(6)
     ]
     assert proposed == expected
