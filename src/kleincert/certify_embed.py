@@ -325,16 +325,32 @@ NO_CHART: Chart = (0, -inf, inf, -inf, inf)
 
 
 def _rays(D: Sequence[IntVec3]) -> List[IntVec3]:
-    """R: each ±(d_a × d_b) ≠ 0 in K̄ = {N : ⟨d, N⟩ ≥ 0 for all d ∈ D}."""
+    """R: each ±(d_a × d_b) ≠ 0 in K̄ = {N : ⟨d, N⟩ ≥ 0 for all d ∈ D}.
+
+    A candidate's dots with D stop at the first pair of opposite signs:
+    then neither ±r lies in K̄.
+    """
     rays = []
     for a, b in combinations(D, 2):
         r = _cross(a, b)
         if any(r):
-            dots = [_dot(d, r) for d in D]
-            if min(dots) >= 0:
-                rays.append(r)
-            if max(dots) <= 0:
-                rays.append((-r[0], -r[1], -r[2]))
+            x, y, z = r
+            positive = negative = False
+            for p, q, s in D:
+                dot = p * x + q * y + s * z
+                if dot > 0:
+                    if negative:
+                        break
+                    positive = True
+                elif dot < 0:
+                    if positive:
+                        break
+                    negative = True
+            else:
+                if not negative:
+                    rays.append(r)
+                if not positive:
+                    rays.append((-x, -y, -z))
     return rays
 
 

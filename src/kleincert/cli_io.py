@@ -631,11 +631,12 @@ def _cmd_validate(args, surface, parts) -> int:
 
 def _cmd_refine(args, surface, parts) -> int:
     trace: List[Fraction] = []  # its last entry is the returned mesh's squared norm
-    refined = newton_refine(surface, SearchConfig(newton_precision=args.precision), trace)
+    config = SearchConfig(newton_precision=args.precision)
+    refined = newton_refine(surface, config, trace)
     _deliver(render_mesh(refined, name="refined"), args)
     print(
-        f"refined at {args.precision} digits; squared defect norm <= "
-        f"{float(trace[-1]):.3e}",
+        f"refined at {config.newton_digits} of at most {args.precision} digits; "
+        f"squared defect norm <= {float(trace[-1]):.3e}",
         file=sys.stderr,
     )
     return 0
@@ -671,7 +672,7 @@ _FLAGS: Dict[str, dict] = {
     "--mesh": dict(help="mesh container path (default: packaged candidate)"),
     "--report": dict(help="output path (certificate report, mesh, SVG, or OFF)"),
     "--links": dict(help="reference link tables path (default: packaged tables)"),
-    "--precision": dict(type=int, default=400, help="working decimal digits"),
+    "--precision": dict(type=int, default=400, help="most decimal digits Newton may use"),
     "--seed": dict(type=int, help="search seed"),
     "--plane": dict(choices=("xy", "xz", "yz"), default="xy", help="slice plane"),
 }

@@ -18,12 +18,13 @@ certification modules then verify rigorously.  Three stages:
    proposal is evaluated one vertex defect at a time and rejected at the
    first vertex whose |Θ_i| reaches the best objective, so most proposals
    cost a few cone angles instead of n.
-3. ``newton_refine`` runs Newton's method on the vertex heights at high
-   working precision, solving each linear system by LU with partial
-   pivoting, and records the defect-norm sequence so quadratic convergence
-   can be checked after the fact.  Each new height is rounded exactly to
-   ten digits below the defect norm the step predicts, the digits it
-   determined; the stopping test runs exactly on the rounded iterate.
+3. ``newton_refine`` runs Newton's method on the vertex heights at the
+   working precision its tolerance needs (``SearchConfig.newton_digits``),
+   solving each linear system by LU with partial pivoting, and records the
+   defect-norm sequence so quadratic convergence can be checked after the
+   fact.  Each new height is rounded exactly to ten digits below the defect
+   norm the step predicts, the digits it determined; the stopping test runs
+   exactly on the rounded iterate.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class SearchConfig:
     proposals are uniform in a cube of half-side ``step``, and ``step``
     halves after every ``decay_rejections`` consecutive rejections, never
     dropping below 10**(-climb_precision/2).  ``newton_tol`` is the target
-    Euclidean defect norm for Newton; it must stay at least ten orders of
-    magnitude above the working precision so the stopping test is
-    trustworthy.
+    Euclidean defect norm for Newton; ``newton_precision`` is the most
+    decimal digits Newton may use, and the tolerance must stay at least ten
+    orders of magnitude above it so the stopping test is trustworthy.
+    Newton works at :attr:`newton_digits`, which is at most that cap.
     """
 
     rng_seed: int = 2026
@@ -120,6 +122,18 @@ class SearchConfig:
                 "newton_tol must be at least 10^(10 - newton_precision); "
                 f"got {self.newton_tol} at {self.newton_precision} digits"
             )
+
+    @property
+    def newton_digits(self) -> int:
+        """The digits Newton works at: min(newton_precision, 20 − 2·⌊log10 tol⌋).
+
+        90 at the default tolerance 10^-35, 320 at 10^-150, and the
+        ``newton_precision`` cap from 10^-190 down; a tolerance of 1 or more
+        counts as 1 (20 digits).  :func:`newton_refine` says why the
+        iterates do not depend on it.
+        """
+        floor_log = min(_fraction_exponent(self.newton_tol), 0)
+        return min(self.newton_precision, 20 - 2 * floor_log)
 
     @property
     def step_floor(self) -> Fraction:
@@ -298,12 +312,13 @@ def newton_refine(
     config: SearchConfig,
     trace: Optional[List[Fraction]] = None,
 ) -> EmbeddedSurface:
-    """Newton's method on the vertex heights at high working precision.
+    """Newton's method on the vertex heights at the digits its tolerance needs.
 
     Iterates ``z <- z - J(z)^{-1} Theta(z)`` on the z-coordinates only
     (x and y stay exactly fixed), with the Jacobian evaluated analytically
-    and each linear system solved by LU with partial pivoting at
-    ``config.newton_precision`` digits.  A step from an iterate whose
+    and each linear system solved by LU with partial pivoting.  Every
+    ``theta_map``, ``dtheta_analytic`` and LU solve runs at
+    P = ``config.newton_digits`` digits.  A step from an iterate whose
     squared defect norm is 10^e (e = ⌊log10⌋, exact) predicts a next
     defect norm near 10^e and determines no more digits than that, so each
     new height is rounded half-even to a multiple of 10^(e − 10); unrounded,
@@ -317,8 +332,19 @@ def newton_refine(
     convergence order can be audited.  Raises if an LU pivot vanishes (a
     singular Jacobian), or if the defect norm increases on two consecutive
     iterations.
+
+    Why the iterates are those Newton takes at the ``newton_precision`` cap:
+    a step is taken only from an iterate whose squared norm is above tol²,
+    so its exponent e is at least 2⌊log10 tol⌋ and its rounding grid
+    10^(e − 10) at least 10^(2⌊log10 tol⌋ − 10).  At P digits Θ is good to
+    about 10^-(P + 8) and J has P significant digits; together they move δ
+    by roughly 10^(2⌊log10 tol⌋ − 18), about 10^-8 of the grid, so each
+    height rounds to the same grid point unless it lies that close to a
+    half-way point.  The stopping and divergence
+    tests see Θ to far below tol, since P ≥ 10 − ⌊log10 tol⌋, the bound
+    :class:`SearchConfig` enforces on the cap.
     """
-    precision = config.newton_precision
+    precision = config.newton_digits
     tol_sq = config.newton_tol**2
     defect = theta_map(surface, precision)
     norm_sq = defect.norm_sq()

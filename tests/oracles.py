@@ -12,6 +12,7 @@ bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
 :func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`rho_two_isqrt`,
 :func:`witness_scan_reference`, :func:`decimal_quotient_reference`,
 :func:`dtheta_enclosure_reference`, :func:`hill_climb_reference`,
+:func:`newton_refine_reference`, :func:`rays_reference`,
 :func:`gram_root_bracket_bisection`), which return the value the old code
 returned.
 """
@@ -559,6 +560,80 @@ def hill_climb_reference(
         record["final_step"] = step
         record["final_objective"] = best_objective
     return best
+
+
+# ---------------------------------------------------------------------------
+# Newton on the heights with every evaluation at the precision cap
+# ---------------------------------------------------------------------------
+
+
+def newton_refine_reference(
+    surface,
+    config,
+    theta_map: Callable,
+    dtheta_analytic: Callable,
+    lu_solve: Callable,
+    with_heights: Callable,
+    error: type,
+    trace: Optional[list] = None,
+):
+    """The body ``newton_refine`` replaced: ``theta_map``, ``dtheta_analytic``
+    and ``lu_solve`` all at ``config.newton_precision`` digits.
+
+    Each new height is rounded half-even to a multiple of 10^(e − 10), e the
+    exponent of the squared norm the step started from; ``with_heights``
+    builds the iterate, and ``error`` is raised on two consecutive increases.
+    """
+    precision = config.newton_precision
+    tol_sq = config.newton_tol**2
+    defect = theta_map(surface, precision)
+    norm_sq = defect.norm_sq()
+    if trace is not None:
+        trace.append(norm_sq)
+    if norm_sq <= tol_sq:
+        return surface
+    jac_width = Fraction(1, 10 ** min(precision // 2, 150))
+    previous = norm_sq
+    increases = 0
+    current = surface
+    for _ in range(config.max_steps):
+        rows = dtheta_analytic(current, precision=precision, target_width=jac_width).entries
+        delta = lu_solve(rows, list(defect.theta), precision)
+        grid = Fraction(10) ** (fraction_exponent(norm_sq) - 10)
+        heights = tuple(
+            round((p.z - Fraction(d)) / grid) * grid for p, d in zip(current.coords, delta)
+        )
+        current = with_heights(current, heights)
+        defect = theta_map(current, precision)
+        norm_sq = defect.norm_sq()
+        if trace is not None:
+            trace.append(norm_sq)
+        if norm_sq <= tol_sq:
+            return current
+        if norm_sq >= previous:
+            increases += 1
+            if increases >= 2:
+                raise error("Newton diverged: defect norm increased on two consecutive steps")
+        else:
+            increases = 0
+        previous = norm_sq
+    return current
+
+
+def rays_reference(D: Sequence[Tuple[int, int, int]]) -> list:
+    """The body ``certify_embed._rays`` replaced: each nonzero d_a × d_b, a < b,
+    dotted with every d, kept when no dot is negative, and its negation when
+    no dot is positive."""
+    rays = []
+    for a, b in combinations(D, 2):
+        r = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        if any(r):
+            dots = [d[0] * r[0] + d[1] * r[1] + d[2] * r[2] for d in D]
+            if min(dots) >= 0:
+                rays.append(r)
+            if max(dots) <= 0:
+                rays.append((-r[0], -r[1], -r[2]))
+    return rays
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from kleincert.precision import CertificationError
 
 from oracles import (
     DegenerateConfiguration,
+    rays_reference,
     rho_two_isqrt,
     sqrt_enclosure,
     triangle_intersection_points,
@@ -794,6 +795,45 @@ def test_a_cone_that_no_normal_separates_gets_no_chart():
     assert _chart(D) == NO_CHART
 
 
+_ray_coefficient = st.integers(min_value=-4, max_value=4)
+_ray_vector = st.tuples(*[_ray_coefficient] * 3)
+_vectors = st.lists(_ray_vector, min_size=1, max_size=9)
+
+
+def _combined(basis, coefficients):
+    return [
+        tuple(sum(c * b[m] for c, b in zip(cs, basis)) for m in range(3)) for cs in coefficients
+    ]
+
+
+def _one_side(normal, D):
+    return [d if _dot(d, normal) >= 0 else tuple(-x for x in d) for d in D]
+
+
+_difference_sets = st.one_of(
+    _vectors,
+    _vectors.map(lambda D: D + [(0, 0, 0)]),
+    st.builds(  # collinear
+        lambda v, ks: _combined([v], [(k,) for k in ks]),
+        _ray_vector,
+        st.lists(_ray_coefficient, min_size=1, max_size=9),
+    ),
+    st.builds(  # coplanar
+        lambda u, v, cs: _combined([u, v], cs),
+        _ray_vector,
+        _ray_vector,
+        st.lists(st.tuples(_ray_coefficient, _ray_coefficient), min_size=1, max_size=9),
+    ),
+    st.builds(_one_side, _ray_vector, _vectors),  # in a closed half-space: a nonempty R
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(D=_difference_sets)
+def test_rays_equal_the_all_dots_reference(D):
+    assert _rays(D) == rays_reference(D)
+
+
 def test_a_ray_ratio_beyond_float_range_gets_no_chart():
     big = 10**400
     D = _cone((1, big, 1), (big, 1, 1), (1, 1, big))
@@ -820,8 +860,9 @@ def test_a_zero_rho_coordinate_is_outside_its_chart():
 def test_charts_on_a_lattice_at_scale_ten_to_the_432(
     certificate, candidate_surface, manual_normals
 ):
-    # the `refine` output's lattice has Q ≈ 10⁴³², so ray components near
-    # 10⁸⁶⁴, far beyond float range; their ratios are still floats
+    # a lattice with Q = 10⁴³² on purpose, far longer than any mesh the
+    # pipeline writes: ray components near 10⁸⁶⁴, far beyond float range;
+    # their ratios are still floats
     heights = [p.z for p in candidate_surface.coords]
     heights[0] += Fraction(1, 10**432)
     S = surface_with_heights(candidate_surface, heights)

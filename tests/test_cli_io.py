@@ -699,7 +699,7 @@ def test_cli_refine_writes_mesh(tmp_path, capsys):
     assert main(["refine", "--precision", "120", "--report", str(out)]) == 0
     refined = load_mesh(out)
     assert len(refined.coords) == 10
-    assert "refined at 120 digits" in capsys.readouterr().err
+    assert "refined at 90 of at most 120 digits" in capsys.readouterr().err
 
 
 def test_cli_refine_evaluates_theta_once_per_newton_evaluation(

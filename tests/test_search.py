@@ -2,6 +2,7 @@
 Newton refinement on vertex heights."""
 
 import math
+import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ import pytest
 
 import oracles
 from kleincert import jacobian, search
-from kleincert.jacobian import JacobianMatrix, theta_map
+from kleincert.jacobian import JacobianMatrix, dtheta_analytic, surface_with_heights, theta_map
 from kleincert.klein import Point3
 from kleincert.mesh import EmbeddedSurface, Triangulation
 from kleincert.precision import CertificationError, _fraction_exponent, two_pi
@@ -118,6 +119,22 @@ def test_config_defaults_are_valid():
 def test_config_rejects_nonpositive(field, value):
     with pytest.raises(ValueError, match="positive"):
         SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, digits",
+    [
+        ({}, 90),
+        ({"newton_tol": F(3, 10**36)}, 92),  # ⌊log10 tol⌋ = −36
+        ({"newton_tol": F(1, 10**150)}, 320),
+        ({"newton_tol": F(1, 10**190)}, 400),
+        ({"newton_tol": F(1, 10**300)}, 400),
+        ({"newton_precision": 45}, 45),
+        ({"newton_tol": F(7)}, 20),  # a tolerance of 1 or more counts as 1
+    ],
+)
+def test_newton_digits_follow_the_tolerance_up_to_the_cap(kwargs, digits):
+    assert SearchConfig(**kwargs).newton_digits == digits
 
 
 def test_config_tolerance_respects_precision():
@@ -458,6 +475,84 @@ def test_newton_grid_exponent_below_float_range(candidate_surface):
     assert float(trace[-2]) == 0.0
     scale = 10 ** (10 - _fraction_exponent(trace[-2]))
     assert all((p.z * scale).denominator == 1 for p in refined.coords)
+
+
+@pytest.mark.parametrize("jitter", [3, 8, 13, 20])
+def test_newton_equals_the_reference_at_the_precision_cap(candidate_surface, jitter):
+    """Newton at ``newton_digits`` takes the steps it takes at 400 digits.
+
+    The reference runs once to 10⁻¹⁵⁰ at 400 digits.  Its iterates do not
+    depend on the tolerance, so its run to a larger tolerance stops at the
+    first of them whose squared norm is at most tol².
+    """
+    rng = random.Random(f"newton-digits:{jitter}")
+    start = surface_with_heights(
+        candidate_surface,
+        [
+            p.z + F(rng.choice((-1, 1)) * rng.randint(1, 10), 10**jitter)
+            for p in candidate_surface.coords
+        ],
+    )
+    iterates = [start]
+
+    def recording(surface, heights):
+        iterates.append(surface_with_heights(surface, heights))
+        return iterates[-1]
+
+    ref_trace: list = []
+    oracles.newton_refine_reference(
+        start, SearchConfig(newton_tol=F(1, 10**150)), theta_map, dtheta_analytic,
+        search._lu_solve, recording, CertificationError, trace=ref_trace,
+    )
+    for tol in (F(1, 10**20), F(1, 10**35), F(1, 10**150)):
+        k = next(k for k, t in enumerate(ref_trace) if t <= tol**2)
+        trace: list = []
+        out = newton_refine(start, SearchConfig(newton_tol=tol), trace=trace)
+        assert out.coords == iterates[k].coords
+        assert len(trace) == k + 1
+        assert [_fraction_exponent(t) for t in trace] == [
+            _fraction_exponent(t) for t in ref_trace[: k + 1]
+        ]
+
+
+@pytest.mark.parametrize(
+    "kwargs, digits",
+    [
+        ({}, 90),
+        ({"newton_tol": F(1, 10**150)}, 320),
+        ({"newton_tol": F(1, 10**300)}, 400),
+        ({"newton_precision": 45}, 45),
+    ],
+)
+def test_newton_evaluates_everything_at_newton_digits(
+    candidate_surface, monkeypatch, kwargs, digits
+):
+    seen = []
+    lu_solve = search._lu_solve
+
+    def theta_at(surface, precision):
+        seen.append(("theta_map", precision))
+        return theta_map(surface, precision)
+
+    def jacobian_at(surface, precision, target_width):
+        seen.append(("dtheta_analytic", precision, target_width))
+        return dtheta_analytic(surface, precision, target_width)
+
+    def lu_at(matrix, rhs, precision):
+        seen.append(("_lu_solve", precision))
+        return lu_solve(matrix, rhs, precision)
+
+    monkeypatch.setattr(search, "theta_map", theta_at)
+    monkeypatch.setattr(search, "dtheta_analytic", jacobian_at)
+    monkeypatch.setattr(search, "_lu_solve", lu_at)
+    cfg = SearchConfig(max_steps=1, **kwargs)
+    newton_refine(candidate_surface, cfg)
+    assert seen == [
+        ("theta_map", digits),
+        ("dtheta_analytic", digits, F(1, 10 ** min(digits // 2, 150))),
+        ("_lu_solve", digits),
+        ("theta_map", digits),
+    ]
 
 
 def test_newton_preserves_xy_exactly(candidate_surface, newton_run):
