@@ -22,10 +22,26 @@ Witness normals come from a deterministic quasi-random sequence
 
     ρ(n) = (⌊C·L(n√2)⌋, ⌊C·L(n√3)⌋, ⌊C·L(n√5)⌋),   L(x) = 2(x−⌊x⌋)−1,
 
-with C = 10⁵, computed by one integer square root per coordinate:
-ρ_k(n) = isqrt(4C²n²k) mod 2C − C.  Exact, because isqrt(4C²n²k) = ⌊2C·x⌋
-for x = n√k, and ⌊⌊2C·x⌋/2C⌋ = ⌊x⌋ makes ⌊2C·x⌋ − 2C·⌊x⌋ its remainder
-mod 2C.  So ρ_k(n) ∈ [−C, C−1], and a normal at the cap has a coordinate −C.
+with C = 10⁵.  Let a_k(n) = ⌊2C·n√k⌋ = isqrt(4C²n²k).  Then
+ρ_k(n) = a_k(n) mod 2C − C, because ⌊⌊2C·x⌋/2C⌋ = ⌊x⌋ for x = n√k makes
+⌊2C·x⌋ − 2C·⌊x⌋ the remainder of a_k(n) mod 2C.  So ρ_k(n) ∈ [−C, C−1], and
+a normal at the cap has a coordinate −C.  :func:`rho` takes one integer
+square root per coordinate.  The scan instead steps ρ(n) from ρ(n − 1) by
+additions of integers below 2³⁰.  Let D = 2²⁹ and P_k = isqrt(4C²k·D²),
+so P_k < 2C√k·D < P_k + 1 (the middle term is irrational), and write
+n·P_k = A·D + R with 0 ≤ R < D.  Then
+
+    A ≤ A + R/D < 2C·n√k < A + (R + n)/D,
+
+so a_k(n) = A whenever R + n ≤ D.  From n − 1 to n, R grows by P_k mod D
+and A by q_k = ⌊P_k/D⌋ = isqrt(4C²k), plus 1 when R reaches D (the carry
+of ⌊x + y⌋ = ⌊x⌋ + ⌊y⌋ + [frac x + frac y ≥ 1]); the scan keeps R and
+A mod 2C.  At an n where R + n > D for some k (16 of the candidate's
+69,265 n), it takes the closed form instead.  The closed form still defines
+the witnesses: at each n where some pair reaches the exact test, :func:`rho`
+recomputes ρ(n), and a value that differs from the stepped one stops the
+certification.
+
 A small table of hand-picked normals is tried first, ± for each pair it
 names; every pair still unwitnessed is then searched in the order n
 ascending, +ρ(n) before −ρ(n), for n below the pair kind's search limit
@@ -94,7 +110,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import inf, isqrt, lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .mesh import EmbeddedSurface, Face, Triangulation
 from .precision import CertificationError
@@ -225,6 +241,47 @@ def rho(n: int, cap: int = DEFAULT_CAP) -> IntVec3:
     m = 2 * cap
     t = m * m * n * n
     return (isqrt(2 * t) % m - cap, isqrt(3 * t) % m - cap, isqrt(5 * t) % m - cap)
+
+
+def _rho_residues(cap: int) -> Iterator[IntVec3]:
+    """ρ(n) + (cap, cap, cap) = a_k(n) mod 2·cap, k = 2, 3, 5, for
+    n = 1, 2, …, stepped as in the module docstring (a residue 0 is a
+    coordinate −cap).  Past n = D every n takes the closed form."""
+    m = 2 * cap
+    c = m * m  # 4C²
+    D = 2**29  # so that R_k plus its increment stays below 2³⁰, one digit of a Python int
+    (q2, p2), (q3, p3), (q5, p5) = (divmod(isqrt(k * c * D * D), D) for k in (2, 3, 5))
+    q2, q3, q5 = q2 % m, q3 % m, q5 % m
+    R2 = R3 = R5 = r2 = r3 = r5 = 0  # R_k = n·P_k mod D, r_k = ⌊n·P_k/D⌋ mod 2C
+    edge = D  # D − n
+    while True:
+        edge -= 1
+        R2 += p2
+        r2 += q2
+        if R2 >= D:
+            R2 -= D
+            r2 += 1
+        if r2 >= m:
+            r2 -= m
+        R3 += p3
+        r3 += q3
+        if R3 >= D:
+            R3 -= D
+            r3 += 1
+        if r3 >= m:
+            r3 -= m
+        R5 += p5
+        r5 += q5
+        if R5 >= D:
+            R5 -= D
+            r5 += 1
+        if r5 >= m:
+            r5 -= m
+        if R2 > edge or R3 > edge or R5 > edge:
+            t = c * (D - edge) ** 2
+            yield isqrt(2 * t) % m, isqrt(3 * t) % m, isqrt(5 * t) % m
+        else:
+            yield r2, r3, r5
 
 
 PairTests = Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]
@@ -373,26 +430,53 @@ def _chart(D: Sequence[IntVec3]) -> Chart:
     return NO_CHART
 
 
-def _admitted(
-    pairs: Sequence[PairIdx], charts: Mapping[PairIdx, Chart], normal: IntVec3
-) -> List[PairIdx]:
-    """The pairs whose chart's box holds the ratios of ``normal``, in order.
+#: A scan's pairs by chart: the pairs with :data:`NO_CHART`, and one group
+#: (m, i, j, hull, boxes) per pivot m that some chart has, where boxes holds
+#: the (pair, lo_i, hi_i, lo_j, hi_j) of each pair with that pivot and hull
+#: is the least box (lo_i, hi_i, lo_j, hi_j) that holds them all.
+ChartGroups = Tuple[List[PairIdx], List[tuple]]
 
-    A ratio over N_m = 0 is taken as inf: it lies in no chart's box, whose
-    ends are finite, and in the box of :data:`NO_CHART`.
-    """
-    x, y, z = normal
-    ratios = (
-        (y / x, z / x) if x else (inf, inf),
-        (x / y, z / y) if y else (inf, inf),
-        (x / z, y / z) if z else (inf, inf),
-    )
-    admitted = []
+
+def _chart_groups(pairs: Sequence[PairIdx], charts: Mapping[PairIdx, Chart]) -> ChartGroups:
+    chartless: List[PairIdx] = []
+    by_pivot: Tuple[List[tuple], ...] = ([], [], [])
     for pair in pairs:
-        m, lo_i, hi_i, lo_j, hi_j = charts[pair]
-        ratio_i, ratio_j = ratios[m]
-        if lo_i <= ratio_i <= hi_i and lo_j <= ratio_j <= hi_j:
-            admitted.append(pair)
+        chart = charts[pair]
+        if chart == NO_CHART:
+            chartless.append(pair)
+        else:
+            by_pivot[chart[0]].append((pair, *chart[1:]))
+    groups = []
+    for (m, i, j), boxes in zip(((0, 1, 2), (1, 0, 2), (2, 0, 1)), by_pivot):
+        if boxes:
+            _, lo_i, hi_i, lo_j, hi_j = zip(*boxes)
+            groups.append((m, i, j, (min(lo_i), max(hi_i), min(lo_j), max(hi_j)), boxes))
+    return chartless, groups
+
+
+def _admitted(groups: ChartGroups, x: int, y: int, z: int) -> List[PairIdx]:
+    """The pairs whose chart's box holds the ratios of the normal (x, y, z),
+    in pair order.
+
+    The pairs with :data:`NO_CHART` are always admitted.  Each group's two
+    ratios are formed once, and its boxes are looked at only when its hull
+    holds them.  A group whose pivot coordinate is 0 admits nothing: the
+    ratios over it are infinite, and every box in it has finite ends.
+    """
+    chartless, by_pivot = groups
+    admitted = chartless[:]
+    normal = (x, y, z)
+    for m, i, j, (lo_u, hi_u, lo_v, hi_v), boxes in by_pivot:
+        pivot = normal[m]
+        if pivot:
+            u = normal[i] / pivot
+            v = normal[j] / pivot
+            if lo_u <= u <= hi_u and lo_v <= v <= hi_v:
+                for pair, lo_i, hi_i, lo_j, hi_j in boxes:
+                    if lo_i <= u <= hi_i and lo_j <= v <= hi_j:
+                        admitted.append(pair)
+    if len(admitted) > 1:
+        admitted.sort()
     return admitted
 
 
@@ -440,11 +524,17 @@ def certify_embeddedness(
     ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.  Each scanned pair's chart is
     built once from D; at each n only the pairs whose chart holds ρ(n)'s
     ratios get the exact test, and the others cannot be separated by ±ρ(n),
-    so every pair keeps the same first (n, sign).
+    so every pair keeps the same first (n, sign).  The charts are grouped by
+    pivot, so ρ(n)'s two ratios are formed once per group, and a group whose
+    hull misses them costs no more; the groups are built again only when a
+    pair is witnessed and when the disjoint pairs leave the scan at
+    :data:`DISJOINT_SEARCH_LIMIT`.  ρ(n) is stepped by its recurrence, and
+    :func:`rho` is called only at an n where some pair reaches the exact test.
 
     Raises :class:`ValueError` if ``cap`` is below 1, and
     :class:`CertificationError` listing the unseparated pairs if any pair is
-    separated neither by its manual normal nor by the scan.
+    separated neither by its manual normal nor by the scan, or naming n if
+    ``rho(n, cap)`` differs from the recurrence's value.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -487,22 +577,31 @@ def certify_embeddedness(
         and (kinds[p] == "disjoint" or not _unwitnessable(tests[p], coords))
     ]
     charts = {p: _chart(diffs[p]) for p in scan}
+    groups = _chart_groups(scan, charts)
     rho_candidates = pair_tests = exact_tests = 0
-    for n in range(1, SHARED_SEARCH_LIMIT):
+    for n, (r1, r2, r3) in zip(range(1, SHARED_SEARCH_LIMIT), _rho_residues(cap)):
         if n == DISJOINT_SEARCH_LIMIT:
             scan = [p for p in scan if kinds[p] != "disjoint"]
+            groups = _chart_groups(scan, charts)
         if not scan:
             break
-        base = rho(n, cap)
         rho_candidates += 1
-        if -cap in base:
+        if not (r1 and r2 and r3):
             continue  # cannot certify with a normal at the cap
         pair_tests += len(scan)
-        admitted = _admitted(scan, charts, base)
+        x, y, z = r1 - cap, r2 - cap, r3 - cap
+        admitted = _admitted(groups, x, y, z)
         if admitted:
+            base = rho(n, cap)
+            if base != (x, y, z):
+                raise CertificationError(
+                    f"rho({n}, {cap}) = {base}, but its recurrence gives {(x, y, z)}"
+                )
             exact_tests += len(admitted)
             separate(admitted, base, "rho", n)
-            scan = [p for p in scan if p not in witnesses]
+            if any(p in witnesses for p in admitted):
+                scan = [p for p in scan if p not in witnesses]
+                groups = _chart_groups(scan, charts)
 
     pending = sorted(kinds.keys() - witnesses.keys())
     if pending:

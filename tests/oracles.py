@@ -10,7 +10,8 @@ Conventions: every oracle returns an exact rational *enclosure* ``(lo, hi)``
 with lo ≤ true value ≤ hi, never a point estimate — except the reference
 bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
 :func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`rho_two_isqrt`,
-:func:`witness_scan_reference`, :func:`decimal_quotient_reference`,
+:func:`witness_scan_reference`, :func:`admitted_reference`,
+:func:`decimal_quotient_reference`,
 :func:`dtheta_enclosure_reference`, :func:`hill_climb_reference`,
 :func:`newton_refine_reference`, :func:`rays_reference`,
 :func:`gram_root_bracket_bisection`), which return the value the old code
@@ -419,6 +420,33 @@ def rho_two_isqrt(n: int, cap: int) -> Tuple[int, int, int]:
         math.isqrt(4 * cap * cap * n * n * k) - 2 * cap * math.isqrt(n * n * k) - cap
         for k in (2, 3, 5)
     )
+
+
+def admitted_reference(
+    pairs: Sequence[Tuple[int, int]],
+    charts: Mapping[Tuple[int, int], Tuple[int, float, float, float, float]],
+    normal: Tuple[int, int, int],
+) -> list:
+    """The pairs whose chart (m, lo_i, hi_i, lo_j, hi_j) holds the ratios of
+    ``normal``, in the order of ``pairs``, each chart looked at on its own.
+
+    A ratio over N_m = 0 is taken as inf: it lies in no chart's box, whose
+    ends are finite, and in the box (-inf, inf, -inf, inf) of a pair without
+    a chart.
+    """
+    x, y, z = normal
+    ratios = (
+        (y / x, z / x) if x else (math.inf, math.inf),
+        (x / y, z / y) if y else (math.inf, math.inf),
+        (x / z, y / z) if z else (math.inf, math.inf),
+    )
+    admitted = []
+    for pair in pairs:
+        m, lo_i, hi_i, lo_j, hi_j = charts[pair]
+        ratio_i, ratio_j = ratios[m]
+        if lo_i <= ratio_i <= hi_i and lo_j <= ratio_j <= hi_j:
+            admitted.append(pair)
+    return admitted
 
 
 def witness_scan_reference(

@@ -29,11 +29,13 @@ from kleincert.certify_embed import (
     SeparationWitness,
     _admitted,
     _chart,
+    _chart_groups,
     _cross,
     _differences,
     _margins,
     _pair_tests,
     _rays,
+    _rho_residues,
     _separating_sign,
     _unwitnessable,
     certify_embeddedness,
@@ -47,6 +49,7 @@ from kleincert.precision import CertificationError
 
 from oracles import (
     DegenerateConfiguration,
+    admitted_reference,
     rays_reference,
     rho_two_isqrt,
     sqrt_enclosure,
@@ -149,13 +152,29 @@ def test_rho_rejects_nonpositive_index():
         rho(0)
 
 
+def _stepped(cap, limit):
+    """ρ(n, cap) for n = 1 … limit − 1 from the scan's recurrence."""
+    return [
+        (r1 - cap, r2 - cap, r3 - cap)
+        for _, (r1, r2, r3) in zip(range(1, limit), _rho_residues(cap))
+    ]
+
+
 def test_rho_equals_the_two_isqrt_formula():
-    # ⌊2C·n√k⌋ − 2C·⌊n√k⌋ = ⌊2C·n√k⌋ mod 2C, so one isqrt per coordinate
-    for n in range(1, 10**5):
-        assert rho(n) == rho_two_isqrt(n, DEFAULT_CAP), n
-    for cap in (1, 2, 3, 7, 1000):
-        for n in range(1, 5000):
-            assert rho(n, cap) == rho_two_isqrt(n, cap), (cap, n)
+    # ⌊2C·n√k⌋ − 2C·⌊n√k⌋ = ⌊2C·n√k⌋ mod 2C, so one isqrt per coordinate;
+    # the scan's recurrence steps the same ⌊2C·n√k⌋
+    for n, stepped in enumerate(_stepped(DEFAULT_CAP, 10**5), start=1):
+        assert stepped == rho(n) == rho_two_isqrt(n, DEFAULT_CAP), n
+    for cap in (1, 2, 3, 7, 1000, 123457, 10**6, 10**9):
+        for n, stepped in enumerate(_stepped(cap, 5000), start=1):
+            assert stepped == rho(n, cap) == rho_two_isqrt(n, cap), (cap, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cap=st.integers(min_value=1, max_value=10**9))
+def test_rho_recurrence_equals_the_closed_form_at_any_cap(cap):
+    for n, stepped in enumerate(_stepped(cap, 2000), start=1):
+        assert stepped == rho(n, cap) == rho_two_isqrt(n, cap), (cap, n)
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +338,50 @@ def test_scan_alone_leaves_exactly_the_manual_pairs(candidate_surface, manual_no
 
 def test_manual_pairs_skip_the_scan(candidate_surface, manual_normals, monkeypatch):
     # the table pairs are witnessed before the scan, which then stops at the
-    # last rho witness (n = 69,265) instead of running to the 10⁵ limit
-    real = certify_embed.rho
-    calls = []
+    # last rho witness (n = 69,265) instead of running to the 10⁵ limit; rho
+    # is called once at each n where some pair reaches the exact test, and
+    # every exact test of the scan uses the ρ(n) of the last call
+    real_rho, real_sign = certify_embed.rho, certify_embed._separating_sign
+    calls, tested = [], []
 
     def counting(n, cap=DEFAULT_CAP):
         calls.append(n)
-        return real(n, cap)
+        return real_rho(n, cap)
+
+    def testing(D, normal, threshold):
+        if calls:
+            assert normal == real_rho(calls[-1])
+            tested.append(calls[-1])
+        return real_sign(D, normal, threshold)
 
     monkeypatch.setattr(certify_embed, "rho", counting)
+    monkeypatch.setattr(certify_embed, "_separating_sign", testing)
     cert = certify_embeddedness(candidate_surface, manual_normals=manual_normals)
-    assert len(calls) <= 69265
     assert max(w.n for w in cert.witnesses if w.source == "rho") == 69265
-    assert cert.rho_candidates == len(calls)
+    assert cert.rho_candidates == 69265
+    assert len(calls) == len(set(calls)) == 238
+    assert max(calls) <= 69265
+    assert set(calls) == set(tested)
+    assert len(tested) == cert.exact_tests
+
+
+def test_a_rho_that_differs_from_its_recurrence_stops_the_scan(
+    certificate, candidate_surface, manual_normals, monkeypatch
+):
+    # at the first ρ witness, the recurrence yields the ρ(n) of the last one
+    # instead; the last witness's pair is still in the scan, so its chart
+    # admits that normal, and the closed form must catch the difference
+    witness_ns = sorted(w.n for w in certificate.witnesses if w.source == "rho")
+    first, last = witness_ns[0], witness_ns[-1]
+    real = certify_embed._rho_residues
+
+    def wrong_at_first(cap):
+        for n, residues in enumerate(real(cap), start=1):
+            yield tuple(c + cap for c in rho(last, cap)) if n == first else residues
+
+    monkeypatch.setattr(certify_embed, "_rho_residues", wrong_at_first)
+    with pytest.raises(CertificationError, match=rf"^rho\({first}, {DEFAULT_CAP}\) = "):
+        certify_embeddedness(candidate_surface, manual_normals=manual_normals)
 
 
 def test_scan_work_counters_on_the_candidate(certificate, candidate_surface):
@@ -718,8 +768,9 @@ def _assert_charts_admit_every_separating_rho(S, cap=DEFAULT_CAP, limit=3000):
         D = _differences(_pair_tests(faces[pair[0]], faces[pair[1]]), coords)
         charts = {pair: _chart(D)}
         charted += charts[pair] != NO_CHART
+        groups = _chart_groups([pair], charts)
         passed = [N for N in normals if _separating_sign(D, N, 0)]
-        missed = [N for N in passed if not _admitted([pair], charts, N)]
+        missed = [N for N in passed if not _admitted(groups, *N)]
         assert not missed, (pair, charts[pair], missed[:3])
         separating += len(passed)
     return separating, charted
@@ -849,12 +900,37 @@ def test_a_zero_rho_coordinate_is_outside_its_chart():
     D = _cone((2, 1, 1), (2, -1, 1), (2, 0, -1))
     charts = {(0, 1): _chart(D), (2, 3): NO_CHART}
     assert charts[(0, 1)] == (0, -0.5, 0.5, -0.5, 0.5)
+    groups = _chart_groups([(0, 1), (2, 3)], charts)
     for N in ((0, 1, 1), (0, -1, -1), (0, 0, 5)):
         assert _separating_sign(D, N, 0) == 0
-        assert _admitted([(0, 1), (2, 3)], charts, N) == [(2, 3)]
+        assert _admitted(groups, *N) == [(2, 3)]
     for N in ((1, 0, 0), (-1, 0, 0)):
         assert _separating_sign(D, N, 0) == N[0]
-        assert _admitted([(0, 1), (2, 3)], charts, N) == [(0, 1), (2, 3)]
+        assert _admitted(groups, *N) == [(0, 1), (2, 3)]
+
+
+def test_grouped_admission_equals_the_per_chart_reference(candidate_surface, corrupt_surface):
+    # the charts of every pair of the candidate and of the corrupt mesh, some
+    # of them NO_CHART, for all pairs and every third one, against ρ(n) for
+    # n < 3,000 and the same normals with a zero coordinate
+    normals = [rho(n) for n in range(1, 3000)]
+    normals += [
+        tuple(0 if k == m else c for k, c in enumerate(N)) for N in normals[:500] for m in range(3)
+    ]
+    for S in (candidate_surface, corrupt_surface):
+        coords = _dilated(S)
+        faces = S.triangulation.faces
+        classes = classify_pairs(S.triangulation)
+        pairs = sorted(classes.disjoint + classes.shared_vertex)
+        charts = {
+            p: _chart(_differences(_pair_tests(faces[p[0]], faces[p[1]]), coords)) for p in pairs
+        }
+        assert len({c[0] for c in charts.values() if c != NO_CHART}) == 3
+        assert NO_CHART in charts.values()
+        for chosen in (pairs, pairs[::3]):
+            groups = _chart_groups(chosen, charts)
+            for N in normals:
+                assert _admitted(groups, *N) == admitted_reference(chosen, charts, N), (N, chosen)
 
 
 def test_charts_on_a_lattice_at_scale_ten_to_the_432(
