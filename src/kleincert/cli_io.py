@@ -23,10 +23,10 @@ search modules:
 - SVG/OFF export: fixed-layout text output (unit disk on a 1000x1000
   canvas, six-decimal coordinates; OFF with truncated fixed-point
   vertices), byte-identical across runs.
-- a command line (``kleincert``) exposing validation, the certification
-  pipeline, Newton refinement, hill-climb search, slicing, and export.
-  Exit status: 0 for certified success, 1 for a certification failure,
-  2 for unusable input.
+- a command line (``kleincert``) that only parses, formats and exits:
+  validation, the certification pipeline (premises come from the library),
+  Newton refinement, hill-climb search, slicing, and export.  Exit status:
+  0 for certified success, 1 for a certification failure, 2 for unusable input.
 """
 
 from __future__ import annotations
@@ -45,13 +45,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from . import __version__
 from .certify_embed import certify_embeddedness
 from .certify_flat import LinkReference, LinkTable, certify_flatness
-from .jacobian import (
-    certify_expansion,
-    conclude_existence,
-    crude_bounds,
-    dtheta_enclosure,
-    second_partial_bound,
-)
+from .jacobian import certify_surface_expansion, conclude_existence
 from .klein import Point3
 from .mesh import EmbeddedSurface, Triangulation, validate
 from .precision import CertificationError, _round_significant
@@ -484,11 +478,16 @@ def export_off(surface: EmbeddedSurface, digits: int = 32) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _read(path: Optional[str], packaged_name: str) -> Tuple[bytes, str]:
-    """Input bytes and their report label; the packaged file when ``path`` is None."""
+def _read(path: Optional[str], packaged_name: str) -> Tuple[bytes, str, str]:
+    """Input bytes, report label and UTF-8 text; the packaged file when ``path`` is None."""
     if path is None:
-        return _packaged_bytes(packaged_name), "packaged:" + packaged_name
-    return Path(path).read_bytes(), str(path)
+        data, label = _packaged_bytes(packaged_name), "packaged:" + packaged_name
+    else:
+        data, label = Path(path).read_bytes(), str(path)
+    try:
+        return data, label, data.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{label} is not UTF-8 text: {exc}") from exc
 
 
 def _deliver(text: str, args) -> None:
@@ -548,18 +547,7 @@ def _run_embeddedness(surface):
 
 
 def _run_expansion(surface):
-    # 60 digits leaves the ~1e-40 enclosure width invisible next to the
-    # 5e-4 rounding slack, so the reference-deviation premise is decisive.
-    enclosure = dtheta_enclosure(surface, precision=60)
-    rounded = [
-        [Fraction(round(Fraction(b.midpoint(60)) * 1000), 1000) for b in row]
-        for row in enclosure
-    ]
-    certificate = certify_expansion(
-        rounded,
-        dtheta_center=enclosure,
-        second_order_cap=second_partial_bound(crude_bounds(surface)),
-    )
+    certificate = certify_surface_expansion(surface)
     return {
         "sigma_lower_bound": _directed_text(certificate.sigma_min_bound, round_up=False),
         "expansion_lambda": fraction_to_text(certificate.lam),
@@ -598,9 +586,9 @@ def _certify(kind: str, parameters: Mapping[str, str], runner):
     def handler(args, surface, parts) -> int:
         inputs = [surface]
         if "links" in vars(args):
-            links_bytes, label = _read(args.links, "reference_links.json")
+            links_bytes, label, text = _read(args.links, "reference_links.json")
             parts = parts + [("links:" + label, links_bytes)]
-            inputs.append(_load_links_document(links_bytes.decode()))
+            inputs.append(_load_links_document(text))
         try:
             details, _ = runner(*inputs)
         except CertificationError as exc:
@@ -718,8 +706,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        mesh_bytes, label = _read(args.mesh, "candidate_surface.json")
-        _, surface = _parse_mesh_document(mesh_bytes.decode())
+        mesh_bytes, label, text = _read(args.mesh, "candidate_surface.json")
+        _, surface = _parse_mesh_document(text)
         return args.func(args, surface, [("mesh:" + label, mesh_bytes)])
     except CertificationError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)

@@ -28,9 +28,9 @@ runs through four stages that live in this module:
    reference Jacobian: the bracket on the 2⁻²⁰ grid of the largest x with
    MᵀM − x·I positive definite, each deciding test one exact LDLᵀ
    (Sylvester's criterion).  A float bisection only chooses which grid
-   points get the exact test, so a right guess costs two of them.  The
-   bound is combined with the deviation caps into a 1/2-expansivity
-   certificate and the final existence report.
+   points get the exact test, so a right guess costs two of them.
+   `certify_surface_expansion` joins it to one surface's deviation caps in a
+   1/2-expansivity certificate; the existence report refuses mixed surfaces.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certify_flat import FlatnessCertificate
 from .certify_embed import EmbeddingCertificate
@@ -61,6 +61,7 @@ __all__ = [
     "DefectVector",
     "JacobianMatrix",
     "CrudeBounds",
+    "JacobianEnclosure",
     "ExpansionCertificate",
     "ExistenceReport",
     "reference_jacobian",
@@ -76,6 +77,7 @@ __all__ = [
     "smallest_gram_root_bracket",
     "singular_lower_bound",
     "certify_expansion",
+    "certify_surface_expansion",
     "conclude_existence",
 ]
 
@@ -218,12 +220,20 @@ def _corner_partials(
 _SIN_FLOOR_GUARD = Fraction(1, 10**6)
 
 
+class JacobianEnclosure(list):
+    """The rows of :func:`dtheta_enclosure`: a plain list that names their surface."""
+
+    def __init__(self, rows, surface_digest: str) -> None:
+        super().__init__(rows)
+        self.surface_digest = surface_digest
+
+
 def dtheta_enclosure(
     S: EmbeddedSurface,
     precision: int = 60,
     target_width: Fraction = Fraction(1, 10**40),
-) -> List[List[Bound]]:
-    """Certified enclosures of every Jacobian entry ∂Θ_i/∂z_l.
+) -> JacobianEnclosure:
+    """Certified enclosures of every Jacobian entry ∂Θ_i/∂z_l, with ``S.digest``.
 
     Each entry Σ N/√D is summed twice by directed rounding: its lower end in
     a ``ROUND_FLOOR`` context, its upper end in a ``ROUND_CEILING`` one, so
@@ -266,7 +276,8 @@ def dtheta_enclosure(
                 term_hi = up.divide(n_hi, root.lo if n_hi >= 0 else root.hi)
                 lo[i][l] = down.add(lo[i][l], term_lo)
                 hi[i][l] = up.add(hi[i][l], term_hi)
-    return [[Bound(a, b) for a, b in zip(*rows)] for rows in zip(lo, hi)]
+    rows = ([Bound(a, b) for a, b in zip(*pair)] for pair in zip(lo, hi))
+    return JacobianEnclosure(rows, S.digest)
 
 
 def dtheta_analytic(
@@ -743,7 +754,8 @@ class ExpansionCertificate:
     an operator-norm cap for the n×n matrix, n = ``n_vertices`` (the recorded
     convention is the loose n²·e_inf; the sharper n·e_inf is reported
     alongside).  ``second_order_cap`` is the cap on |∂²Θ_i/∂z_j∂z_k| whose
-    curvature drift n·radius·cap ≤ e_inf/2 was checked.
+    curvature drift n·radius·cap ≤ e_inf/2 was checked.  ``surface_digest``
+    names the surface of the checked center enclosure, None for a hand-built one.
     """
 
     sigma_min_bound: Fraction
@@ -755,6 +767,7 @@ class ExpansionCertificate:
     frobenius_cap: Fraction
     frobenius_cap_sharp: Fraction
     n_vertices: int
+    surface_digest: Optional[str] = None
 
     def __post_init__(self) -> None:
         n = self.n_vertices
@@ -787,9 +800,10 @@ def certify_expansion(
 
     ``dtheta_center`` encloses the Jacobian at the center and
     ``second_order_cap`` is the cap :func:`second_partial_bound` checked on
-    the same surface.  The two premises that justify ``e_inf`` are checked
-    first: entrywise center deviation < e_inf/2 and curvature drift
-    n·radius·cap ≤ e_inf/2 across the ball, with n = len(M) vertices.
+    the same surface (:func:`certify_surface_expansion` derives both from it);
+    the certificate keeps the center's ``surface_digest``, if any.  The two
+    premises of ``e_inf`` are checked first: entrywise center deviation <
+    e_inf/2 and curvature drift n·radius·cap ≤ e_inf/2, with n = len(M).
     Before anything else, M and ``dtheta_center`` must both be n×n.
     """
     n = len(M)
@@ -834,7 +848,18 @@ def certify_expansion(
         frobenius_cap=fro,
         frobenius_cap_sharp=n * e_inf,
         n_vertices=n,
+        surface_digest=getattr(dtheta_center, "surface_digest", None),
     )
+
+
+def certify_surface_expansion(S: EmbeddedSurface) -> ExpansionCertificate:
+    """:func:`certify_expansion` on ``S``, with M and the cap derived from ``S``."""
+    # M rounds the 60-digit center enclosure to 10⁻³: its ~1e-40 width is
+    # invisible next to the 5e-4 rounding slack, so the deviation premise is decisive.
+    enclosure = dtheta_enclosure(S, precision=60)
+    M = [[Fraction(round(Fraction(b.midpoint(60)) * 1000), 1000) for b in row] for row in enclosure]
+    cap = second_partial_bound(crude_bounds(S))
+    return certify_expansion(M, dtheta_center=enclosure, second_order_cap=cap)
 
 
 @dataclass(frozen=True)
@@ -863,8 +888,8 @@ def conclude_existence(
 ) -> ExistenceReport:
     """Chain the three certificates into the existence conclusion.
 
-    Checks, in order: the flatness and embedding certificates are about one
-    surface (equal digests) with the expansion certificate's n vertices; the
+    Checks, in order: the three certificates name one surface (equal digests;
+    None matches none) with the expansion certificate's n vertices; the
     flatness certificate forces ‖Θ(center)‖ below the defect cap; the
     curvature premise of the expansion ball holds for the second-order cap
     the expansion certificate checked, n·radius·cap ≤ e_inf/2; the flat
@@ -873,11 +898,12 @@ def conclude_existence(
     """
     checks: List[str] = []
     n = expansion.n_vertices
-    if embed.surface_digest != flat.surface_digest:
-        raise CertificationError(
-            f"embedding certificate is for surface {embed.surface_digest[:16]}…, not the "
-            f"flatness certificate's {flat.surface_digest[:16]}…"
-        )
+    for name, cert in (("embedding", embed), ("expansion", expansion)):
+        if cert.surface_digest != flat.surface_digest:
+            raise CertificationError(
+                f"{name} certificate is for surface {str(cert.surface_digest)[:16]}…, not the "
+                f"flatness certificate's {flat.surface_digest[:16]}…"
+            )
     for name, cert in (("flatness", flat), ("embedding", embed)):
         if cert.n_vertices != n:
             raise CertificationError(

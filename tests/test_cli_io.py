@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import inspect
 import json
 import random
 import re
@@ -621,6 +622,21 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert main(["validate", "--mesh", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["validate", "--mesh"], ["verify-flat", "--links"]])
+def test_cli_undecodable_input_exits_2_naming_the_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_bytes(b"\xff")
+    assert main([*argv, "bad.json"]) == 2
+    assert "error: bad.json is not UTF-8 text: " in capsys.readouterr().err
+
+
+def test_cli_derives_no_certification_premise():
+    # design rule: the expansion recipe lives in jacobian, the CLI only formats
+    source = inspect.getsource(cli_io)
+    for name in ("dtheta_enclosure", "crude_bounds", "second_partial_bound", "certify_expansion"):
+        assert name not in source, name
 
 
 def test_cli_usage_error_exits_2():

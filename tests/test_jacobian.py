@@ -42,6 +42,7 @@ from kleincert.jacobian import (
     _corner_partials,
     _definiteness,
     certify_expansion,
+    certify_surface_expansion,
     conclude_existence,
     crude_bounds,
     dtheta_analytic,
@@ -214,6 +215,17 @@ def test_jacobian_zero_pattern_exact(candidate_enclosure, adjacency):
             if i != j and j not in adjacency[i]:
                 b = candidate_enclosure[i][j]
                 assert b.lo == 0 and b.hi == 0
+
+
+def test_jacobian_enclosure_is_its_rows_and_names_its_surface(
+    candidate_surface, candidate_enclosure
+):
+    plain = [list(row) for row in candidate_enclosure]
+    assert candidate_enclosure == plain and plain == candidate_enclosure
+    assert candidate_enclosure.surface_digest == candidate_surface.digest
+    assert candidate_enclosure[3] == plain[3]
+    assert list(iter(candidate_enclosure)) == plain
+    assert type(candidate_enclosure[:9]) is list and candidate_enclosure[:9] == plain[:9]
 
 
 def test_jacobian_enclosure_widths_certified(candidate_enclosure):
@@ -1033,6 +1045,57 @@ def test_existence_rejects_an_embedding_certificate_of_another_surface(
     assert other.surface_digest == jittered.digest != candidate_surface.digest
     with pytest.raises(CertificationError, match="^embedding certificate is for surface"):
         conclude_existence(flatness_certificate, other, expansion_certificate)
+
+
+def _rotated_about_z(S: EmbeddedSurface) -> EmbeddedSurface:
+    """S turned about the z-axis by the rational rotation (cos, sin) = (3/5, 4/5)."""
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    coords = tuple(Point3(c * p.x - s * p.y, s * p.x + c * p.y, p.z) for p in S.coords)
+    return EmbeddedSurface(S.triangulation, coords)
+
+
+def test_surface_expansion_equals_the_recipe_written_out(
+    candidate_surface, candidate_enclosure, candidate_crude
+):
+    # the recipe written out: M is the 60-digit enclosure rounded to 10⁻³,
+    # the cap is derived from the crude bounds
+    rounded = [
+        [Fraction(round(Fraction(b.midpoint(60)) * 1000), 1000) for b in row]
+        for row in candidate_enclosure
+    ]
+    recipe = certify_expansion(
+        rounded,
+        dtheta_center=candidate_enclosure,
+        second_order_cap=second_partial_bound(candidate_crude),
+    )
+    derived = certify_surface_expansion(candidate_surface)
+    for field in dataclasses.fields(ExpansionCertificate):
+        assert getattr(derived, field.name) == getattr(recipe, field.name), field.name
+    assert derived.surface_digest == candidate_surface.digest
+
+
+def test_existence_rejects_an_expansion_certificate_of_another_surface(
+    candidate_surface, flatness_certificate, embedding_certificate
+):
+    rotated = _rotated_about_z(candidate_surface)
+    other = certify_surface_expansion(rotated)
+    assert other.n_vertices == 10
+    assert other.surface_digest == rotated.digest != candidate_surface.digest
+    with pytest.raises(CertificationError, match="^expansion certificate is for surface"):
+        conclude_existence(flatness_certificate, embedding_certificate, other)
+
+
+def test_existence_rejects_an_expansion_certificate_that_names_no_surface(
+    reference_matrix, candidate_enclosure, flatness_certificate, embedding_certificate
+):
+    unbound = certify_expansion(
+        reference_matrix,
+        dtheta_center=[list(row) for row in candidate_enclosure],
+        second_order_cap=SECOND_ORDER_CAP,
+    )
+    assert unbound.surface_digest is None
+    with pytest.raises(CertificationError, match="^expansion certificate is for surface None"):
+        conclude_existence(flatness_certificate, embedding_certificate, unbound)
 
 
 @pytest.mark.parametrize("name", ["flatness", "embedding"])
