@@ -228,14 +228,12 @@ class JacobianEnclosure(list):
         self.surface_digest = surface_digest
 
 
-def dtheta_enclosure(
-    S: EmbeddedSurface,
-    precision: int = 60,
-    target_width: Fraction = Fraction(1, 10**40),
-) -> JacobianEnclosure:
+def dtheta_enclosure(S: EmbeddedSurface, precision: int = 60) -> JacobianEnclosure:
     """Certified enclosures of every Jacobian entry ∂Θ_i/∂z_l, with ``S.digest``.
 
-    Each entry Σ N/√D is summed twice by directed rounding: its lower end in
+    ``precision`` = p is the one accuracy parameter: every root, quotient
+    and sum below is rounded at p significant digits.  Each entry Σ N/√D
+    is summed twice by directed rounding: its lower end in
     a ``ROUND_FLOOR`` context, its upper end in a ``ROUND_CEILING`` one, so
     every rounding moves that end outward.  A term's lower end divides ⌊N⌋
     by ``root.hi`` when ⌊N⌋ ≥ 0 and by ``root.lo`` otherwise, as
@@ -255,6 +253,8 @@ def dtheta_enclosure(
     sin θ below the 10⁻⁶ guard (far beneath the certified 0.24 floor).
     """
     n = S.triangulation.n_vertices
+    # sin²θ = d/gg against the guard's square, in integers
+    guard_num, guard_den = _SIN_FLOOR_GUARD.numerator**2, _SIN_FLOOR_GUARD.denominator**2
     down = Context(prec=precision, rounding=ROUND_FLOOR)
     up = Context(prec=precision, rounding=ROUND_CEILING)
     lo = [[Decimal(0)] * n for _ in range(n)]
@@ -263,12 +263,12 @@ def dtheta_enclosure(
         for r in range(3):
             i, j, k = face[r], face[(r + 1) % 3], face[(r + 2) % 3]
             numerators, den, d, gg, a4 = _corner_partials(S, i, j, k)
-            if d * 10**12 < gg:  # sin²θ < 10⁻¹²
+            if d * guard_den < gg * guard_num:
                 raise CertificationError(
                     f"degenerate corner at vertex {i} of face {face}: "
                     f"sin(angle) below {_SIN_FLOOR_GUARD}"
                 )
-            root = sqrt_bounds(Fraction(d, a4), target_width, precision=precision)
+            root = sqrt_bounds(Fraction(d, a4), precision)
             for l, numer in numerators.items():
                 ratio = _short_ratio(numer, den, precision)
                 n_lo, n_hi = down.divide(*ratio), up.divide(*ratio)
@@ -280,13 +280,9 @@ def dtheta_enclosure(
     return JacobianEnclosure(rows, S.digest)
 
 
-def dtheta_analytic(
-    S: EmbeddedSurface,
-    precision: int = 60,
-    target_width: Fraction = Fraction(1, 10**40),
-) -> JacobianMatrix:
-    """The analytic Jacobian as midpoint scalars of the certified enclosures."""
-    rows = dtheta_enclosure(S, precision=precision, target_width=target_width)
+def dtheta_analytic(S: EmbeddedSurface, precision: int = 60) -> JacobianMatrix:
+    """The analytic Jacobian as midpoint scalars of the ``precision``-digit enclosures."""
+    rows = dtheta_enclosure(S, precision=precision)
     return JacobianMatrix(
         entries=tuple(
             tuple(b.midpoint(precision) for b in row) for row in rows
@@ -347,8 +343,6 @@ class CrudeBounds:
     coord_cap: Fraction  # ‖X‖ cap over the whole ball
     euclidean_edge_range: Tuple[Fraction, Fraction]
     tangent_norm_range: Tuple[Fraction, Fraction]
-    sqrt_arg_range: Tuple[Fraction, Fraction]
-    log_arg_range: Tuple[Fraction, Fraction]
     edge_length_center_range: Tuple[Fraction, Fraction]
     edge_length_slack: Fraction
     edge_length_range: Tuple[Fraction, Fraction]
@@ -378,9 +372,9 @@ def crude_bounds(
     [−0.01, 0.961] over the ball via the 70-Lipschitz law-of-cosines map;
     finally |sin θ| ≥ 0.24 over the ball.
 
-    It reads ``S.lattice`` only: each edge's chord integers A, B, C from
-    :mod:`kleincert.klein` decide the norm and ln-argument checks exactly, one
-    ``distance`` per edge its length, and the surface's corner table the cosines.
+    It reads ``S.lattice`` only: each edge's chord integer A from
+    :mod:`kleincert.klein` decides the norm check exactly, one ``distance``
+    per edge its length, and the surface's corner table the cosines.
     The lengths are enclosed at ``distance``'s default width 10⁻⁸: the check
     reads only whether each lies in [0.63, 2.08], and the candidate's lie
     0.0087 or more inside it.
@@ -395,12 +389,12 @@ def crude_bounds(
     _req(center_cap + ball_radius <= coord_cap, "ball escapes the coordinate cap")
 
     edges = sorted(tuple(sorted(e)) for e in T.edges())
-    chords = {(ia, ib): _chord(q, lattice[ia], lattice[ib]) for (ia, ib) in edges}
 
-    # Euclidean edge norms (exact squares)
+    # Euclidean edge norms (exact squares: the chord's A is q²·‖Y − X‖²)
     eu_lo, eu_hi = Fraction(509, 1000), Fraction(1561, 1000)
-    for edge, (A, _, _) in chords.items():
-        _req(eu_lo**2 * q2 <= A <= eu_hi**2 * q2, f"Euclidean norm of edge {edge}")
+    for ia, ib in edges:
+        A = _chord(q, lattice[ia], lattice[ib])[0]
+        _req(eu_lo**2 * q2 <= A <= eu_hi**2 * q2, f"Euclidean norm of edge {(ia, ib)}")
 
     # metric tangent norms over the ball, via ‖V‖² ≤ ‖V‖²_X ≤ ‖V‖²/(1−r²)²
     tn_lo, tn_hi = Fraction(1, 2), Fraction(13)
@@ -408,20 +402,9 @@ def crude_bounds(
     _req(eu_lo**2 >= tn_lo**2, "tangent norm floor")
     _req(eu_hi**2 * factor <= tn_hi**2, "tangent norm cap")
 
-    # hyperbolic edge lengths at the center; the ln arguments are decided
-    # exactly: √Δ − b − 2c = (√disc − s)/q², compared by squaring, and
-    # 4c(a + b + c) = 4C(A + B + C)/q⁴.  The log-argument cap is 2 (the true
-    # per-edge maximum is 1.99020…): it only gates the ln domain.
-    sq_lo, sq_hi = Fraction(193, 100), Fraction(63, 10)
-    lg_lo, lg_hi = Fraction(62, 100), Fraction(2)
+    # hyperbolic edge lengths at the center, one certified distance each
     el_lo, el_hi = Fraction(63, 100), Fraction(208, 100)
-    for (ia, ib), (A, B, C) in chords.items():
-        disc, s = B * B - 4 * A * C, B + 2 * C
-        low, high = sq_lo * q2 + s, sq_hi * q2 + s
-        above_low = low <= 0 or low * low <= disc
-        _req(above_low and high >= 0 and disc <= high * high, f"sqrt argument of edge {(ia, ib)}")
-        arg2 = 4 * C * (A + B + C)  # q⁴ times the log argument
-        _req(lg_lo * q2 * q2 <= arg2 <= lg_hi * q2 * q2, f"log argument of edge {(ia, ib)}")
+    for ia, ib in edges:
         d = distance(q, lattice[ia], lattice[ib], precision=precision)
         _req(
             el_lo <= Fraction(d.lo) and Fraction(d.hi) <= el_hi,
@@ -479,8 +462,6 @@ def crude_bounds(
         coord_cap=coord_cap,
         euclidean_edge_range=(eu_lo, eu_hi),
         tangent_norm_range=(tn_lo, tn_hi),
-        sqrt_arg_range=(sq_lo, sq_hi),
-        log_arg_range=(lg_lo, lg_hi),
         edge_length_center_range=(el_lo, el_hi),
         edge_length_slack=slack,
         edge_length_range=(full_lo, full_hi),
@@ -726,14 +707,14 @@ def singular_lower_bound(M: RationalMatrix) -> Fraction:
     """Certified rational lower bound on the smallest singular value of M.
 
     The square root of the lower end of the smallest-eigenvalue bracket of
-    the Gram matrix, rounded down.
+    the Gram matrix, rounded down at :func:`sqrt_bounds`' default digits.
     """
     lo, _ = smallest_gram_root_bracket(M)
     if lo < 0:
         raise CertificationError("negative root bracket for a Gram matrix")
     if lo == 0:
         return Fraction(0)
-    root = sqrt_bounds(lo, Fraction(1, 10**12))
+    root = sqrt_bounds(lo)
     return Fraction(root.lo)
 
 
@@ -929,7 +910,9 @@ def conclude_existence(
     coverage_radius = expansion.lam * expansion.radius
     if not solution_radius + coverage_radius <= embed.robustness:
         raise CertificationError(
-            f"solution displacement {float(solution_radius):.3e} exceeds the "
+            f"solution displacement {float(solution_radius):.3e} plus coverage radius "
+            f"{float(coverage_radius):.3e}, together "
+            f"{float(solution_radius + coverage_radius):.3e}, exceed the "
             f"embeddedness robustness slack {float(embed.robustness):.3e}"
         )
     if not expansion.radius <= embed.robustness:

@@ -164,14 +164,15 @@ def angle(
 ) -> Decimal:
     """The angle θ = arccos(σ·√A) ∈ [0, π] at a lattice corner, accuracy 10^(2−p).
 
-    √A is the midpoint of a :func:`sqrt_bounds` enclosure of width
-    10^−(p+2) at p + 10 digits, capped at 1; σ signs it and the fixed-point
+    ``precision`` = p sets the accuracy: √A is the midpoint of a
+    :func:`sqrt_bounds` enclosure at p + 10 digits, at most 10^−(p+9) wide
+    as √A ≤ 1, capped at 1; σ signs it and the fixed-point
     :func:`arccos_hp` maps it to θ.  This is the non-certified evaluator of
     the cone-angle and search paths; certificates work with the exact
     (A, σ) pair instead.
     """
     A, sigma = cos2_and_sign(q, x, y, z)
-    root = sqrt_bounds(A, Fraction(1, 10 ** (precision + 2)), precision + 10)
+    root = sqrt_bounds(A, precision + 10)
     cos_theta = min(root.midpoint(precision + 10), Decimal(1))
     return arccos_hp(cos_theta.copy_negate() if sigma < 0 else cos_theta, precision)
 
@@ -194,24 +195,27 @@ def distance(
     as a + b + c = ‖Y‖² − 1.  With (A, B, C) = q²·(a, b, c) from :func:`_chord`,
     Δ = (B² − 4AC)/q⁴ > 0 since A > 0 > C.  √Δ and both logarithms are
     certified enclosures of exact rationals, combined outward, so the result
-    contains the true distance; ``target_width`` sets each one's width.  The
-    first argument lies in [u, v] from √Δ's enclosure, and one ln enclosure
-    of u serves both ends: ln is concave, so ln v ≤ ln u + (v − u)/u.
+    contains the true distance.  ``target_width`` = w sets the accuracy:
+    each logarithm is enclosed to width w/4, and ``precision`` is only the
+    digits that carry √Δ and the outward rounding, which must resolve well
+    below w (``crude_bounds`` asks for w = 10⁻⁸ at 80 digits).  The first
+    argument lies in [u, v] from √Δ's enclosure, and one ln enclosure of u
+    serves both ends: ln is concave, so ln v ≤ ln u + (v − u)/u.
     """
     A, B, C = _chord(q, x, y)
     if A == 0:
         raise ValueError("distance requires X != Y")
     q2 = q * q
     tw = as_fraction(target_width)
-    root = sqrt_bounds(Fraction(B * B - 4 * A * C, q2 * q2), tw / 4, precision)
+    root = sqrt_bounds(Fraction(B * B - 4 * A * C, q2 * q2), precision)
     s = Fraction(B + 2 * C, q2)
     arg1_lo = Fraction(root.lo) - s
     arg1_hi = Fraction(root.hi) - s
     if arg1_lo <= 0:
         raise ValueError("logarithm arguments must be positive for model points")
 
-    ln1 = ln_bounds(arg1_lo, tw / 4, precision)
-    ln2 = ln_bounds(Fraction(4 * C * (A + B + C), q2 * q2), tw / 4, precision)
+    ln1 = ln_bounds(arg1_lo, tw / 4)
+    ln2 = ln_bounds(Fraction(4 * C * (A + B + C), q2 * q2), tw / 4)
     lo = Fraction(ln1.lo) - Fraction(ln2.hi) / 2
     hi = Fraction(ln1.hi) + (arg1_hi - arg1_lo) / arg1_lo - Fraction(ln2.lo) / 2
     return Bound.from_fraction_pair(lo, hi, precision)

@@ -24,9 +24,11 @@ by the geometry layers:
 * :func:`exp_bounds` — enclosure of e^x from S_n(x) plus the remainder
   a^(n+1)·3^a/(n+1)! valid on |x| ≤ a,
 * :func:`ln_bounds` — enclosure of ln x around the library logarithm, its two
-  endpoints t certified via e^t ≶ x with exact rational comparisons,
+  endpoints t certified via e^t ≶ x with exact rational comparisons; its
+  one accuracy parameter is the width,
 * :func:`sqrt_bounds` — enclosure [s, s + 1]·10^−k of √x from one integer
-  square root s = ⌊√x·10^k⌋, a point when s² matches x exactly,
+  square root s = ⌊√x·10^k⌋, a point when s² matches x exactly; its one
+  accuracy parameter is the digits of s,
 * :func:`hyp_bounds` — sinh/cosh/tanh enclosures on [−3, 3], combined
   outward from the two :func:`exp_bounds` enclosures of e^x and e^−x,
 * :func:`arccos_hp` — a *non-certified* high-precision arccos used only by the
@@ -280,21 +282,23 @@ def _classify_exp(t: Decimal, x: Fraction, tolerance: Fraction, precision: int) 
     )
 
 
-def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_PRECISION) -> Bound:
+def ln_bounds(x: NumberLike, target_width: NumberLike) -> Bound:
     """Certified enclosure [a, b] of ln x with b − a ≤ target_width.
 
-    The untrusted candidate is the library logarithm h at ten digits beyond
-    the width's resolution.  The endpoints a = h − w/3 and b = h + w/3,
-    w = target_width, are rounded outward at that precision and certified by
-    e^a ≤ x ≤ e^b through :func:`_classify_exp`; if either check fails the
+    ``target_width`` is the one accuracy parameter: it sets the digits
+    D = max(0, −⌊log10 w⌋) + 10, w = target_width, of the whole computation.
+    The untrusted candidate is the library logarithm h at D digits.  The
+    endpoints a = h − w/3 and b = h + w/3 are rounded outward at D digits
+    and certified by e^a ≤ x ≤ e^b through :func:`_classify_exp`, whose
+    enclosures are rounded at D digits too; if either check fails the
     candidate is rejected with :class:`CertificationError`.
 
     Each check sums one Taylor series, of the least order whose remainder
     cap is at most x·u/12 with u = min(w, 1), so its enclosure lies within
-    x·u/6 of e^t.  Both endpoints lie about w/3 ≥ u/3 from ln x, so e^a and
-    e^b lie at least x·(1 − e^(−u/3)) ≥ x·u/4 from x: the enclosure
-    separates unless the candidate is off by about u/12, far above its
-    error.
+    x·u/6 + x·10^(1−D) ≤ x·u/5 of e^t.  Both endpoints lie about w/3 ≥ u/3
+    from ln x, so e^a and e^b lie at least x·(1 − e^(−u/3)) ≥ x·u/4 from x:
+    the enclosure separates unless the candidate is off by about u/12, far
+    above its error.
     """
     xf = as_fraction(x)
     if xf <= 0:
@@ -302,10 +306,6 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
     tw = as_fraction(target_width)
     if tw <= 0:
         raise ValueError(f"target width must be positive, got {target_width}")
-    if tw < Fraction(10) ** (10 - precision):
-        raise ValueError(
-            f"target width {target_width} is below what precision {precision} can resolve"
-        )
 
     digits = max(0, -_fraction_exponent(tw)) + 10
     with localcontext(_context(digits)):
@@ -314,8 +314,8 @@ def ln_bounds(x: NumberLike, target_width: NumberLike, precision: int = DEFAULT_
     hi = decimal_from_fraction(hint + tw / 3, digits, ROUND_CEILING)
     tolerance = xf * min(tw, 1) / 12
     if (
-        _classify_exp(lo, xf, tolerance, precision) > 0
-        or _classify_exp(hi, xf, tolerance, precision) < 0
+        _classify_exp(lo, xf, tolerance, digits) > 0
+        or _classify_exp(hi, xf, tolerance, digits) < 0
     ):
         raise CertificationError(f"candidate enclosure [{lo}, {hi}] of ln {x} failed verification")
     return Bound(lo, hi)
@@ -351,65 +351,33 @@ def _round_significant(x: Fraction, digits: int, up: bool) -> Fraction:
     return (math.ceil(steps) if up else math.floor(steps)) * quantum
 
 
-def sqrt_bounds(
-    x: NumberLike, target_width: NumberLike | None = None, precision: int = DEFAULT_PRECISION
-) -> Bound:
+def sqrt_bounds(x: NumberLike, precision: int = DEFAULT_PRECISION) -> Bound:
     """Certified enclosure [s, s + 1]·10^−k of √x from one integer square root.
 
-    s = ⌊√x·10^k⌋ = isqrt(⌊x·10^(2k)⌋), exact as ⌊√⌊y⌋⌋ = ⌊√y⌋, has p digits:
-    p = ``precision``, or the fewest digits whose ulp 10^−k is at most
-    ``target_width`` if that is more.  If s² = x·10^(2k), the enclosure is
-    the point s·10^−k.  When the width asks for more than ``precision``
-    digits and √x is a finite decimal longer than p digits, the enclosure is
-    the point √x (see :func:`_decimal_sqrt`), not the one-ulp interval that
-    straddles it.  Brent and Zimmermann, *Modern Computer Arithmetic*, ch. 1.
+    ``precision`` = p is the one accuracy parameter: s = ⌊√x·10^k⌋ =
+    isqrt(⌊x·10^(2k)⌋), exact as ⌊√⌊y⌋⌋ = ⌊√y⌋, has p significant digits,
+    so the width is 10^(e + 1 − p) with e = ⌊log10 √x⌋.  If s² = x·10^(2k),
+    the enclosure is the point s·10^−k.  Brent and Zimmermann, *Modern
+    Computer Arithmetic*, ch. 1.
     """
     xf = as_fraction(x)
     if xf < 0:
         raise ValueError(f"sqrt is only defined for x >= 0, got {x}")
     if xf == 0:
         return Bound(Decimal(0), Decimal(0))
-    tw = None if target_width is None else as_fraction(target_width)
-    if tw is not None and tw <= 0:
-        raise ValueError(f"target width must be positive, got {target_width}")
     if precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
 
     e = _fraction_exponent(xf) // 2  # floor(log10 √x)
-    p = precision if tw is None else max(precision, e + 1 - _fraction_exponent(tw))
-    k = p - 1 - e
+    k = precision - 1 - e
     num, den = xf.numerator * 100 ** max(k, 0), xf.denominator * 100 ** max(-k, 0)
     s = math.isqrt(num // den)
     # scaleb in a context wide enough for s + 1 is exact (no int-to-str limit)
-    exact = Context(prec=p + 1)
+    exact = Context(prec=precision + 1)
     lo = exact.scaleb(Decimal(s), -k)
     if s * s * den == num:
         return Bound(lo, lo)
-    root = _decimal_sqrt(xf) if p > precision else None
-    if root is not None:
-        return Bound(root, root)
     return Bound(lo, exact.scaleb(Decimal(s + 1), -k))
-
-
-def _decimal_sqrt(x: Fraction) -> Decimal | None:
-    """√x exactly, when it is a finite decimal; else None.
-
-    That is x = a²/b² in lowest terms with b = 2^i·5^j, and then
-    √x = a·2^(e−i)·5^(e−j)·10^−e for e = max(i, j).
-    """
-    b = math.isqrt(x.denominator)
-    if b * b != x.denominator:
-        return None
-    i = (b & -b).bit_length() - 1
-    rest, j = b >> i, 0
-    while rest % 5 == 0:
-        rest, j = rest // 5, j + 1
-    a = math.isqrt(x.numerator)
-    if rest != 1 or a * a != x.numerator:
-        return None
-    e = max(i, j)
-    m = Decimal(a * 2 ** (e - i) * 5 ** (e - j))
-    return Context(prec=m.adjusted() + 1).scaleb(m, -e)
 
 
 # ---------------------------------------------------------------------------

@@ -318,7 +318,8 @@ def newton_refine(
     (x and y stay exactly fixed), with the Jacobian evaluated analytically
     and each linear system solved by LU with partial pivoting.  Every
     ``theta_map``, ``dtheta_analytic`` and LU solve runs at
-    P = ``config.newton_digits`` digits.  A step from an iterate whose
+    P = ``config.newton_digits`` digits, the one accuracy parameter of
+    each.  A step from an iterate whose
     squared defect norm is 10^e (e = ⌊log10⌋, exact) predicts a next
     defect norm near 10^e and determines no more digits than that, so each
     new height is rounded half-even to a multiple of 10^(e − 10); unrounded,
@@ -353,12 +354,11 @@ def newton_refine(
     if norm_sq <= tol_sq:
         return surface
 
-    jac_width = Fraction(1, 10 ** min(precision // 2, 150))
     previous = norm_sq
     increases = 0
     current = surface
     for _ in range(config.max_steps):
-        jacobian = dtheta_analytic(current, precision=precision, target_width=jac_width)
+        jacobian = dtheta_analytic(current, precision=precision)
         rows = jacobian.entries
         delta = _lu_solve(rows, list(defect.theta), precision)
         grid = Fraction(10) ** (_fraction_exponent(norm_sq) - 10)

@@ -9,7 +9,8 @@ frozen constants can be re-derived.
 Conventions: every oracle returns an exact rational *enclosure* ``(lo, hi)``
 with lo ≤ true value ≤ hi, never a point estimate — except the reference
 bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
-:func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`rho_two_isqrt`,
+:func:`arccos_maclaurin`, :func:`sqrt_bounds_stepped`, :func:`ln_bounds_reference`,
+:func:`rho_two_isqrt`,
 :func:`witness_scan_reference`, :func:`admitted_reference`,
 :func:`decimal_quotient_reference`,
 :func:`dtheta_enclosure_reference`, :func:`hill_climb_reference`,
@@ -230,6 +231,55 @@ def sqrt_bounds_stepped(
             return lo, hi
         p += max(16, fraction_exponent(width) - fraction_exponent(target_width) + 4)
     raise ArithmeticError(f"sqrt enclosure for {x} did not reach width {target_width}")
+
+
+def ln_bounds_reference(
+    x: Fraction, target_width: Fraction, precision: int
+) -> Tuple[Decimal, Decimal]:
+    """(lo, hi) of ln x, x > 0, from the package's replaced ``ln_bounds`` body.
+
+    It refused a width below 10^(10 − precision).  The endpoints h ∓ w/3,
+    h the library logarithm, were rounded outward at D = max(0, −⌊log10 w⌋)
+    + 10 digits, and each was certified by e^t ≶ x with the enclosure
+    S_n(t) ± a^(n+1)·3^a/(n+1)!, a = max(1, ⌈|t|⌉) and n the least order
+    whose remainder is at most x·min(w, 1)/12, rounded outward at
+    ``precision`` digits.  Raises ArithmeticError if that check fails.
+    """
+    w = target_width
+    if w < Fraction(10) ** (10 - precision):
+        raise ValueError(f"target width {w} is below what precision {precision} can resolve")
+    digits = max(0, -fraction_exponent(w)) + 10
+    with localcontext(Context(prec=digits)):
+        hint = Fraction((Decimal(x.numerator) / Decimal(x.denominator)).ln())
+    lo, hi = (
+        decimal_quotient_reference(end.numerator, end.denominator, digits, rounding)
+        for end, rounding in ((hint - w / 3, ROUND_FLOOR), (hint + w / 3, ROUND_CEILING))
+    )
+    tolerance = x * min(w, 1) / 12
+
+    def rounded(value: Fraction, rounding: str) -> Fraction:
+        return Fraction(
+            decimal_quotient_reference(value.numerator, value.denominator, precision, rounding)
+        )
+
+    def exp_vs_x(t: Decimal) -> int:  # -1 if e^t < x, +1 if e^t > x
+        tf = Fraction(t)
+        if tf == 0:
+            return (x < 1) - (x > 1)
+        a = max(1, math.ceil(abs(tf)))
+        n = 0
+        while (remainder := Fraction(a ** (n + 1) * 3**a, math.factorial(n + 1))) > tolerance:
+            n += 1
+        total = exp_partial_sum(tf, n)
+        if rounded(total + remainder, ROUND_CEILING) <= x:
+            return -1
+        if rounded(total - remainder, ROUND_FLOOR) >= x:
+            return 1
+        raise ArithmeticError(f"exp enclosure at t = {t} cannot separate e^t from {x}")
+
+    if exp_vs_x(lo) > 0 or exp_vs_x(hi) < 0:
+        raise ArithmeticError(f"candidate enclosure [{lo}, {hi}] of ln {x} failed verification")
+    return lo, hi
 
 
 def cos_enclosure(t: Fraction, n: int = 40) -> Enclosure:
@@ -620,12 +670,11 @@ def newton_refine_reference(
         trace.append(norm_sq)
     if norm_sq <= tol_sq:
         return surface
-    jac_width = Fraction(1, 10 ** min(precision // 2, 150))
     previous = norm_sq
     increases = 0
     current = surface
     for _ in range(config.max_steps):
-        rows = dtheta_analytic(current, precision=precision, target_width=jac_width).entries
+        rows = dtheta_analytic(current, precision=precision).entries
         delta = lu_solve(rows, list(defect.theta), precision)
         grid = Fraction(10) ** (fraction_exponent(norm_sq) - 10)
         heights = tuple(

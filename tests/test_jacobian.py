@@ -271,7 +271,7 @@ def _exact_entries(S: EmbeddedSurface):
 
 
 def _assert_enclosure_holds_the_exact_entries(S, exact, precision):
-    rows = dtheta_enclosure(S, precision=precision, target_width=Fraction(1, 10))
+    rows = dtheta_enclosure(S, precision=precision)
     for i, row in enumerate(rows):
         for l, b in enumerate(row):
             if (i, l) in exact:
@@ -286,8 +286,8 @@ def candidate_exact_entries(candidate_surface):
     return _exact_entries(candidate_surface)
 
 
-# at 3 to 8 digits and width 1/10 the rounding of each term is as large as the
-# root's width, so each end must round away from the entry on its own
+# at 3 to 8 digits the rounding of each term is as large as the root's
+# width, so each end must round away from the entry on its own
 @pytest.mark.parametrize("precision", range(3, 9))
 def test_jacobian_enclosure_contains_the_exact_entry_on_the_candidate(
     candidate_surface, candidate_exact_entries, precision
@@ -332,7 +332,7 @@ def _first_newton_iterate(start):
     is z − δ taken whole, where ``newton_refine`` would round it to the
     digits the step determined, so the lattice denominator q has hundreds
     of digits."""
-    jacobian = dtheta_analytic(start, precision=400, target_width=Fraction(1, 10**150))
+    jacobian = dtheta_analytic(start, precision=400)
     delta = _lu_solve(jacobian.entries, list(theta_map(start, 400).theta), 400)
     iterate = surface_with_heights(
         start, [p.z - Fraction(d) for p, d in zip(start.coords, delta)]
@@ -349,19 +349,22 @@ def test_jacobian_enclosure_rounds_as_the_whole_fraction_body(
     candidate_surface, refine_input, surface, precision, target_width
 ):
     # every endpoint, digits and exponent, as when each N was reduced to a
-    # Fraction and converted whole
+    # Fraction and converted whole; target_width is the width these call
+    # sites passed while the enclosure also took one, and each root's
+    # digits already met it
     S = candidate_surface if surface == "candidate" else _first_newton_iterate(refine_input)
     corners = []
     for face in S.triangulation.faces:
         for r in range(3):
             i, j, k = face[r], face[(r + 1) % 3], face[(r + 2) % 3]
             numerators, den, d, _, a4 = _corner_partials(S, i, j, k)
-            root = sqrt_bounds(Fraction(d, a4), target_width, precision=precision)
+            root = sqrt_bounds(Fraction(d, a4), precision)
+            assert Fraction(root.hi) - Fraction(root.lo) <= target_width
             corners.append(
                 (i, {l: Fraction(N, den) for l, N in numerators.items()}, (root.lo, root.hi))
             )
     want = dtheta_enclosure_reference(S.triangulation.n_vertices, corners, precision)
-    got = dtheta_enclosure(S, precision=precision, target_width=target_width)
+    got = dtheta_enclosure(S, precision=precision)
     for got_row, want_row in zip(got, want):
         for b, (lo, hi) in zip(got_row, want_row):
             assert (b.lo.as_tuple(), b.hi.as_tuple()) == (lo.as_tuple(), hi.as_tuple())
@@ -425,8 +428,7 @@ def test_fd_reproduces_linear_map_exactly(tetrahedron_surface):
 
 
 def test_fd_truncation_error_is_second_order(candidate_surface):
-    tight = dtheta_enclosure(candidate_surface, precision=80,
-                             target_width=Fraction(1, 10**60))
+    tight = dtheta_enclosure(candidate_surface, precision=80)
 
     def deviation(h):
         fd = dtheta_fd(candidate_surface, h=h, precision=60)
@@ -460,8 +462,6 @@ def test_crude_bound_families_on_candidate(candidate_crude):
     assert c.coord_cap == Fraction(4, 5)
     assert c.euclidean_edge_range == (Fraction(509, 1000), Fraction(1561, 1000))
     assert c.tangent_norm_range == (Fraction(1, 2), Fraction(13))
-    assert c.sqrt_arg_range == (Fraction(193, 100), Fraction(63, 10))
-    assert c.log_arg_range == (Fraction(62, 100), Fraction(2))
     assert c.edge_length_center_range == (Fraction(63, 100), Fraction(208, 100))
     assert c.edge_length_slack == Fraction(16, 10**18)
     assert c.edge_length_range == (Fraction(3, 5), Fraction(21, 10))
@@ -473,8 +473,8 @@ def test_crude_bound_families_on_candidate(candidate_crude):
 
 
 def test_log_argument_maximum_needs_outward_rounding(candidate_surface):
-    # the true per-edge maximum of 4c² + 4ac + 4bc exceeds 1.99, so the
-    # aggregate interval must round up to 2 to contain it
+    # the true per-edge maximum of 4c² + 4ac + 4bc, the second ln argument
+    # of distance, exceeds 1.99: a cap on it would have to round up to 2
     T = candidate_surface.triangulation
     edges = {tuple(sorted((f[r], f[(r + 1) % 3]))) for f in T.faces for r in range(3)}
     worst = Fraction(0)
@@ -541,7 +541,8 @@ def test_crude_bounds_failure_names_the_edge(tetrahedron):
 
 
 def test_crude_bounds_rejects_a_sqrt_argument_out_of_range(tetrahedron):
-    # √Δ − b − 2c of edge (0, 1), a diameter of length 1.56, is 6.3368 > 6.3
+    # √Δ − b − 2c of edge (0, 1), a diameter of length 1.56, is 6.3368; no
+    # premise reads that argument, and the edge fails on its length instead
     wide = EmbeddedSurface(
         triangulation=tetrahedron,
         coords=tuple(
@@ -549,21 +550,20 @@ def test_crude_bounds_rejects_a_sqrt_argument_out_of_range(tetrahedron):
             for p in (("-0.78", 0, 0), ("0.78", 0, 0), (0, "0.6", 0), (0, 0, "0.6"))
         ),
     )
-    message = r"^crude bound failed: sqrt argument of edge \(0, 1\)$"
+    message = r"^crude bound failed: hyperbolic length of edge \(0, 1\)$"
     with pytest.raises(CertificationError, match=message):
         crude_bounds(wide)
 
 
-def test_crude_bounds_rejects_a_log_argument_out_of_range(tetrahedron):
-    # 4c(a + b + c) = 4(1 − |X|²)(1 − |Y|²) of edge (0, 1) is 0.616225 < 0.62
+def test_crude_bounds_reads_no_log_argument_range(tetrahedron):
+    # 4c(a + b + c) = 4(1 − |X|²)(1 − |Y|²) of edge (0, 1) is 0.616225, an ln
+    # argument outside [0.62, 2]; no premise reads it, and the mesh passes
     r = Fraction(45, 100)
     regular = EmbeddedSurface(
         triangulation=tetrahedron,
         coords=(Point3(r, r, r), Point3(r, -r, -r), Point3(-r, r, -r), Point3(-r, -r, r)),
     )
-    message = r"^crude bound failed: log argument of edge \(0, 1\)$"
-    with pytest.raises(CertificationError, match=message):
-        crude_bounds(regular)
+    assert crude_bounds(regular).sin_floor == Fraction(6, 25)
 
 
 def test_crude_bounds_rejects_oversized_ball(candidate_surface):
@@ -1013,6 +1013,23 @@ def test_existence_inflated_defect_cap_fails_robustness(
             expansion_certificate,
             defect_norm_cap=Fraction(1, 10**6),
         )
+
+
+def test_existence_robustness_failure_states_both_radii_and_their_sum(
+    flatness_certificate, embedding_certificate, expansion_certificate
+):
+    # radius 10⁻³ at cap 1/10 keeps the second-order premise, 10·10⁻³/10 ≤
+    # e_inf/2, and covers 5·10⁻⁴ of defect: far beyond the slack 10⁻⁷
+    wide = dataclasses.replace(
+        expansion_certificate, radius=Fraction(1, 10**3), second_order_cap=Fraction(1, 10)
+    )
+    assert wide.surface_digest == flatness_certificate.surface_digest
+    message = (
+        r"^solution displacement 2\.000e-27 plus coverage radius 5\.000e-04, together "
+        r"5\.000e-04, exceed the embeddedness robustness slack 1\.000e-07$"
+    )
+    with pytest.raises(CertificationError, match=message):
+        conclude_existence(flatness_certificate, embedding_certificate, wide)
 
 
 def test_existence_inflated_radius_fails_second_order_premise(

@@ -274,9 +274,9 @@ def test_distance_encloses_one_logarithm_per_term(monkeypatch):
     calls = []
     real = klein.ln_bounds
 
-    def counting(x, target_width, precision):
+    def counting(x, target_width):
         calls.append(x)
-        return real(x, target_width, precision)
+        return real(x, target_width)
 
     monkeypatch.setattr(klein, "ln_bounds", counting)
     x, y = Point3.of("0.1", "-0.2", "0.3"), Point3.of("-0.4", "0.15", "0.05")

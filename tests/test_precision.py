@@ -26,14 +26,17 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import kleincert.jacobian as jacobian_module
 import kleincert.klein as klein_module
 import kleincert.precision as precision_module
-from kleincert.jacobian import crude_bounds
+from kleincert.jacobian import crude_bounds, dtheta_enclosure
 from kleincert.mesh import cone_angle
+from kleincert.search import SearchConfig, newton_refine
 from kleincert.precision import (
+    DEFAULT_PRECISION,
     Bound,
     CertificationError,
     arccos_hp,
@@ -155,11 +158,6 @@ def test_ln_bounds_rejects_nonpositive():
         ln_bounds(-1, "1e-2")
 
 
-def test_ln_bounds_rejects_unreachable_width():
-    with pytest.raises(ValueError):
-        ln_bounds(2, "1e-60", precision=40)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
@@ -191,6 +189,35 @@ def test_ln_bounds_of_two_at_width_thirty():
     b = ln_bounds(2, 30)
     assert b.lo < 0 < b.hi and Fraction(b.hi) - Fraction(b.lo) <= 30
     assert contains_enclosure(b, LN2_LO, LN2_HI)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.one_of(
+        st.fractions(min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6),
+        st.builds(
+            lambda m, e: m * Fraction(10) ** e,
+            st.integers(min_value=1, max_value=10**6),
+            st.integers(min_value=-15, max_value=15),
+        ),
+    ),
+    width=st.builds(
+        lambda m, k: Fraction(m) / Fraction(10) ** k,
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=-1, max_value=80),
+    ),
+    precision=st.sampled_from([80, 400]),
+)
+@example(x=Fraction(2), width=Fraction(1, 10**70), precision=80)
+def test_ln_bounds_equals_the_reference_body(x, width, precision):
+    # the replaced body, which also took precision, wherever it accepts the
+    # width: both certify, and their endpoints are equal digit for digit
+    try:
+        want = oracles.ln_bounds_reference(x, width, precision)
+    except ValueError:
+        assume(False)  # a width below what that precision could resolve
+    got = ln_bounds(x, width)
+    assert (got.lo.as_tuple(), got.hi.as_tuple()) == (want[0].as_tuple(), want[1].as_tuple())
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,17 +344,17 @@ def test_ln_exp_roundtrip():
 
 
 def test_sqrt_bounds_exact_square_collapses():
-    b = sqrt_bounds(4, "1e-30")
+    b = sqrt_bounds(4, 30)
     assert b.lo == b.hi == Decimal(2)
 
 
 def test_sqrt_bounds_zero():
-    b = sqrt_bounds(0, "1e-2")
+    b = sqrt_bounds(0)
     assert b.lo == b.hi == Decimal(0)
 
 
 def test_sqrt_bounds_of_two():
-    b = sqrt_bounds(2, "1e-32")
+    b = sqrt_bounds(2, 33)  # one ulp is 10⁻³²
     # The exact squaring inequality certifies that the Bound contains sqrt(2);
     # overlap with the frozen oracle enclosure cross-checks the location.
     assert Fraction(b.lo) ** 2 <= 2 <= Fraction(b.hi) ** 2
@@ -348,18 +375,17 @@ def test_sqrt_bounds_rejects_negative():
         sqrt_bounds(-1)
 
 
-def test_sqrt_bounds_tiny_width_retries_precision():
-    b = sqrt_bounds(2, Fraction(1, 10**450), precision=100)
-    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**450)
-    assert Fraction(b.lo) ** 2 <= 2 <= Fraction(b.hi) ** 2
+def _digits_for(x: Fraction, width: Fraction | None, p: int) -> int:
+    """p, or the fewest digits whose ulp at √x is at most ``width`` if that
+    is more: ⌊log10 √x⌋ + 1 − ⌊log10 width⌋."""
+    if width is None:
+        return p
+    return max(p, oracles.fraction_exponent(x) // 2 + 1 - oracles.fraction_exponent(width))
 
 
-def _check_integer_root(bound: Bound, x: Fraction, width: Fraction | None, p: int) -> None:
-    """``bound`` is [s, s + 1]·10^−k with s²·den ≤ num·10^(2k) < (s + 1)²·den.
-
-    s has p digits, or, when ``width`` needs more, the fewest whose ulp 10^−k
-    is at most ``width``.  An exact square is the point s·10^−k itself.
-    """
+def _check_integer_root(bound: Bound, x: Fraction, p: int) -> None:
+    """``bound`` is [s, s + 1]·10^−k with s²·den ≤ num·10^(2k) < (s + 1)²·den
+    and s of p digits.  An exact square is the point s·10^−k itself."""
     lo, hi = Fraction(bound.lo), Fraction(bound.hi)
     if lo == hi:
         assert lo * lo == x
@@ -371,36 +397,39 @@ def _check_integer_root(bound: Bound, x: Fraction, width: Fraction | None, p: in
     s = s.numerator
     scaled = x.numerator * Fraction(10) ** (2 * k)
     assert s * s * x.denominator <= scaled < (s + 1) ** 2 * x.denominator
-    assert 10 ** (p - 1) <= s
-    if s >= 10**p:  # more digits than asked for: only the width can need them
-        assert width is not None and width < 10 * (hi - lo)
-    if width is not None:
-        assert hi - lo <= width
+    assert 10 ** (p - 1) <= s < 10**p
 
 
 def _check_against_stepped(x: Fraction, width: Fraction | None, p: int) -> None:
     """``sqrt_bounds`` against ``oracles.sqrt_bounds_stepped``, the body it replaced.
 
-    Where the reference is one ulp wide at the digits it ends on, the integer
-    root at those digits equals it; where it is wider, it lies inside.  When
-    it did not raise the precision, those digits are p and the result itself
-    is compared.  A raised reference repeats at 16 or more extra digits, so
-    it can be narrower than the fewest digits that meet the width, and there
-    the integer-root conditions decide.
+    That body took a width as well as p and raised its digits until it met
+    the width; ``sqrt_bounds`` is given the digits :func:`_digits_for` that
+    width, D.  Where the reference is one ulp wide at the digits it ends on,
+    the integer root at those digits equals it; where it is wider, it lies
+    inside.  A raised reference repeats at 16 or more extra digits, so it
+    can end on more than D, and there the integer-root conditions decide.
+    Where it is the point √x, a finite decimal of more than D digits, the
+    D-digit enclosure holds that point.
     """
-    new = sqrt_bounds(x, width, p)
-    _check_integer_root(new, x, width, p)
+    digits = _digits_for(x, width, p)
+    new = sqrt_bounds(x, digits)
+    _check_integer_root(new, x, digits)
+    if width is not None:
+        assert Fraction(new.hi) - Fraction(new.lo) <= width
     old_lo, old_hi = oracles.sqrt_bounds_stepped(x, width, p)
     if old_lo == old_hi:
-        assert new.lo == new.hi == old_lo
+        assert new.lo <= old_lo <= new.hi
+        if width is None:
+            assert new.lo == new.hi
         return
-    digits = max(len(old_lo.as_tuple().digits), len(old_hi.as_tuple().digits))
-    same = sqrt_bounds(x, None, digits)
-    if Context(prec=digits).next_plus(old_lo) == old_hi:
+    ended = max(len(old_lo.as_tuple().digits), len(old_hi.as_tuple().digits))
+    same = sqrt_bounds(x, ended)
+    if Context(prec=ended).next_plus(old_lo) == old_hi:
         assert (same.lo, same.hi) == (old_lo, old_hi)
     else:
         assert old_lo <= same.lo and same.hi <= old_hi
-    if digits == p:
+    if ended == digits:
         assert (new.lo, new.hi) == (same.lo, same.hi)
 
 
@@ -430,29 +459,59 @@ _POSITIVE_RATIONALS = st.one_of(
     ),
     p=st.sampled_from([1, 5, 20, 60]),
 )
-@example(x=Fraction(441, 4), width=Fraction(1), p=1)  # √x = 10.5, the width forces two digits
+@example(x=Fraction(441, 4), width=Fraction(1), p=1)  # two digits meet the width; √x = 10.5
 def test_sqrt_bounds_agrees_with_the_stepped_reference(x, width, p):
     _check_against_stepped(x, width, p)
 
 
+#: The width each call site passed while sqrt_bounds also took one, from
+#: the digits p it passes: distance's w/4 at the default w = 10⁻⁸, angle's
+#: 10^−(p+2) at p + 10 digits, the Jacobian's default 10⁻⁴⁰, and Newton's
+#: 10^−min(P/2, 150) at P digits.
+_CALL_SITE_WIDTHS = {
+    "distance": lambda p: Fraction(1, 4 * 10**8),
+    "angle": lambda p: Fraction(1, 10 ** (p - 8)),
+    "dtheta_enclosure": lambda p: Fraction(1, 10**40),
+    "newton": lambda p: Fraction(1, 10 ** min(p // 2, 150)),
+}
+
+
 def test_sqrt_bounds_agrees_with_the_stepped_reference_on_the_candidate(
-    candidate_surface, monkeypatch
+    candidate_surface, refine_input, monkeypatch
 ):
+    # the digits every call site passes already meet the width it used to
+    # pass, so dropping the width changed no enclosure
     calls = []
+    site = {}
 
-    def recording(x, width=None, p=precision_module.DEFAULT_PRECISION):
-        calls.append((x, width, p))
-        return sqrt_bounds(x, width, p)
+    def recorder(module):
+        def recording(x, p=DEFAULT_PRECISION):
+            calls.append((site[module], Fraction(x), p))
+            return sqrt_bounds(x, p)
 
-    monkeypatch.setattr(klein_module, "sqrt_bounds", recording)
+        return recording
+
+    monkeypatch.setattr(klein_module, "sqrt_bounds", recorder("klein"))
+    monkeypatch.setattr(jacobian_module, "sqrt_bounds", recorder("jacobian"))
+    site["klein"] = "distance"
     crude_bounds(candidate_surface)
     assert len(calls) == 36  # one chord per edge
+    site["klein"] = "angle"
     for digits in (60, 410):
         for i in range(len(candidate_surface.coords)):
             cone_angle(candidate_surface, i, digits)
     assert len(calls) == 36 + 2 * 72  # one corner A per corner and precision
-    for x, width, p in calls:
-        _check_against_stepped(Fraction(x), Fraction(width), p)
+    site["jacobian"] = "dtheta_enclosure"
+    dtheta_enclosure(candidate_surface, 60)
+    assert len(calls) == 36 + 3 * 72
+    site["jacobian"] = "newton"
+    newton_refine(refine_input, SearchConfig(max_steps=1))
+    assert len(calls) == 36 + 6 * 72  # two defect maps and one Jacobian
+    for tag, x, p in calls:
+        width = _CALL_SITE_WIDTHS[tag](p)
+        assert _digits_for(x, width, p) == p  # p digits already meet the width
+        got = sqrt_bounds(x, p)
+        assert (got.lo, got.hi) == oracles.sqrt_bounds_stepped(x, width, p), (tag, p)
 
 
 @pytest.mark.parametrize(
@@ -474,22 +533,16 @@ def test_sqrt_bounds_edge_cases(x, p, width):
     _check_against_stepped(x, width, p)
 
 
-def test_sqrt_bounds_is_the_finite_decimal_root_a_width_forces():
-    # two digits meet width 1, and √(441/4) = 10.5 needs three
-    b = sqrt_bounds(Fraction(441, 4), 1, 1)
-    assert b.lo == b.hi == Decimal("10.5")
-    r = 1 + Fraction(1, 10**5000)  # 5001 digits, past the int-to-str limit
-    b = sqrt_bounds(r * r, Fraction(1, 10**10), 1)
-    assert Fraction(b.lo) == Fraction(b.hi) == r
-
-
 def test_sqrt_bounds_straddles_a_root_the_width_does_not_force_or_that_never_ends():
-    b = sqrt_bounds(Fraction(441, 4), None, 1)  # one digit asked for and none forced
+    # √(441/4) = 10.5 needs three digits: at one or two the enclosure straddles it
+    b = sqrt_bounds(Fraction(441, 4), 1)
     assert (b.lo, b.hi) == (Decimal(10), Decimal(20))
-    b = sqrt_bounds(Fraction(441, 4), 10, 1)
-    assert (b.lo, b.hi) == (Decimal(10), Decimal(20))
-    for x in (Fraction(4, 9), Fraction(2, 25), Fraction(441, 8)):  # √x is no finite decimal
-        b = sqrt_bounds(x, Fraction(1, 10**5), 1)
+    b = sqrt_bounds(Fraction(441, 4), 2)
+    assert (b.lo, b.hi) == (Decimal(10), Decimal(11))
+    assert sqrt_bounds(Fraction(441, 4), 3) == Bound(Decimal("10.5"), Decimal("10.5"))
+    # √x is no finite decimal: digits enough for an ulp of 10⁻⁵ give exactly that
+    for x, p in ((Fraction(4, 9), 5), (Fraction(2, 25), 5), (Fraction(441, 8), 6)):
+        b = sqrt_bounds(x, p)
         assert Fraction(b.hi) - Fraction(b.lo) == Fraction(1, 10**5)
         assert Fraction(b.lo) ** 2 < x < Fraction(b.hi) ** 2
 
@@ -498,21 +551,19 @@ def test_sqrt_bounds_beyond_the_int_to_str_digit_limit():
     # integers of more than 4300 digits cannot be printed in base 10 by
     # default; the kernel never does
     big = Fraction(7**20000)
-    b = sqrt_bounds(big, None, 5)
+    b = sqrt_bounds(big, 5)
     assert Fraction(b.lo) ** 2 <= big <= Fraction(b.hi) ** 2
-    b = sqrt_bounds(2, Fraction(1, 10**5000), 10)
+    b = sqrt_bounds(2, 5001)
     assert Fraction(b.lo) ** 2 <= 2 <= Fraction(b.hi) ** 2
     assert Fraction(b.hi) - Fraction(b.lo) == Fraction(1, 10**5000)
 
 
 def test_sqrt_bounds_argument_checks_keep_their_order():
     with pytest.raises(ValueError, match="x >= 0"):
-        sqrt_bounds(-1, 0, 0)
-    assert sqrt_bounds(0, 0, 0) == Bound(Decimal(0), Decimal(0))
-    with pytest.raises(ValueError, match="target width"):
-        sqrt_bounds(2, 0, 0)
+        sqrt_bounds(-1, 0)
+    assert sqrt_bounds(0, 0) == Bound(Decimal(0), Decimal(0))
     with pytest.raises(ValueError, match="precision must be >= 1"):
-        sqrt_bounds(2, Fraction(1, 10**30), 0)
+        sqrt_bounds(2, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -770,13 +821,10 @@ def _contains_interval(bound: Bound, v) -> bool:
         st.fractions(min_value=0, max_value=10**12, max_denominator=10**30),
         st.fractions(min_value=0, max_value=10**6, max_denominator=10**15).map(lambda r: r * r),
     ),
-    width=st.one_of(st.none(), st.integers(min_value=1, max_value=80).map(lambda k: Fraction(1, 10**k))),
-    p=st.sampled_from([5, 20, 60]),
+    p=st.sampled_from([5, 20, 60, 120]),
 )
-def test_sqrt_bounds_contain_the_mpmath_interval(x, width, p):
-    bound = sqrt_bounds(x, width, p)
-    if width is not None:
-        assert Fraction(bound.hi) - Fraction(bound.lo) <= width
+def test_sqrt_bounds_contain_the_mpmath_interval(x, p):
+    bound = sqrt_bounds(x, p)
     if bound.lo == bound.hi:  # an exact square: the enclosure is the root itself
         assert Fraction(bound.lo) ** 2 == x
         return

@@ -534,9 +534,9 @@ def test_newton_evaluates_everything_at_newton_digits(
         seen.append(("theta_map", precision))
         return theta_map(surface, precision)
 
-    def jacobian_at(surface, precision, target_width):
-        seen.append(("dtheta_analytic", precision, target_width))
-        return dtheta_analytic(surface, precision, target_width)
+    def jacobian_at(surface, precision):
+        seen.append(("dtheta_analytic", precision))
+        return dtheta_analytic(surface, precision)
 
     def lu_at(matrix, rhs, precision):
         seen.append(("_lu_solve", precision))
@@ -549,7 +549,7 @@ def test_newton_evaluates_everything_at_newton_digits(
     newton_refine(candidate_surface, cfg)
     assert seen == [
         ("theta_map", digits),
-        ("dtheta_analytic", digits, F(1, 10 ** min(digits // 2, 150))),
+        ("dtheta_analytic", digits),
         ("_lu_solve", digits),
         ("theta_map", digits),
     ]
@@ -602,7 +602,7 @@ def test_newton_rejects_singular_jacobian(candidate_surface, monkeypatch):
     )
     monkeypatch.setattr(
         "kleincert.search.dtheta_analytic",
-        lambda surface, precision=60, target_width=None: zeros,
+        lambda surface, precision=60: zeros,
     )
     with pytest.raises(CertificationError, match="singular Jacobian"):
         newton_refine(candidate_surface, SearchConfig())
@@ -617,7 +617,7 @@ def test_newton_detects_divergence(candidate_surface, monkeypatch):
     )
     monkeypatch.setattr(
         "kleincert.search.dtheta_analytic",
-        lambda surface, precision=60, target_width=None: wrong_way,
+        lambda surface, precision=60: wrong_way,
     )
     cfg = SearchConfig(newton_precision=60, newton_tol=F(1, 10**40), max_steps=10)
     with pytest.raises(CertificationError, match="diverged"):
