@@ -21,8 +21,8 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from kleincert.klein import Point3
-from kleincert.mesh import EmbeddedSurface, Triangulation
+from kleincert.cli_io import load_mesh
+from kleincert.mesh import Triangulation
 from kleincert.search import (
     RNG_ALGORITHM,
     SearchConfig,
@@ -34,20 +34,15 @@ from kleincert.search import (
 
 def lattice_sketch() -> tuple[Triangulation, list[tuple[int, int, int]]]:
     """The candidate's triangulation and its nearest 5x5x5 lattice points."""
-    raw = json.loads(
-        resources.files("kleincert.data").joinpath("candidate_surface.json").read_text()
-    )
-    tri = Triangulation(
-        n_vertices=len(raw["vertices"]),
-        faces=tuple(tuple(face) for face in raw["faces"]),
-    )
-    coords = [Point3.of(x, y, z) for x, y, z in raw["vertices"]]
+    packaged = resources.files("kleincert.data").joinpath("candidate_surface.json")
+    with resources.as_file(packaged) as path:
+        candidate = load_mesh(path)
     points = [
-        tuple(int(round(3 * float(c) + 2)) for c in (p.x, p.y, p.z)) for p in coords
+        tuple(int(round(3 * float(c) + 2)) for c in p) for p in candidate.coords
     ]
     if any(not 0 <= c <= 4 for p in points for c in p):
         raise AssertionError("sketch left the 5x5x5 lattice")
-    return tri, points
+    return candidate.triangulation, points
 
 
 def main() -> None:

@@ -423,14 +423,17 @@ def slice_plane(surface: EmbeddedSurface, plane: PlaneSpec) -> SlicePolyline:
 # SVG / OFF export
 # ---------------------------------------------------------------------------
 
+#: Side of the square SVG canvas, in user units.
+_SVG_VIEWPORT = 1000
 
-def emit_svg(polyline: SlicePolyline, viewport: int = 1000) -> str:
+
+def emit_svg(polyline: SlicePolyline) -> str:
     """Render slice loops over a unit-circle outline; byte-deterministic.
 
-    The chart square [-1, 1]^2 maps onto a ``viewport`` x ``viewport``
-    canvas with the vertical axis pointing up.
+    The chart square [-1, 1]^2 maps onto a ``_SVG_VIEWPORT`` x
+    ``_SVG_VIEWPORT`` canvas with the vertical axis pointing up.
     """
-    half = Fraction(viewport, 2)
+    half = Fraction(_SVG_VIEWPORT, 2)
 
     def place(point: Tuple[Fraction, Fraction]) -> str:
         x = half + half * point[0]
@@ -439,8 +442,8 @@ def emit_svg(polyline: SlicePolyline, viewport: int = 1000) -> str:
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{viewport}" '
-        f'height="{viewport}" viewBox="0 0 {viewport} {viewport}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_VIEWPORT}" '
+        f'height="{_SVG_VIEWPORT}" viewBox="0 0 {_SVG_VIEWPORT} {_SVG_VIEWPORT}">',
         f'  <circle cx="{half}" cy="{half}" r="{half}" fill="none" '
         'stroke="#999999" stroke-width="1"/>',
     ]
@@ -619,11 +622,11 @@ def _cmd_validate(args, surface, parts) -> int:
 
 def _cmd_refine(args, surface, parts) -> int:
     trace: List[Fraction] = []  # its last entry is the returned mesh's squared norm
-    config = SearchConfig(newton_precision=args.precision)
+    config = SearchConfig()
     refined = newton_refine(surface, config, trace)
     _deliver(render_mesh(refined, name="refined"), args)
     print(
-        f"refined at {config.newton_digits} of at most {args.precision} digits; "
+        f"refined at {config.newton_digits} digits; "
         f"squared defect norm <= {float(trace[-1]):.3e}",
         file=sys.stderr,
     )
@@ -660,7 +663,6 @@ _FLAGS: Dict[str, dict] = {
     "--mesh": dict(help="mesh container path (default: packaged candidate)"),
     "--report": dict(help="output path (certificate report, mesh, SVG, or OFF)"),
     "--links": dict(help="reference link tables path (default: packaged tables)"),
-    "--precision": dict(type=int, default=400, help="most decimal digits Newton may use"),
     "--seed": dict(type=int, help="search seed"),
     "--plane": dict(choices=("xy", "xz", "yz"), default="xy", help="slice plane"),
 }
@@ -680,7 +682,7 @@ _COMMANDS = {
         ),
         ("--links",),
     ),
-    "refine": (_cmd_refine, ("--precision",)),
+    "refine": (_cmd_refine, ()),
     "search": (_cmd_search, ("--seed",)),
     "slice": (_cmd_slice, ("--plane",)),
     "export": (_cmd_export, ()),

@@ -361,7 +361,6 @@ def _req(condition: bool, label: str) -> None:
 def crude_bounds(
     S: EmbeddedSurface,
     ball_radius: Fraction = Fraction(1, 10**18),
-    precision: int = 80,
 ) -> CrudeBounds:
     """Certify the coarse bound family used by the second-order cap.
 
@@ -377,7 +376,9 @@ def crude_bounds(
     per edge its length, and the surface's corner table the cosines.
     The lengths are enclosed at ``distance``'s default width 10⁻⁸: the check
     reads only whether each lies in [0.63, 2.08], and the candidate's lie
-    0.0087 or more inside it.
+    0.0087 or more inside it.  The two ``hyp_bounds`` run at a fixed 80
+    digits: the partial caps 15 and 42 they feed lie 0.19 and 1.0 above
+    the true values.
     """
     T = S.triangulation
     q, lattice = S.denominator, S.lattice
@@ -405,7 +406,7 @@ def crude_bounds(
     # hyperbolic edge lengths at the center, one certified distance each
     el_lo, el_hi = Fraction(63, 100), Fraction(208, 100)
     for ia, ib in edges:
-        d = distance(q, lattice[ia], lattice[ib], precision=precision)
+        d = distance(q, lattice[ia], lattice[ib])
         _req(
             el_lo <= Fraction(d.lo) and Fraction(d.hi) <= el_hi,
             f"hyperbolic length of edge {(ia, ib)}",
@@ -437,8 +438,8 @@ def crude_bounds(
     _req(cos_lo - cos_slack >= ball_lo and cos_hi + cos_slack <= ball_hi, "cosine range")
 
     # the law-of-cosines map is 70-Lipschitz on [0.6, 2.1]³
-    hyp_half = hyp_bounds(Fraction(1, 2), precision=precision)
-    hyp_top = hyp_bounds(Fraction(21, 10), precision=precision)
+    hyp_half = hyp_bounds(Fraction(1, 2), precision=80)
+    hyp_top = hyp_bounds(Fraction(21, 10), precision=80)
     sh_half_lo = Fraction(hyp_half.sinh.lo)
     th_half_lo = Fraction(hyp_half.tanh.lo)
     sh_top_hi = Fraction(hyp_top.sinh.hi)

@@ -43,6 +43,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 from .precision import (
     DEFAULT_PRECISION,
     Bound,
+    _fraction_exponent,
     arccos_hp,
     as_fraction,
     ln_bounds,
@@ -177,14 +178,9 @@ def angle(
     return arccos_hp(cos_theta.copy_negate() if sigma < 0 else cos_theta, precision)
 
 
-def distance(
-    q: int,
-    x: Point3,
-    y: Point3,
-    target_width: CoordLike = "1e-8",
-    precision: int = DEFAULT_PRECISION,
-) -> Bound:
-    """Certified Bound on the hyperbolic distance between lattice points x/q, y/q.
+def distance(q: int, x: Point3, y: Point3, target_width: CoordLike = "1e-8") -> Bound:
+    """Certified Bound, at most ``target_width`` wide, on the hyperbolic
+    distance between lattice points x/q, y/q.
 
     With a = ⟨Y−X, Y−X⟩, b = 2⟨X, Y−X⟩, c = ⟨X, X⟩ − 1 and Δ = b² − 4ac,
     the distance along the chord (Ratcliffe, *Foundations of Hyperbolic
@@ -195,19 +191,29 @@ def distance(
     as a + b + c = ‖Y‖² − 1.  With (A, B, C) = q²·(a, b, c) from :func:`_chord`,
     Δ = (B² − 4AC)/q⁴ > 0 since A > 0 > C.  √Δ and both logarithms are
     certified enclosures of exact rationals, combined outward, so the result
-    contains the true distance.  ``target_width`` = w sets the accuracy:
-    each logarithm is enclosed to width w/4, and ``precision`` is only the
-    digits that carry √Δ and the outward rounding, which must resolve well
-    below w (``crude_bounds`` asks for w = 10⁻⁸ at 80 digits).  The first
-    argument lies in [u, v] from √Δ's enclosure, and one ln enclosure of u
-    serves both ends: ln is concave, so ln v ≤ ln u + (v − u)/u.
+    contains the true distance.  The first argument lies in [u, v] from
+    √Δ's enclosure, and one ln enclosure of u serves both ends: ln is
+    concave, so ln v ≤ ln u + (v − u)/u.
+
+    ``target_width`` = w is the one accuracy parameter.  Each logarithm is
+    enclosed to width w/4.  √Δ is enclosed to width L = m·(−c)/2 or less,
+    m = min(w, 1): the first argument exceeds −2c > 0 as Δ > b², so
+    u > −2c − L ≥ −3c/2 and (v − u)/u ≤ m/3.  The ends are rounded outward
+    at the digits whose unit in the last place of the larger end is at most
+    w/8.  In all, the width is at most w/4 + w/3 + w/8 + 2·w/8 < w.
     """
     A, B, C = _chord(q, x, y)
     if A == 0:
         raise ValueError("distance requires X != Y")
-    q2 = q * q
     tw = as_fraction(target_width)
-    root = sqrt_bounds(Fraction(B * B - 4 * A * C, q2 * q2), precision)
+    if tw <= 0:
+        raise ValueError(f"target width must be positive, got {target_width}")
+    q2 = q * q
+    delta = Fraction(B * B - 4 * A * C, q2 * q2)
+    # sqrt_bounds at p digits is 10^(⌊log10 √Δ⌋ + 1 − p) ≤ L wide
+    root_width = min(tw, 1) * Fraction(-C, 2 * q2)
+    root_digits = _fraction_exponent(delta) // 2 + 1 - _fraction_exponent(root_width)
+    root = sqrt_bounds(delta, max(1, root_digits))
     s = Fraction(B + 2 * C, q2)
     arg1_lo = Fraction(root.lo) - s
     arg1_hi = Fraction(root.hi) - s
@@ -218,7 +224,9 @@ def distance(
     ln2 = ln_bounds(Fraction(4 * C * (A + B + C), q2 * q2), tw / 4)
     lo = Fraction(ln1.lo) - Fraction(ln2.hi) / 2
     hi = Fraction(ln1.hi) + (arg1_hi - arg1_lo) / arg1_lo - Fraction(ln2.lo) / 2
-    return Bound.from_fraction_pair(lo, hi, precision)
+    # hi ≥ d > 0; an ulp of the larger end at these digits is at most w/8
+    digits = _fraction_exponent(max(-lo, hi)) + 1 - _fraction_exponent(tw / 8)
+    return Bound.from_fraction_pair(lo, hi, max(1, digits))
 
 
 def norm_comparison_factor(r: CoordLike) -> Fraction:

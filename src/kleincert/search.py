@@ -89,10 +89,8 @@ class SearchConfig:
     proposals are uniform in a cube of half-side ``step``, and ``step``
     halves after every ``decay_rejections`` consecutive rejections, never
     dropping below 10**(-climb_precision/2).  ``newton_tol`` is the target
-    Euclidean defect norm for Newton; ``newton_precision`` is the most
-    decimal digits Newton may use, and the tolerance must stay at least ten
-    orders of magnitude above it so the stopping test is trustworthy.
-    Newton works at :attr:`newton_digits`, which is at most that cap.
+    Euclidean defect norm for Newton and its one accuracy parameter: Newton
+    works at :attr:`newton_digits`, which the tolerance sets.
     """
 
     rng_seed: int = 2026
@@ -100,7 +98,6 @@ class SearchConfig:
     decay_rejections: int = 200
     max_steps: int = 1000
     climb_precision: int = 50
-    newton_precision: int = 400
     newton_tol: Fraction = Fraction(1, 10**35)
 
     def __post_init__(self) -> None:
@@ -112,28 +109,20 @@ class SearchConfig:
             "decay_rejections",
             "max_steps",
             "climb_precision",
-            "newton_precision",
             "newton_tol",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.newton_tol < Fraction(1, 10 ** (self.newton_precision - 10)):
-            raise ValueError(
-                "newton_tol must be at least 10^(10 - newton_precision); "
-                f"got {self.newton_tol} at {self.newton_precision} digits"
-            )
 
     @property
     def newton_digits(self) -> int:
-        """The digits Newton works at: min(newton_precision, 20 − 2·⌊log10 tol⌋).
+        """The digits Newton works at: 20 − 2·⌊log10 tol⌋.
 
-        90 at the default tolerance 10^-35, 320 at 10^-150, and the
-        ``newton_precision`` cap from 10^-190 down; a tolerance of 1 or more
-        counts as 1 (20 digits).  :func:`newton_refine` says why the
-        iterates do not depend on it.
+        90 at the default tolerance 10^-35, 320 at 10^-150 and 620 at
+        10^-300; a tolerance of 1 or more counts as 1 (20 digits).
+        :func:`newton_refine` says why the iterates do not depend on it.
         """
-        floor_log = min(_fraction_exponent(self.newton_tol), 0)
-        return min(self.newton_precision, 20 - 2 * floor_log)
+        return 20 - 2 * min(_fraction_exponent(self.newton_tol), 0)
 
     @property
     def step_floor(self) -> Fraction:
@@ -334,16 +323,15 @@ def newton_refine(
     singular Jacobian), or if the defect norm increases on two consecutive
     iterations.
 
-    Why the iterates are those Newton takes at the ``newton_precision`` cap:
-    a step is taken only from an iterate whose squared norm is above tol²,
-    so its exponent e is at least 2⌊log10 tol⌋ and its rounding grid
-    10^(e − 10) at least 10^(2⌊log10 tol⌋ − 10).  At P digits Θ is good to
-    about 10^-(P + 8) and J has P significant digits; together they move δ
-    by roughly 10^(2⌊log10 tol⌋ − 18), about 10^-8 of the grid, so each
-    height rounds to the same grid point unless it lies that close to a
-    half-way point.  The stopping and divergence
-    tests see Θ to far below tol, since P ≥ 10 − ⌊log10 tol⌋, the bound
-    :class:`SearchConfig` enforces on the cap.
+    Why the iterates are those Newton takes at any more digits: a step is
+    taken only from an iterate whose squared norm is above tol², so its
+    exponent e is at least 2⌊log10 tol⌋ and its rounding grid 10^(e − 10)
+    at least 10^(2⌊log10 tol⌋ − 10).  At P = 20 − 2⌊log10 tol⌋ digits Θ
+    is good to about 10^-(P + 8) and J has P significant digits; together
+    they move δ by roughly 10^(2⌊log10 tol⌋ − 18), about 10^-8 of the grid,
+    so each height rounds to the same grid point unless it lies that close
+    to a half-way point.  The stopping and divergence tests see Θ to far
+    below tol, since P ≥ 20 − ⌊log10 tol⌋.
     """
     precision = config.newton_digits
     tol_sq = config.newton_tol**2

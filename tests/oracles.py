@@ -641,13 +641,14 @@ def hill_climb_reference(
 
 
 # ---------------------------------------------------------------------------
-# Newton on the heights with every evaluation at the precision cap
+# Newton on the heights with every evaluation at one given precision
 # ---------------------------------------------------------------------------
 
 
 def newton_refine_reference(
     surface,
     config,
+    precision: int,
     theta_map: Callable,
     dtheta_analytic: Callable,
     lu_solve: Callable,
@@ -656,13 +657,12 @@ def newton_refine_reference(
     trace: Optional[list] = None,
 ):
     """The body ``newton_refine`` replaced: ``theta_map``, ``dtheta_analytic``
-    and ``lu_solve`` all at ``config.newton_precision`` digits.
+    and ``lu_solve`` all at ``precision`` digits.
 
     Each new height is rounded half-even to a multiple of 10^(e − 10), e the
     exponent of the squared norm the step started from; ``with_heights``
     builds the iterate, and ``error`` is raised on two consecutive increases.
     """
-    precision = config.newton_precision
     tol_sq = config.newton_tol**2
     defect = theta_map(surface, precision)
     norm_sq = defect.norm_sq()

@@ -654,6 +654,7 @@ def test_cli_usage_error_exits_2():
         ["slice", "--links", "x.json"],
         ["refine", "--plane", "xy"],
         ["--report", "r.json", "validate"],
+        ["refine", "--precision", "400"],
     ],
 )
 def test_cli_rejects_flags_the_command_does_not_read(argv):
@@ -712,10 +713,10 @@ def test_readme_command_table_matches_the_parser():
 
 def test_cli_refine_writes_mesh(tmp_path, capsys):
     out = tmp_path / "refined.json"
-    assert main(["refine", "--precision", "120", "--report", str(out)]) == 0
+    assert main(["refine", "--report", str(out)]) == 0
     refined = load_mesh(out)
     assert len(refined.coords) == 10
-    assert "refined at 90 of at most 120 digits" in capsys.readouterr().err
+    assert "refined at 90 digits; " in capsys.readouterr().err
 
 
 def test_cli_refine_evaluates_theta_once_per_newton_evaluation(
@@ -723,18 +724,18 @@ def test_cli_refine_evaluates_theta_once_per_newton_evaluation(
 ):
     # the reported norm is Newton's last trace entry, not a re-evaluation
     trace = []
-    newton_refine(candidate_surface, SearchConfig(newton_precision=120), trace)
+    newton_refine(candidate_surface, SearchConfig(), trace)
     calls = []
     real = jacobian.theta_map
 
-    def counting(surface, precision=120):
+    def counting(surface, precision=90):
         calls.append(precision)
         return real(surface, precision)
 
     for module in (jacobian, search, cli_io):
         monkeypatch.setattr(module, "theta_map", counting, raising=False)
     out = tmp_path / "refined.json"
-    assert main(["refine", "--precision", "120", "--report", str(out)]) == 0
+    assert main(["refine", "--report", str(out)]) == 0
     assert len(calls) == len(trace) >= 2
     assert f"squared defect norm <= {float(trace[-1]):.3e}" in capsys.readouterr().err
 
@@ -742,7 +743,7 @@ def test_cli_refine_evaluates_theta_once_per_newton_evaluation(
 def test_cli_refine_output_passes_verify_all(tmp_path):
     # Newton rounds the refined heights to the digits its last step
     # determined, so the lattice denominator has about 70 digits, not the
-    # 400-digit working precision; the embedding scale follows it
+    # 90-digit working precision; the embedding scale follows it
     refined = tmp_path / "refined.json"
     assert main(["refine", "--report", str(refined)]) == 0
     report = tmp_path / "report.json"

@@ -6,16 +6,20 @@ Surface-independent behaviour only; range checks over the candidate surface
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import inspect
+import pkgutil
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kleincert
 from kleincert import certify_embed, certify_flat, jacobian, klein
 from kleincert.klein import (
     Point3,
@@ -28,6 +32,7 @@ from kleincert.klein import (
 )
 from kleincert.mesh import EmbeddedSurface
 from kleincert.precision import arccos_hp, pi_hp
+from kleincert.search import SearchConfig
 
 import oracles
 from strategies import ball_points, corners
@@ -206,7 +211,7 @@ def test_angle_agrees_with_cos_oracle():
 
 
 def test_distance_chord_through_origin():
-    b = distance(*lattice_corner(ORIGIN, HALF_X), target_width="1e-12", precision=80)
+    b = distance(*lattice_corner(ORIGIN, HALF_X), target_width="1e-12")
     # Through-origin chords have d = artanh(r); oracle enclosure is frozen.
     assert Fraction(b.lo) <= ARTANH_HALF_LO and ARTANH_HALF_HI <= Fraction(b.hi)
     assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**12)
@@ -235,8 +240,8 @@ def test_distance_symmetry_overlap():
         if x == y:
             continue
         q, lx, ly = lattice_corner(x, y)
-        d1 = distance(q, lx, ly, target_width="1e-10", precision=60)
-        d2 = distance(q, ly, lx, target_width="1e-10", precision=60)
+        d1 = distance(q, lx, ly, target_width="1e-10")
+        d2 = distance(q, ly, lx, target_width="1e-10")
         assert Fraction(d1.lo) <= Fraction(d2.hi) and Fraction(d2.lo) <= Fraction(d1.hi)
 
 
@@ -249,9 +254,9 @@ def test_distance_triangle_inequality():
         if x == y or y == z or x == z:
             continue
         q, lx, ly, lz = lattice_corner(x, y, z)
-        dxz = distance(q, lx, lz, target_width="1e-6", precision=60)
-        dxy = distance(q, lx, ly, target_width="1e-6", precision=60)
-        dyz = distance(q, ly, lz, target_width="1e-6", precision=60)
+        dxz = distance(q, lx, lz, target_width="1e-6")
+        dxy = distance(q, lx, ly, target_width="1e-6")
+        dyz = distance(q, ly, lz, target_width="1e-6")
         assert Fraction(dxz.lo) <= Fraction(dxy.hi) + Fraction(dyz.hi)
 
 
@@ -262,7 +267,6 @@ def test_distance_matches_artanh_oracle_along_axis():
         b = distance(
             *lattice_corner(ORIGIN, Point3(r, Fraction(0), Fraction(0))),
             target_width="1e-10",
-            precision=60,
         )
         lo, hi = oracles.artanh_enclosure(r)
         assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
@@ -280,7 +284,7 @@ def test_distance_encloses_one_logarithm_per_term(monkeypatch):
 
     monkeypatch.setattr(klein, "ln_bounds", counting)
     x, y = Point3.of("0.1", "-0.2", "0.3"), Point3.of("-0.4", "0.15", "0.05")
-    b = distance(*lattice_corner(x, y), target_width="1e-10", precision=60)
+    b = distance(*lattice_corner(x, y), target_width="1e-10")
     assert len(calls) == 2
     lo, hi = _arccosh_enclosure(x, y, 80)
     assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
@@ -312,13 +316,25 @@ def _mpf_fraction(e) -> Fraction:
 
 
 @settings(max_examples=40, deadline=None)
-@given(pair=st.tuples(ball_points(), ball_points()).filter(lambda p: p[0] != p[1]))
-def test_distance_contains_the_mpmath_arccosh(pair):
+@given(
+    pair=st.tuples(ball_points(), ball_points()).filter(lambda p: p[0] != p[1]),
+    width=st.tuples(st.integers(1, 10), st.integers(5, 60)),
+)
+# a target of 10⁻¹⁰⁰: √Δ and the outward rounding need over 100 digits
+@example(pair=(Point3.of("0.1", "0.2", "0.3"), Point3.of("-0.4", "0.1", 0)), width=(1, 100))
+# a chord between points at radius 0.99999, about 12 long
+@example(
+    pair=(Point3.of("0.99999", 0, 0), Point3.of("-0.599994", "0.799992", 0)), width=(1, 30)
+)
+def test_distance_contains_the_mpmath_arccosh(pair, width):
+    # w = m·10⁻ᵏ runs from 10⁻⁴ down to 10⁻⁶⁰; the enclosure is at most w wide
     x, y = pair
-    lo, hi = _arccosh_enclosure(x, y, 80)
-    b = distance(*lattice_corner(x, y), target_width=Fraction(1, 10**20), precision=60)
+    mantissa, exponent = width
+    w = Fraction(mantissa, 10**exponent)
+    lo, hi = _arccosh_enclosure(x, y, exponent + 20)
+    b = distance(*lattice_corner(x, y), target_width=w)
     assert Fraction(b.lo) <= lo and hi <= Fraction(b.hi)
-    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**19)
+    assert Fraction(b.hi) - Fraction(b.lo) <= w
 
 
 def test_surface_geometry_reads_only_the_lattice():
@@ -332,6 +348,26 @@ def test_surface_geometry_reads_only_the_lattice():
         certify_embed.certify_embeddedness,
     ):
         assert ".coords" not in inspect.getsource(function), function.__qualname__
+
+
+def test_accuracy_comes_from_one_parameter():
+    # design rule: no public callable takes both a width and a digits count,
+    # and Newton's digits follow its tolerance alone
+    for info in pkgutil.iter_modules(kleincert.__path__):
+        module = importlib.import_module(f"kleincert.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+                continue
+            params = inspect.signature(obj).parameters
+            widths = [p for p in params if "width" in p]
+            digits = [p for p in params if "precision" in p or "digits" in p]
+            assert not (widths and digits), (module.__name__, name, widths, digits)
+    tol = Fraction(1, 10**300)
+    for field in dataclasses.fields(SearchConfig):
+        if field.name != "newton_tol":
+            config = SearchConfig(newton_tol=tol, **{field.name: 1})
+            assert config.newton_digits == 620, field.name
 
 
 # ---------------------------------------------------------------------------

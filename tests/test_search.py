@@ -97,8 +97,8 @@ def test_config_defaults_are_valid():
     cfg = SearchConfig()
     assert cfg.initial_step == F(1, 10)
     assert cfg.decay_rejections == 200
-    assert cfg.newton_precision == 400
     assert cfg.newton_tol == F(1, 10**35)
+    assert cfg.newton_digits == 90
     assert cfg.step_floor == F(1, 10**25)
 
 
@@ -112,7 +112,7 @@ def test_config_defaults_are_valid():
         ("decay_rejections", 0),
         ("max_steps", -1),
         ("climb_precision", 0),
-        ("newton_precision", -400),
+        ("newton_tol", F(-1, 10**35)),
         ("newton_tol", F(0)),
     ],
 )
@@ -128,21 +128,13 @@ def test_config_rejects_nonpositive(field, value):
         ({"newton_tol": F(3, 10**36)}, 92),  # ⌊log10 tol⌋ = −36
         ({"newton_tol": F(1, 10**150)}, 320),
         ({"newton_tol": F(1, 10**190)}, 400),
-        ({"newton_tol": F(1, 10**300)}, 400),
-        ({"newton_precision": 45}, 45),
+        ({"newton_tol": F(99, 10**191)}, 400),  # ⌊log10 tol⌋ = −190
+        ({"newton_tol": F(1, 10**300)}, 620),  # no cap
         ({"newton_tol": F(7)}, 20),  # a tolerance of 1 or more counts as 1
     ],
 )
 def test_newton_digits_follow_the_tolerance_up_to_the_cap(kwargs, digits):
     assert SearchConfig(**kwargs).newton_digits == digits
-
-
-def test_config_tolerance_respects_precision():
-    # the tolerance may not probe below ten digits above the working precision
-    with pytest.raises(ValueError, match="newton_tol"):
-        SearchConfig(newton_precision=40, newton_tol=F(1, 10**31))
-    boundary = SearchConfig(newton_precision=40, newton_tol=F(1, 10**30))
-    assert boundary.newton_tol == F(1, 10**30)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +493,7 @@ def test_newton_equals_the_reference_at_the_precision_cap(candidate_surface, jit
 
     ref_trace: list = []
     oracles.newton_refine_reference(
-        start, SearchConfig(newton_tol=F(1, 10**150)), theta_map, dtheta_analytic,
+        start, SearchConfig(newton_tol=F(1, 10**150)), 400, theta_map, dtheta_analytic,
         search._lu_solve, recording, CertificationError, trace=ref_trace,
     )
     for tol in (F(1, 10**20), F(1, 10**35), F(1, 10**150)):
@@ -520,8 +512,8 @@ def test_newton_equals_the_reference_at_the_precision_cap(candidate_surface, jit
     [
         ({}, 90),
         ({"newton_tol": F(1, 10**150)}, 320),
-        ({"newton_tol": F(1, 10**300)}, 400),
-        ({"newton_precision": 45}, 45),
+        ({"newton_tol": F(1, 10**190)}, 400),
+        ({"newton_tol": F(1, 10**300)}, 620),
     ],
 )
 def test_newton_evaluates_everything_at_newton_digits(
@@ -619,6 +611,6 @@ def test_newton_detects_divergence(candidate_surface, monkeypatch):
         "kleincert.search.dtheta_analytic",
         lambda surface, precision=60: wrong_way,
     )
-    cfg = SearchConfig(newton_precision=60, newton_tol=F(1, 10**40), max_steps=10)
+    cfg = SearchConfig(newton_tol=F(1, 10**40), max_steps=10)
     with pytest.raises(CertificationError, match="diverged"):
         newton_refine(candidate_surface, cfg)
