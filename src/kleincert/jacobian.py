@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Context, Decimal, ROUND_CEILING, ROUND_FLOOR, localcontext
 from fractions import Fraction
 from importlib import resources
@@ -73,6 +73,7 @@ __all__ = [
     "crude_bounds",
     "ChainInequality",
     "second_order_inequalities",
+    "CurvatureCap",
     "second_partial_bound",
     "smallest_gram_root_bracket",
     "singular_lower_bound",
@@ -335,7 +336,8 @@ class CrudeBounds:
 
     All ranges are exact rationals and hold for every surface whose vertex
     heights lie within ``ball_radius`` of the center surface's (and whose
-    x, y coordinates equal the center's).
+    x, y coordinates equal the center's).  ``surface_digest`` names that
+    center surface; equality compares the bounds only.
     """
 
     ball_radius: Fraction
@@ -351,6 +353,7 @@ class CrudeBounds:
     cos_range: Tuple[Fraction, Fraction]
     psi_lipschitz: int
     sin_floor: Fraction
+    surface_digest: str = field(compare=False)
 
 
 def _req(condition: bool, label: str) -> None:
@@ -471,6 +474,7 @@ def crude_bounds(
         cos_range=(ball_lo, ball_hi),
         psi_lipschitz=70,
         sin_floor=sin_floor,
+        surface_digest=S.digest,
     )
 
 
@@ -585,12 +589,24 @@ def second_order_inequalities(crude: CrudeBounds) -> Tuple[ChainInequality, ...]
     )
 
 
-def second_partial_bound(crude: CrudeBounds) -> Fraction:
+class CurvatureCap(Fraction):
+    """The cap of :func:`second_partial_bound`: a Fraction that names the
+    surface and the height-ball radius of the crude bounds it was checked on."""
+
+    def __new__(cls, value: Fraction, surface_digest: str, ball_radius: Fraction):
+        cap = super().__new__(cls, value)
+        cap.surface_digest = surface_digest
+        cap.ball_radius = ball_radius
+        return cap
+
+
+def second_partial_bound(crude: CrudeBounds) -> CurvatureCap:
     """Validate the constant chain capping |∂²Θ_i/∂z_j∂z_k| ≤ 10¹⁴.
 
     Every inequality of the chain is re-checked as one exact rational
     assertion over the crude-bound constants; any failure aborts naming the
-    failing expression.
+    failing expression.  The cap carries the crude bounds' surface digest
+    and ball radius.
     """
     for step in second_order_inequalities(crude):
         if not step.holds:
@@ -598,7 +614,7 @@ def second_partial_bound(crude: CrudeBounds) -> Fraction:
                 f"second-order chain inequality failed: {step.label}: "
                 f"{step.lhs} > {step.rhs}"
             )
-    return SECOND_ORDER_CAP
+    return CurvatureCap(SECOND_ORDER_CAP, crude.surface_digest, crude.ball_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +753,9 @@ class ExpansionCertificate:
     convention is the loose n²·e_inf; the sharper n·e_inf is reported
     alongside).  ``second_order_cap`` is the cap on |∂²Θ_i/∂z_j∂z_k| whose
     curvature drift n·radius·cap ≤ e_inf/2 was checked.  ``surface_digest``
-    names the surface of the checked center enclosure, None for a hand-built one.
+    names the surface of the checked center enclosure, None for a hand-built one;
+    ``cap_surface_digest`` and ``cap_ball_radius`` name the surface and ball
+    radius on which the cap was checked, None for a bare cap.
     """
 
     sigma_min_bound: Fraction
@@ -750,6 +768,8 @@ class ExpansionCertificate:
     frobenius_cap_sharp: Fraction
     n_vertices: int
     surface_digest: Optional[str] = None
+    cap_surface_digest: Optional[str] = None
+    cap_ball_radius: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
         n = self.n_vertices
@@ -783,7 +803,8 @@ def certify_expansion(
     ``dtheta_center`` encloses the Jacobian at the center and
     ``second_order_cap`` is the cap :func:`second_partial_bound` checked on
     the same surface (:func:`certify_surface_expansion` derives both from it);
-    the certificate keeps the center's ``surface_digest``, if any.  The two
+    the certificate keeps the center's ``surface_digest`` and the cap's
+    surface digest and ball radius, if any.  The two
     premises of ``e_inf`` are checked first: entrywise center deviation <
     e_inf/2 and curvature drift n·radius·cap ≤ e_inf/2, with n = len(M).
     Before anything else, M and ``dtheta_center`` must both be n×n.
@@ -831,6 +852,8 @@ def certify_expansion(
         frobenius_cap_sharp=n * e_inf,
         n_vertices=n,
         surface_digest=getattr(dtheta_center, "surface_digest", None),
+        cap_surface_digest=getattr(second_order_cap, "surface_digest", None),
+        cap_ball_radius=getattr(second_order_cap, "ball_radius", None),
     )
 
 
@@ -870,20 +893,27 @@ def conclude_existence(
 ) -> ExistenceReport:
     """Chain the three certificates into the existence conclusion.
 
-    Checks, in order: the three certificates name one surface (equal digests;
-    None matches none) with the expansion certificate's n vertices; the
-    flatness certificate forces ‖Θ(center)‖ below the defect cap; the
-    curvature premise of the expansion ball holds for the second-order cap
-    the expansion certificate checked, n·radius·cap ≤ e_inf/2; the flat
-    solution's height displacement fits inside the embeddedness robustness
-    budget; and the defect cap fits inside the ball the expansion covers.
+    Checks, in order: the three certificates and the expansion's
+    second-order cap name one surface (equal digests; None matches none)
+    with the expansion certificate's n vertices; the flatness certificate
+    forces ‖Θ(center)‖ below the defect cap; the curvature premise of the
+    expansion ball holds for the second-order cap the expansion certificate
+    checked, n·radius·cap ≤ e_inf/2; the flat solution's height
+    displacement fits inside the embeddedness robustness budget; the defect
+    cap fits inside the ball the expansion covers; and the expansion ball
+    lies inside the ball on which the cap was checked.  The two cap checks
+    add nothing to ``checks``.
     """
     checks: List[str] = []
     n = expansion.n_vertices
-    for name, cert in (("embedding", embed), ("expansion", expansion)):
-        if cert.surface_digest != flat.surface_digest:
+    for name, digest in (
+        ("embedding certificate", embed.surface_digest),
+        ("expansion certificate", expansion.surface_digest),
+        ("second-order cap", expansion.cap_surface_digest),
+    ):
+        if digest != flat.surface_digest:
             raise CertificationError(
-                f"{name} certificate is for surface {str(cert.surface_digest)[:16]}…, not the "
+                f"{name} is for surface {str(digest)[:16]}…, not the "
                 f"flatness certificate's {flat.surface_digest[:16]}…"
             )
     for name, cert in (("flatness", flat), ("embedding", embed)):
@@ -926,6 +956,12 @@ def conclude_existence(
             f"{float(coverage_radius):.3e}"
         )
     checks.append("coverage")
+
+    if not expansion.radius <= expansion.cap_ball_radius:
+        raise CertificationError(
+            f"expansion radius {float(expansion.radius):.3e} exceeds the ball radius "
+            f"{float(expansion.cap_ball_radius):.3e} on which the second-order cap was checked"
+        )
 
     return ExistenceReport(
         defect_norm_cap=defect_norm_cap,

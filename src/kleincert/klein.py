@@ -141,6 +141,16 @@ def _chord(q: int, x: Point3, y: Point3) -> Tuple[int, int, int]:
     return d.norm_sq(), 2 * x.dot(d), c
 
 
+def _gram(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[int, int, int]:
+    """(G_vw, G_vv, G_ww) of the lattice corner at x: a′²·⟨·,·⟩_X of its rays.
+
+    G_vv and G_ww are positive; raises the errors of :func:`_rays`.
+    """
+    v, w, a = _rays(q, x, y, z)
+    xv, xw = x.dot(v), x.dot(w)
+    return a * v.dot(w) + xv * xw, a * v.norm_sq() + xv * xv, a * w.norm_sq() + xw * xw
+
+
 def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, int]:
     """Exact squared cosine and sign of the angle at X between rays to Y, Z.
 
@@ -151,11 +161,7 @@ def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, in
     arccos branch must never rest on a rounded dot product.  Computed in
     integers: A = G_vw² / (G_vv·G_ww).
     """
-    v, w, a = _rays(q, x, y, z)
-    xv, xw = x.dot(v), x.dot(w)
-    g_vw = a * v.dot(w) + xv * xw
-    g_vv = a * v.norm_sq() + xv * xv
-    g_ww = a * w.norm_sq() + xw * xw
+    g_vw, g_vv, g_ww = _gram(q, x, y, z)
     sigma = 0 if g_vw == 0 else (1 if g_vw > 0 else -1)
     return Fraction(g_vw * g_vw, g_vv * g_ww), sigma
 

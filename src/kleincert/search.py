@@ -16,8 +16,12 @@ certification modules then verify rigorously.  Three stages:
    computed from that integer exactly, in integers.  The entire trajectory
    is a pure function of the seed.  A
    proposal is evaluated one vertex defect at a time and rejected at the
-   first vertex whose |Θ_i| reaches the best objective, so most proposals
-   cost a few cone angles instead of n.
+   first vertex whose |Θ_i| reaches the best objective.  Each defect is
+   first taken in double precision from the exact Gram integers, and only
+   a defect within a proven margin of the best objective is taken in
+   Decimal; an accepted proposal has every defect taken in Decimal.  So
+   most proposals cost a few float corner angles, and every decision is
+   the one the Decimal defects make.
 3. ``newton_refine`` runs Newton's method on the vertex heights at the
    working precision its tolerance needs (``SearchConfig.newton_digits``),
    solving each linear system by LU with partial pivoting, and records the
@@ -30,14 +34,15 @@ certification modules then verify rigorously.  Three stages:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from typing import List, MutableMapping, Optional, Sequence, Tuple
 
 from .jacobian import _vertex_defect, dtheta_analytic, surface_with_heights, theta_map
-from .klein import Point3
-from .mesh import EmbeddedSurface, Triangulation
+from .klein import Point3, _gram
+from .mesh import EmbeddedSurface, Triangulation, vertex_link
 from .precision import CertificationError, _fraction_exponent
 
 __all__ = [
@@ -173,6 +178,33 @@ def _perturbed(surface: EmbeddedSurface, deltas: Sequence[Fraction]) -> Embedded
     return EmbeddedSurface(surface.triangulation, coords)
 
 
+#: A corner whose float cosine √A_f exceeds this takes the Decimal path:
+#: below it, arccos amplifies an error in √A_f by at most 2^10.
+_GUARD = 1 - 2.0**-20
+
+
+def _float_defect(S: EmbeddedSurface, i: int) -> Optional[float]:
+    """Θ_f = Σ arccos(σ·√A_f) − 2π at vertex i in doubles, or None past the guard.
+
+    A_f = G_vw²/(G_vv·G_ww) is one int/int true division of the exact Gram
+    integers of the corner (:func:`klein._gram`): correctly rounded, and
+    free of overflow however long the integers; σ is the sign of G_vw.
+    Returns None as soon as a corner has √A_f > :data:`_GUARD`.
+    :func:`hill_climb` proves the error bound its margin rests on.
+    """
+    cycle = vertex_link(S.triangulation, i)
+    q, lattice = S.denominator, S.lattice
+    x = lattice[i]
+    thetas = []
+    for y, z in zip(cycle, cycle[1:] + cycle[:1]):
+        g_vw, g_vv, g_ww = _gram(q, x, lattice[y], lattice[z])
+        c = math.sqrt(g_vw * g_vw / (g_vv * g_ww))
+        if c > _GUARD:
+            return None
+        thetas.append(math.acos(-c if g_vw < 0 else c))
+    return math.fsum(thetas) - math.tau
+
+
 def hill_climb(
     start: EmbeddedSurface,
     config: SearchConfig,
@@ -197,54 +229,107 @@ def hill_climb(
     generator name, seed, and summary counters; ``history`` receives an
     ``(iteration, objective)`` pair for every acceptance.
 
-    A proposal's defects |Θ_i| are computed one vertex at a time, and it is
-    rejected at the first vertex with |Θ_i| ≥ the best objective, since its
-    maximum cannot then be smaller.  Vertices are tried in a kept order:
+    A proposal's defects are examined one vertex at a time, and it is
+    rejected at the first vertex with |Θ_i| ≥ the best objective b, since
+    its maximum cannot then be smaller.  Vertices are tried in a kept order:
     ``range(n)`` at first, re-sorted after each acceptance by that
     proposal's |Θ_i|, largest first (a stable sort), so the vertex most
-    likely to reject comes first.  An accepted proposal has had every defect
-    computed, and its objective is their maximum.  The comparisons are exact
-    Decimal comparisons, and a proposal on which a vertex the early exit
-    never reaches would raise is rejected either way, so every decision,
-    ``record``, ``history`` and the result are those of evaluating
-    :func:`objective` on every proposal.
+    likely to reject comes first.  Θ_i here is the Decimal defect
+    ``jacobian._vertex_defect`` at p = ``config.climb_precision``, the one
+    :func:`objective` takes.
+
+    Each vertex is first filtered in doubles (Shewchuk's adaptive
+    predicates, 1997; Brönnimann, Burnikel and Pion's interval filters,
+    2001): :func:`_float_defect` gives Θ_f.  At a vertex of degree d let
+    M = (d + 1)·(2⁻⁴⁰ + 2·10^(−8−p)).  The proposal is rejected there if
+    |Θ_f| ≥ b + M; the vertex passes if |Θ_f| < b − M; otherwise, or if a
+    corner is past the guard, Θ_i is computed and rejects if |Θ_i| ≥ b.
+    A proposal that passes every vertex has every Θ_i computed and is
+    accepted only if their maximum, taken in vertex order as
+    ``DefectVector.sup_norm`` takes it, is < b.  Floats never accept, and
+    the thresholds b ± M are exact Fractions compared exactly with Θ_f.
+
+    Why |Θ_f − Θ_i| < M at a vertex whose corners all pass the guard, so
+    that each float decision is the one Θ_i makes.  Let u = 2⁻⁵³, c = √A ≤ 1
+    at a corner and Θ the true defect.
+
+    * Float.  A_f = A·(1 + δ), |δ| ≤ u (where A_f is subnormal, its error
+      2⁻¹⁰⁷⁵ moves the root by under 2⁻⁵³⁷), and the square root rounds
+      once more, so |c_f − c| < 2u.  Between c and c_f, 1 − ξ > 2⁻²⁰ − 2u
+      by the guard, so arccos moves by 2u/√(1 − ξ²) ≤ 2u/√(1 − ξ) <
+      2⁻⁴²·(1 + 2⁻³⁰) at most; libm's ``acos`` adds an ulp, 2⁻⁵¹ below π.
+      Each corner is within 2⁻⁴¹.  ``math.fsum`` rounds the sum, below 4d,
+      once (d·2⁻⁵¹); ``math.tau`` is within 2⁻⁵¹ of 2π; the difference,
+      below 4d, rounds by d·2⁻⁵¹.  So |Θ_f − Θ| < (d + 1)·2⁻⁴⁰.
+    * Decimal.  Θ_i takes d angles at p′ = p + 10 digits, each within
+      ``klein.angle``'s 10^(2−p′) = 10^(−8−p) (under the guard, its √A
+      midpoint error 10^−(p′+9)/2 moves θ by at most 2^11 times that,
+      inside the contract).  The cone angle and its difference with
+      ``two_pi`` (within 10^−(p′+4)) each round a number below 4d at p′
+      digits, by under 20d·10^−p′ = 0.2d·10^(−8−p); the sum's roundings at
+      p′ + 10 digits add under 0.01·10^(−8−p).  So |Θ_i − Θ| <
+      (1.4d + 0.01)·10^(−8−p) < 2(d + 1)·10^(−8−p).
+
+    The two add to under M.  Hence |Θ_f| ≥ b + M gives |Θ_i| > b, and
+    |Θ_f| < b − M gives |Θ_i| < b; a vertex past the guard, or within M of
+    b, is decided by Θ_i itself.  The float path raises only where
+    ``klein._rays`` raises, which Θ_i would too, and a proposal on which a
+    vertex the early exit never reaches would raise is rejected either way.
+    So every decision, ``record``, ``history``, the order and the result
+    are those of evaluating :func:`objective` on every proposal.
     """
     budget = config.max_steps if steps is None else steps
     if budget < 0:
         raise ValueError("steps must be nonnegative")
     rng = CounterRng(config.rng_seed)
-    n_coords = 3 * len(start.coords)
+    n = len(start.coords)
+    precision = config.climb_precision
     best = start
-    best_objective = objective(start, config.climb_precision)
+    best_objective = objective(start, precision)
     step = config.initial_step
     floor = config.step_floor
-    grid = 10**config.climb_precision
+    grid = 10**precision
     rejections = 0
     accepts = 0
-    order = list(range(len(start.coords)))
+    order = list(range(n))
+    # the filter's margin M = (d + 1)·(2⁻⁴⁰ + 2·10^(−8−p)) at each vertex
+    unit = Fraction(1, 2**40) + Fraction(2, 10 ** (8 + precision))
+    margins = [(len(vertex_link(start.triangulation, i)) + 1) * unit for i in range(n)]
+    below = [Fraction(best_objective) - m for m in margins]
+    above = [Fraction(best_objective) + m for m in margins]
     for iteration in range(budget):
         # int((U/2²⁵⁶·2 − 1)·step·grid) = (2U − 2²⁵⁶)·scale/den, truncated
         # toward zero in integers
         scale, den = step.numerator * grid, step.denominator * _TWO_POW_256
         deltas = []
-        for _ in range(n_coords):
+        for _ in range(3 * n):
             t = (2 * rng.draw() - _TWO_POW_256) * scale
             deltas.append(Fraction(t // den if t >= 0 else -(-t // den), grid))
         accepted = False
         try:
             proposal = _perturbed(best, deltas)
-            defects = [None] * len(order)
+            defects = [None] * n
             for i in order:
-                defects[i] = _vertex_defect(proposal, i, config.climb_precision).copy_abs()
-                if defects[i] >= best_objective:
+                theta = _float_defect(proposal, i)
+                if theta is not None and abs(theta) >= above[i]:
                     break
+                if theta is None or abs(theta) >= below[i]:
+                    defects[i] = _vertex_defect(proposal, i, precision).copy_abs()
+                    if defects[i] >= best_objective:
+                        break
             else:
-                accepted = True
+                defects = [
+                    _vertex_defect(proposal, i, precision).copy_abs() if d is None else d
+                    for i, d in enumerate(defects)
+                ]
+                # max over the defects in vertex order is objective(proposal)
+                accepted = max(defects) < best_objective
         except (CertificationError, ValueError, ZeroDivisionError):
             pass  # escaped the ball or degenerate geometry: a rejection
         if accepted:
-            # max over the defects in vertex order is objective(proposal)
             best, best_objective = proposal, max(defects)
+            below = [Fraction(best_objective) - m for m in margins]
+            above = [Fraction(best_objective) + m for m in margins]
             order.sort(key=defects.__getitem__, reverse=True)
             accepts += 1
             rejections = 0

@@ -2,7 +2,9 @@
 
 Points of the Klein ball whose coordinates mix coprime denominators (10^k,
 3^k, 7·10^k), so a corner's common denominator is a genuine lcm, with heights
-jittered by up to 10⁻¹² as in the search and Newton runs.
+jittered by up to 10⁻¹² as in the search and Newton runs; corners of three
+such points; and vertex stars, a vertex with a link of such points, some of
+whose corners are near-degenerate.
 """
 
 from __future__ import annotations
@@ -39,4 +41,29 @@ def ball_points(draw) -> Point3:
 
 corners = st.tuples(ball_points(), ball_points(), ball_points()).filter(
     lambda c: c[1] != c[0] and c[2] != c[0]
+)
+
+
+@st.composite
+def _vertex_star(draw) -> tuple:
+    """A vertex and a link of 3 to 8 ball points.  Half the time one link
+    point is moved to within 10⁻ᵉ (e ≤ 9) of the ray from the vertex through
+    its predecessor, on either side of the vertex, so that corners run from
+    well inside the hill climb's float guard, 1 − √A ≥ 2⁻²⁰, to past it."""
+    center = draw(ball_points())
+    link = draw(st.lists(ball_points(), min_size=3, max_size=8))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(link) - 2))
+        t = Fraction(draw(st.sampled_from((-3, -1, 1, 3, 9))), 10)
+        tilt = Fraction(1, 10 ** draw(st.integers(1, 9)))
+        off = draw(ball_points())
+        link[j + 1] = Point3(
+            *(c + t * (r - c) + tilt * o for c, r, o in zip(center, link[j], off))
+        )
+    return center, tuple(link)
+
+
+# a moved point may leave the ball or land on the vertex
+vertex_stars = _vertex_star().filter(
+    lambda v: v[0] not in v[1] and all(p.norm_sq() < 1 for p in v[1])
 )

@@ -1101,6 +1101,63 @@ def test_existence_rejects_an_expansion_certificate_that_names_no_surface(
         conclude_existence(flatness_certificate, embedding_certificate, unbound)
 
 
+def test_existence_rejects_a_bare_cap(
+    reference_matrix, candidate_enclosure, flatness_certificate, embedding_certificate
+):
+    # a bare cap of 0 makes the drift n·radius·cap vanish on any ball, so
+    # without the binding this chain concluded existence on radius 10⁻⁸
+    expansion = certify_expansion(
+        reference_matrix,
+        radius=Fraction(1, 10**8),
+        dtheta_center=candidate_enclosure,
+        second_order_cap=0,
+    )
+    assert expansion.cap_surface_digest is None and expansion.cap_ball_radius is None
+    with pytest.raises(CertificationError, match="^second-order cap is for surface None"):
+        conclude_existence(flatness_certificate, embedding_certificate, expansion)
+
+
+def test_existence_rejects_a_cap_checked_on_another_surface(
+    candidate_surface,
+    reference_matrix,
+    candidate_enclosure,
+    flatness_certificate,
+    embedding_certificate,
+):
+    rotated = _rotated_about_z(candidate_surface)
+    cap = second_partial_bound(crude_bounds(rotated))
+    assert cap == SECOND_ORDER_CAP and cap.surface_digest == rotated.digest
+    expansion = certify_expansion(
+        reference_matrix, dtheta_center=candidate_enclosure, second_order_cap=cap
+    )
+    assert expansion.surface_digest == candidate_surface.digest
+    assert expansion.cap_surface_digest == rotated.digest
+    with pytest.raises(CertificationError, match="^second-order cap is for surface"):
+        conclude_existence(flatness_certificate, embedding_certificate, expansion)
+
+
+def test_existence_rejects_a_radius_beyond_the_ball_of_the_cap(
+    candidate_surface,
+    reference_matrix,
+    candidate_enclosure,
+    flatness_certificate,
+    embedding_certificate,
+):
+    cap = second_partial_bound(crude_bounds(candidate_surface, ball_radius=Fraction(1, 10**20)))
+    assert (cap.surface_digest, cap.ball_radius) == (candidate_surface.digest, Fraction(1, 10**20))
+    # the default radius 10⁻¹⁸ keeps every other premise of the chain
+    expansion = certify_expansion(
+        reference_matrix, dtheta_center=candidate_enclosure, second_order_cap=cap
+    )
+    assert expansion.cap_ball_radius == Fraction(1, 10**20)
+    message = (
+        r"^expansion radius 1\.000e-18 exceeds the ball radius 1\.000e-20 on which "
+        r"the second-order cap was checked$"
+    )
+    with pytest.raises(CertificationError, match=message):
+        conclude_existence(flatness_certificate, embedding_certificate, expansion)
+
+
 @pytest.mark.parametrize("name", ["flatness", "embedding"])
 def test_existence_rejects_a_certificate_with_another_vertex_count(
     flatness_certificate, embedding_certificate, expansion_certificate, name

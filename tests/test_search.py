@@ -6,13 +6,15 @@ import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from kleincert import jacobian, search
 from kleincert.jacobian import JacobianMatrix, dtheta_analytic, surface_with_heights, theta_map
-from kleincert.klein import Point3
-from kleincert.mesh import EmbeddedSurface, Triangulation
+from kleincert.klein import Point3, klein_inner
+from kleincert.mesh import EmbeddedSurface, Triangulation, vertex_link
 from kleincert.precision import CertificationError, _fraction_exponent, two_pi
 from kleincert.search import (
     RNG_ALGORITHM,
@@ -23,6 +25,7 @@ from kleincert.search import (
     objective,
     prepare_from_lattice,
 )
+from strategies import vertex_stars
 
 # Nearest 5x5x5 lattice points to the candidate's vertices (k = round(3c + 2)),
 # the starting sketch for the recorded hill-climb run.
@@ -133,7 +136,7 @@ def test_config_rejects_nonpositive(field, value):
         ({"newton_tol": F(7)}, 20),  # a tolerance of 1 or more counts as 1
     ],
 )
-def test_newton_digits_follow_the_tolerance_up_to_the_cap(kwargs, digits):
+def test_newton_digits_follow_the_tolerance(kwargs, digits):
     assert SearchConfig(**kwargs).newton_digits == digits
 
 
@@ -367,14 +370,33 @@ def test_climb_rejects_proposals_leaving_the_ball():
 
 @pytest.mark.parametrize(
     "case",
-    [("sketch", seed) for seed in range(2026, 2031)] + [("near_boundary", 1), ("decay", 3)],
+    [("sketch", seed) for seed in range(2026, 2031)]
+    + [("near_boundary", 1), ("decay", 3), ("digits-1", 2026), ("digits-2", 2027)]
+    + [("near_flat", 5)],
     ids=lambda case: f"{case[0]}-{case[1]}",
 )
 def test_climb_equals_the_full_evaluation_reference(case, prepared_sketch, newton_run):
-    """The early-rejecting climb makes every decision the full evaluation makes."""
+    """The filtered, early-rejecting climb makes every decision the full
+    evaluation makes."""
     kind, seed = case
     if kind == "sketch":
         start, cfg, steps = prepared_sketch, SearchConfig(rng_seed=seed), 40
+    elif kind.startswith("digits"):
+        # at 1 or 2 digits the Decimal term 2(d + 1)·10^(−8−p) dominates the
+        # filter's margin; at 1 digit the coordinate grid is 10⁻¹, so a step
+        # of 1/10 would never move a vertex
+        digits = int(kind[-1])
+        start, steps = prepared_sketch, 40
+        cfg = SearchConfig(
+            rng_seed=seed,
+            initial_step=F(3, 10) if digits == 1 else F(1, 10),
+            climb_precision=digits,
+        )
+    elif kind == "near_flat":
+        # steps of 10⁻²⁰ leave every |Θ_f| within the margin of the objective,
+        # about 10⁻⁵⁹, so every vertex the climb reaches takes the Decimal path
+        start, steps = newton_run[0], 10
+        cfg = SearchConfig(rng_seed=seed, initial_step=F(1, 10**20))
     elif kind == "near_boundary":
         start, steps = _near_boundary_tetrahedron(), 5
         cfg = SearchConfig(
@@ -401,7 +423,8 @@ def test_climb_equals_the_full_evaluation_reference(case, prepared_sketch, newto
     assert repr(history) == repr(ref_history)
 
 
-def test_climb_computes_a_defect_only_until_it_rejects(prepared_sketch, monkeypatch):
+def _counted_cone_angles(monkeypatch) -> list:
+    """The vertices of every cone angle taken from now on, in call order."""
     real = jacobian.cone_angle
     calls = []
 
@@ -411,13 +434,77 @@ def test_climb_computes_a_defect_only_until_it_rejects(prepared_sketch, monkeypa
 
     # the climb reaches cone_angle through jacobian._vertex_defect
     monkeypatch.setattr(jacobian, "cone_angle", counting)
+    return calls
+
+
+def test_climb_computes_a_defect_only_until_it_rejects(prepared_sketch, monkeypatch):
+    calls = _counted_cone_angles(monkeypatch)
     record: dict = {}
     out = hill_climb(prepared_sketch, SearchConfig(), steps=40, record=record)
-    # objective on the start and on each of the 40 proposals would take 410
-    full = (40 + 1) * prepared_sketch.triangulation.n_vertices
-    assert len(calls) == 138 <= full * 2 // 5
+    # the start and the 3 accepted proposals take every Decimal defect; the
+    # float filter decides every vertex of the 37 rejected ones
+    n = prepared_sketch.triangulation.n_vertices
+    assert len(calls) == (1 + record["accepts"]) * n == 40
     monkeypatch.undo()
     assert record["final_objective"] == objective(out, SearchConfig().climb_precision)
+
+
+def test_climb_takes_the_decimal_path_past_the_guard(prepared_sketch, monkeypatch):
+    record: dict = {}
+    out = hill_climb(prepared_sketch, SearchConfig(), steps=40, record=record)
+    # every vertex past the guard: each proposal takes Decimal defects until
+    # its first rejecting vertex, 138 cone angles in all, and decides the same
+    calls = _counted_cone_angles(monkeypatch)
+    monkeypatch.setattr(search, "_float_defect", lambda S, i: None)
+    guarded: dict = {}
+    out_guarded = hill_climb(prepared_sketch, SearchConfig(), steps=40, record=guarded)
+    assert len(calls) == 138
+    assert out_guarded.coords == out.coords
+    assert repr(guarded) == repr(record)
+
+
+def _star(center: Point3, link: tuple) -> EmbeddedSurface:
+    """The fan of triangles (0, j, j + 1) about vertex 0, whose link is ``link``."""
+    d = len(link)
+    faces = tuple((0, j, j % d + 1) for j in range(1, d + 1))
+    return EmbeddedSurface(Triangulation(d + 1, faces), (center,) + link)
+
+
+def _exact_cos2_and_dot(S: EmbeddedSurface, i: int) -> list:
+    """(A, ⟨V, W⟩_X) of each corner at vertex i, from the rational metric."""
+    X = S.coords[i]
+    cycle = vertex_link(S.triangulation, i)
+    out = []
+    for y, z in zip(cycle, cycle[1:] + cycle[:1]):
+        V, W = S.coords[y].sub(X), S.coords[z].sub(X)
+        vw = klein_inner(X, V, W)
+        out.append((vw * vw / (klein_inner(X, V, V) * klein_inner(X, W, W)), vw))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(vertex=vertex_stars)
+def test_float_defect_is_within_the_margin_of_the_mpmath_defect(vertex):
+    S = _star(*vertex)
+    d = len(vertex[1])
+    corners = _exact_cos2_and_dot(S, 0)
+    theta_f = search._float_defect(S, 0)
+    # Fraction → float is the correctly rounded division the filter makes
+    assert (theta_f is None) == any(
+        math.sqrt(float(A)) > search._GUARD for A, _ in corners
+    )
+    if theta_f is None:
+        return  # the climb takes the Decimal defect here
+    with mpmath.workdps(80):
+        truth = -2 * mpmath.pi
+        for A, vw in corners:
+            c = mpmath.sqrt(mpmath.mpf(A.numerator) / A.denominator)
+            truth += mpmath.acos(-c if vw < 0 else c)
+        # the two terms of the margin (d + 1)·(2⁻⁴⁰ + 2·10^(−8−p))
+        assert abs(theta_f - truth) < (d + 1) * mpmath.mpf(2) ** -40
+        for p in (1, 2, 50):
+            decimal = jacobian._vertex_defect(S, 0, p)
+            assert abs(mpmath.mpf(str(decimal)) - truth) < 2 * (d + 1) * mpmath.mpf(10) ** (-8 - p)
 
 
 def test_climb_rejects_negative_budget(prepared_sketch):
@@ -470,7 +557,7 @@ def test_newton_grid_exponent_below_float_range(candidate_surface):
 
 
 @pytest.mark.parametrize("jitter", [3, 8, 13, 20])
-def test_newton_equals_the_reference_at_the_precision_cap(candidate_surface, jitter):
+def test_newton_equals_the_reference_at_400_digits(candidate_surface, jitter):
     """Newton at ``newton_digits`` takes the steps it takes at 400 digits.
 
     The reference runs once to 10⁻¹⁵⁰ at 400 digits.  Its iterates do not
