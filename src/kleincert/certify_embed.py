@@ -43,7 +43,8 @@ recomputes ρ(n), and a value that differs from the stepped one stops the
 certification.
 
 A small table of hand-picked normals is tried first, ± for each pair it
-names; every pair still unwitnessed is then searched in the order n
+names, after every entry for a pair of the surface is checked against the
+cap; every pair still unwitnessed is then searched in the order n
 ascending, +ρ(n) before −ρ(n), for n below the pair kind's search limit
 (2000 for disjoint pairs, 10⁵ for shared-vertex pairs).
 
@@ -67,10 +68,11 @@ exact test.  Every separating N lies in the closed cone
 K̄ = {N : ⟨d,N⟩ ≥ 0 for all d ∈ D} and is not 0.
 
 * Rays.  When D spans R³, K̄ is pointed, so it is the conic hull of its
-  extreme rays (Minkowski–Weyl), and each extreme ray is the line
-  d_a⊥ ∩ d_b⊥ of two independent d.  So K̄ is the conic hull of
-  R = {±(d_a × d_b) ≠ 0 in K̄}, found in exact integers.  If D spans only a
-  plane, R holds both signs of its normal; if only a line, R is empty.
+  extreme rays (Minkowski–Weyl; Ziegler, *Lectures on Polytopes*, 1995),
+  and each extreme ray is the line d_a⊥ ∩ d_b⊥ of two independent d.  So K̄
+  is the conic hull of R = {±(d_a × d_b) ≠ 0 in K̄}, found in exact
+  integers.  If D spans only a plane, R holds both signs of its normal; if
+  only a line, R is empty.
 * Box.  The chart needs a coordinate m and a sign σ with σ·r_m > 0 for
   every r ∈ R; let i < j be the other two coordinates.  A nonzero
   N = Σ λ_r·r ∈ K̄ (λ ≥ 0) then has σ·N_m > 0, and its ratios
@@ -84,19 +86,25 @@ K̄ = {N : ⟨d,N⟩ ≥ 0 for all d ∈ D} and is not 0.
   a ≤ x ≤ b for the exact ratios gives fl(a) ≤ fl(x) ≤ fl(b), and the box
   needs no slack.
 
-A pair with no chart is tested exactly at every n.  That is the case when
-R is empty, when no coordinate has one strict sign over R (which covers a D
-that does not span R³), or when every such coordinate has a ray ratio beyond
-float range.  This is the filter pattern of exact geometric predicates
+Before the scan, every pair that no normal can witness leaves it, of either
+kind, and stays pending.  A witness needs ⟨d,N⟩ > 2δC > 0 for all d ∈ D,
+and by Gordan's alternative such an N exists exactly when 0 ∉ conv(D); for a
+disjoint pair conv(D) = T1 − T2, so it leaves exactly when its closed
+triangles meet.  The chart's rays decide it.  A zero d rules out every N.
+Otherwise, when D spans R³, K̄ is pointed and equals the cone of R, and the
+N with every ⟨d,N⟩ > 0 are the interior points of K̄ (a point of K̄ with
+⟨d,N⟩ = 0 has N − εd outside it), so they exist exactly when R spans R³.
+Only a D that spans just a plane or a line is decided by the subset search:
+by Carathéodory's theorem 0 ∈ conv(D) exactly when it lies in the hull of
+at most four of the d, decided by exact integer determinants.  Such a D has
+no chart: R then holds both signs of the plane's normal, or nothing.
+
+A scanned pair with no chart is tested exactly at every n.  That is the case
+when no coordinate has one strict sign over R, or when every such
+coordinate has a ray ratio beyond float range, and for a D that spans only a
+plane or a line.  This is the filter pattern of exact geometric predicates
 (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
 geometric predicates", 1997): floats prune, exact integers decide.
-
-Before the scan, every one-vertex-sharing pair that no normal can witness
-leaves it (and stays unwitnessed).  A witness needs ⟨d,N⟩ > 2δC ≥ 0
-for all d ∈ D, which Gordan's theorem rules out exactly when 0 ∈ conv(D);
-Carathéodory's theorem reduces that to at most four of the d, decided by
-exact integer determinants.  Disjoint pairs are not tested: their scan ends at
-the lower search limit anyway.
 
 Certified margins transfer back to the undilated surface: δ-separation of
 the dilated surface at δ = λ·scale means λ-robust embeddedness of the
@@ -108,7 +116,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import inf, isqrt, lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -367,10 +375,27 @@ def _differences(tests: PairTests, coords: Sequence[Sequence[int]]) -> List[IntV
     ]
 
 
-def _unwitnessable(tests: PairTests, coords: Sequence[Sequence[int]]) -> bool:
-    """True when no normal gives every test a positive margin: 0 ∈ conv(D)."""
-    D = _differences(tests, coords)
+def _origin_in_hull(D: Sequence[IntVec3]) -> bool:
+    """Is 0 ∈ conv(D)?  By Carathéodory's theorem, 0 is then in the hull of at
+    most four of the d."""
     return any(_origin_in_simplex(s) for k in range(1, 5) for s in combinations(D, k))
+
+
+def _unwitnessable(tests: PairTests, coords: Sequence[Sequence[int]]) -> bool:
+    """True when no normal gives every test a positive margin: 0 ∈ conv(D),
+    by the subset search alone (the scan decides it from the rays, see
+    :func:`_scan_chart`)."""
+    return _origin_in_hull(_differences(tests, coords))
+
+
+def _spans_space(vectors: Sequence[IntVec3]) -> bool:
+    """Do the vectors span R³?  The first two independent ones span a plane,
+    and some vector must leave it."""
+    for a, b in combinations(vectors, 2):
+        normal = _cross(a, b)
+        if any(normal):
+            return any(_dot(normal, c) for c in vectors)
+    return False
 
 
 #: (m, lo_i, hi_i, lo_j, hi_j): the box in which the ratios (N_i/N_m, N_j/N_m),
@@ -379,6 +404,9 @@ Chart = Tuple[int, float, float, float, float]
 
 #: The chart of a pair without one: it admits every ratio, infinite ones too.
 NO_CHART: Chart = (0, -inf, inf, -inf, inf)
+
+#: The hull of a pivot without charts: it holds no ratio.
+_EMPTY_BOX = (inf, -inf, inf, -inf)
 
 
 def _rays(D: Sequence[IntVec3]) -> List[IntVec3]:
@@ -412,9 +440,13 @@ def _rays(D: Sequence[IntVec3]) -> List[IntVec3]:
 
 
 def _chart(D: Sequence[IntVec3]) -> Chart:
+    """The chart of D's rays, whether or not a normal can witness the pair."""
+    return _ray_chart(_rays(D))
+
+
+def _ray_chart(rays: Sequence[IntVec3]) -> Chart:
     """The box of the rays' ratios in the first coordinate m in which every
     ray of R has one strict sign, or :data:`NO_CHART` (see the module docstring)."""
-    rays = _rays(D)
     if not rays:
         return NO_CHART
     for m in range(3):
@@ -428,6 +460,19 @@ def _chart(D: Sequence[IntVec3]) -> Chart:
             continue  # a ratio beyond float range
         return (m, min(xs), max(xs), min(ys), max(ys))
     return NO_CHART
+
+
+def _scan_chart(D: Sequence[IntVec3]) -> Optional[Chart]:
+    """The chart of a pair whose differences are D, or None when no normal
+    can witness the pair, which then leaves the scan (see the module docstring)."""
+    if (0, 0, 0) in D:
+        return None
+    rays = _rays(D)
+    if _spans_space(rays):
+        return _ray_chart(rays)
+    if _spans_space(D):
+        return None  # K̄ is pointed and is the cone of R, which has no interior
+    return None if _origin_in_hull(D) else NO_CHART
 
 
 #: A scan's pairs by chart: the pairs with :data:`NO_CHART`, and one group
@@ -461,7 +506,9 @@ def _admitted(groups: ChartGroups, x: int, y: int, z: int) -> List[PairIdx]:
     The pairs with :data:`NO_CHART` are always admitted.  Each group's two
     ratios are formed once, and its boxes are looked at only when its hull
     holds them.  A group whose pivot coordinate is 0 admits nothing: the
-    ratios over it are infinite, and every box in it has finite ends.
+    ratios over it are infinite, and every box in it has finite ends.  The
+    scan calls this only at an n whose ratios some hull holds, or while a
+    pair without a chart is in the scan.
     """
     chartless, by_pivot = groups
     admitted = chartless[:]
@@ -518,23 +565,29 @@ def certify_embeddedness(
     normal first.  The scan then walks n once and tests every
     still-unwitnessed pair against +ρ(n), then −ρ(n), so each gets its first
     (n, sign) below its kind's search limit; it stops as soon as no pair is
-    left.  A pair whose differences D (above minus below vertex) hold the
-    zero vector, and a one-vertex-sharing pair whose D has 0 in its convex
-    hull, is left out of the scan and stays pending: for every N some
-    ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.  Each scanned pair's chart is
-    built once from D; at each n only the pairs whose chart holds ρ(n)'s
-    ratios get the exact test, and the others cannot be separated by ±ρ(n),
-    so every pair keeps the same first (n, sign).  The charts are grouped by
-    pivot, so ρ(n)'s two ratios are formed once per group, and a group whose
-    hull misses them costs no more; the groups are built again only when a
-    pair is witnessed and when the disjoint pairs leave the scan at
-    :data:`DISJOINT_SEARCH_LIMIT`.  ρ(n) is stepped by its recurrence, and
-    :func:`rho` is called only at an n where some pair reaches the exact test.
+    left.  A pair that no normal can witness, because 0 ∈ conv(D) for its
+    differences D (above minus below vertex), is left out of the scan and
+    stays pending: for every N some ⟨d,N⟩ ≤ 0 ≤ 2δC, and likewise for −N.
+    This is decided from D's rays when D spans R³ and by the subset search
+    otherwise (see the module docstring).  Each scanned pair's chart is built
+    once from D; at each n only the pairs whose chart holds ρ(n)'s ratios get
+    the exact test, and the others cannot be separated by ±ρ(n), so every
+    pair keeps the same first (n, sign).  The charts are grouped by pivot.
 
-    Raises :class:`ValueError` if ``cap`` is below 1, and
-    :class:`CertificationError` listing the unseparated pairs if any pair is
-    separated neither by its manual normal nor by the scan, or naming n if
-    ``rho(n, cap)`` differs from the recurrence's value.
+    The scan runs in stretches of n between changes of the scan: a pair
+    witnessed, or the disjoint pairs leaving at
+    :data:`DISJOINT_SEARCH_LIMIT`.  At the start of a stretch the groups are
+    built and each pivot's hull is held in locals; an n whose ratios no hull
+    holds, while every pair has a chart, costs no call.  ``pair_tests`` is
+    added once per stretch, as the stretch's ρ(n) below the cap times the
+    pairs in the scan.  ρ(n) is stepped by its recurrence, and :func:`rho` is
+    called at every n where some pair reaches the exact test.
+
+    Raises :class:`ValueError` if ``cap`` is below 1 or a manual normal of one
+    of S's pairs reaches it (naming the pair and the normal, before any
+    test), and :class:`CertificationError` listing the unseparated pairs if
+    any pair is separated neither by its manual normal nor by the scan, or
+    naming n if ``rho(n, cap)`` differs from the recurrence's value.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -566,32 +619,56 @@ def certify_embeddedness(
                 margins=_margins(tests[pair], dots, threshold), threshold=threshold, cap=cap,
             )
 
+    manual: Dict[PairIdx, IntVec3] = {}
     for i, j in sorted(kinds):
         key = frozenset((faces[i], faces[j]))
         if manual_normals and key in manual_normals:
-            separate([(i, j)], manual_normals[key], "manual", None)
+            normal = manual_normals[key]
+            if max(map(abs, normal)) >= cap:
+                raise ValueError(
+                    f"manual normal {normal} for {{{faces[i]}, {faces[j]}}} reaches the cap {cap}"
+                )
+            manual[(i, j)] = normal
+    for pair, normal in manual.items():
+        separate([pair], normal, "manual", None)
 
-    scan = [
-        p for p in sorted(kinds.keys() - witnesses.keys())
-        if (0, 0, 0) not in diffs[p]
-        and (kinds[p] == "disjoint" or not _unwitnessable(tests[p], coords))
-    ]
-    charts = {p: _chart(diffs[p]) for p in scan}
-    groups = _chart_groups(scan, charts)
-    rho_candidates = pair_tests = exact_tests = 0
-    for n, (r1, r2, r3) in zip(range(1, SHARED_SEARCH_LIMIT), _rho_residues(cap)):
-        if n == DISJOINT_SEARCH_LIMIT:
-            scan = [p for p in scan if kinds[p] != "disjoint"]
-            groups = _chart_groups(scan, charts)
-        if not scan:
-            break
-        rho_candidates += 1
-        if not (r1 and r2 and r3):
-            continue  # cannot certify with a normal at the cap
-        pair_tests += len(scan)
-        x, y, z = r1 - cap, r2 - cap, r3 - cap
-        admitted = _admitted(groups, x, y, z)
-        if admitted:
+    charts: Dict[PairIdx, Chart] = {}
+    for pair in sorted(kinds.keys() - witnesses.keys()):
+        chart = _scan_chart(diffs[pair])
+        if chart is not None:
+            charts[pair] = chart
+    limit = {"disjoint": DISJOINT_SEARCH_LIMIT, "shared_vertex": SHARED_SEARCH_LIMIT}
+    residues = _rho_residues(cap)
+    n = pair_tests = exact_tests = 0  # n: the last n whose ρ(n) was drawn
+    scan = list(charts)
+    while scan:
+        groups = _chart_groups(scan, charts)
+        chartless = groups[0]
+        hulls = {pivot: hull for pivot, _, _, hull, _ in groups[1]}
+        (
+            (yx_lo, yx_hi, zx_lo, zx_hi),
+            (xy_lo, xy_hi, zy_lo, zy_hi),
+            (xz_lo, xz_hi, yz_lo, yz_hi),
+        ) = (hulls.get(pivot, _EMPTY_BOX) for pivot in range(3))
+        first, skipped = n, 0
+        for r1, r2, r3 in islice(residues, min(limit[kinds[p]] for p in scan) - 1 - n):
+            n += 1
+            if not (r1 and r2 and r3):
+                skipped += 1  # cannot certify with a normal at the cap
+                continue
+            x = r1 - cap
+            y = r2 - cap
+            z = r3 - cap
+            if not (
+                chartless
+                or x and yx_lo <= y / x <= yx_hi and zx_lo <= z / x <= zx_hi
+                or y and xy_lo <= x / y <= xy_hi and zy_lo <= z / y <= zy_hi
+                or z and xz_lo <= x / z <= xz_hi and yz_lo <= y / z <= yz_hi
+            ):
+                continue
+            admitted = _admitted(groups, x, y, z)
+            if not admitted:
+                continue
             base = rho(n, cap)
             if base != (x, y, z):
                 raise CertificationError(
@@ -600,8 +677,9 @@ def certify_embeddedness(
             exact_tests += len(admitted)
             separate(admitted, base, "rho", n)
             if any(p in witnesses for p in admitted):
-                scan = [p for p in scan if p not in witnesses]
-                groups = _chart_groups(scan, charts)
+                break
+        pair_tests += len(scan) * (n - first - skipped)
+        scan = [p for p in scan if p not in witnesses and n + 1 < limit[kinds[p]]]
 
     pending = sorted(kinds.keys() - witnesses.keys())
     if pending:
@@ -622,7 +700,7 @@ def certify_embeddedness(
         n_shared_edge=len(classes.shared_edge),
         n_vertices=S.triangulation.n_vertices,
         surface_digest=S.digest,
-        rho_candidates=rho_candidates,
+        rho_candidates=n,
         pair_tests=pair_tests,
         exact_tests=exact_tests,
     )

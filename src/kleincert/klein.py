@@ -169,14 +169,23 @@ def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, in
 def angle(
     q: int, x: Point3, y: Point3, z: Point3, precision: int = DEFAULT_PRECISION
 ) -> Decimal:
-    """The angle θ = arccos(σ·√A) ∈ [0, π] at a lattice corner, accuracy 10^(2−p).
+    """The angle θ = arccos(σ·√A) ∈ [0, π] at a lattice corner, accuracy
+    10^(2−p) when min(θ, π − θ) ≥ 10⁻¹¹, and at every corner when p ≤ 13.
 
     ``precision`` = p sets the accuracy: √A is the midpoint of a
-    :func:`sqrt_bounds` enclosure at p + 10 digits, at most 10^−(p+9) wide
-    as √A ≤ 1, capped at 1; σ signs it and the fixed-point
-    :func:`arccos_hp` maps it to θ.  This is the non-certified evaluator of
-    the cone-angle and search paths; certificates work with the exact
-    (A, σ) pair instead.
+    :func:`sqrt_bounds` enclosure at p + 10 digits, capped at 1.  As √A ≤ 1,
+    that enclosure is at most u = 10^−(p+10) wide, so σ times the midpoint is
+    a c with |c − cos θ| ≤ u, and the fixed-point :func:`arccos_hp` maps it to
+    arccos c within 10^(2−p)/20 + 10^−(p+10).  For θ′ = arccos c,
+    |cos θ′ − cos θ| = 2·sin((θ + θ′)/2)·sin(|θ − θ′|/2) ≤ u.  The first
+    sine is at least min(θ, π − θ)/π and at least |θ − θ′|/π, and the second
+    at least |θ − θ′|/π, so |θ′ − θ| ≤ π²u/(2·min(θ, π − θ)), which is at
+    most 10^(2−p)/2 when min(θ, π − θ) ≥ 10⁻¹¹, and always
+    |θ′ − θ| ≤ π·√(u/2), which is below 10^(2−p)·3/4 when p ≤ 13.  Nearer
+    to 0 or π at larger p the error reaches about 10^(−(p+10)/2): a corner
+    below that many radians reads 0 (at p = 50, one of 2·10⁻³⁰).
+    This is the non-certified evaluator of the cone-angle and search paths;
+    certificates work with the exact (A, σ) pair instead.
     """
     A, sigma = cos2_and_sign(q, x, y, z)
     root = sqrt_bounds(A, precision + 10)

@@ -3,8 +3,9 @@
 Points of the Klein ball whose coordinates mix coprime denominators (10^k,
 3^k, 7·10^k), so a corner's common denominator is a genuine lcm, with heights
 jittered by up to 10⁻¹² as in the search and Newton runs; corners of three
-such points; and vertex stars, a vertex with a link of such points, some of
-whose corners are near-degenerate.
+such points; vertex stars, a vertex with a link of such points, some of
+whose corners are near-degenerate; and triangle pairs on small lattice
+points, in space, on a plane or on a line.
 """
 
 from __future__ import annotations
@@ -67,3 +68,26 @@ def _vertex_star(draw) -> tuple:
 vertex_stars = _vertex_star().filter(
     lambda v: v[0] not in v[1] and all(p.norm_sq() < 1 for p in v[1])
 )
+
+
+_small = st.integers(min_value=-4, max_value=4)
+_small_vector = st.tuples(_small, _small, _small)
+
+
+@st.composite
+def triangle_pairs(draw) -> tuple:
+    """(coords, f1, f2): two triangles on integer points, sharing vertex 0 or
+    vertex-disjoint.  A quarter of the time all points lie on one plane, and
+    a quarter of the time on one line, so the pair's differences span only a
+    plane or a line.  Points may repeat."""
+    count = 5 if draw(st.booleans()) else 6
+    origin, u, v = draw(_small_vector), draw(_small_vector), draw(_small_vector)
+    shape = draw(st.sampled_from(("space", "space", "plane", "line")))
+    if shape == "space":
+        coords = [draw(_small_vector) for _ in range(count)]
+    else:
+        coords = [
+            tuple(o + a * x + (b * y if shape == "plane" else 0) for o, x, y in zip(origin, u, v))
+            for a, b in (draw(st.tuples(_small, _small)) for _ in range(count))
+        ]
+    return coords, (0, 1, 2), (0, 3, 4) if count == 5 else (3, 4, 5)

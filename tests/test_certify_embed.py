@@ -36,6 +36,7 @@ from kleincert.certify_embed import (
     _pair_tests,
     _rays,
     _rho_residues,
+    _scan_chart,
     _separating_sign,
     _unwitnessable,
     certify_embeddedness,
@@ -58,6 +59,7 @@ from oracles import (
     triangles_meet_only_at,
     witness_scan_reference,
 )
+from strategies import triangle_pairs
 
 # the candidate's lattice denominator is 10³², so δ = 10⁻⁷·10³²
 THRESHOLD = 2 * 10**25 * DEFAULT_CAP  # 2e30
@@ -412,10 +414,12 @@ def test_exact_tests_count_the_scan_calls_of_the_exact_test(
     calls.clear()
     with pytest.raises(CertificationError):
         certify_embeddedness(corrupt_surface, manual_normals=manual_normals)
-    # pairs whose D holds the zero vector (17 of the 82 disjoint pairs here,
-    # which share a point through the moved vertex) stay out of the scan;
-    # pairs without a chart are tested at every n, 6,210 of these 6,739 tests
-    assert len(calls) - 11 == 6739
+    # the 60 pairs that no normal can witness leave the scan before n = 1:
+    # 20 of the 82 disjoint pairs (17 of them with a zero difference through
+    # the moved vertex) and 40 of the shared-vertex pairs; the pairs without
+    # a chart are tested at every n until they are witnessed, 213 of these
+    # 742 tests
+    assert len(calls) - 11 == 742
 
 
 def test_exact_tests_cannot_exceed_the_decisions(certificate):
@@ -502,6 +506,58 @@ def test_unwitnessable_agrees_with_the_intersection_oracle(points):
     except DegenerateConfiguration:
         return
     assert _unwitnessable(_pair_tests((0, 1, 2), (0, 3, 4)), points) == (not meet_only_at_u)
+
+
+@settings(max_examples=600, deadline=None)
+@given(pair=triangle_pairs())
+def test_a_pair_leaves_the_scan_exactly_when_no_normal_can_witness_it(pair):
+    # the rays decide a D that spans R³, the subset search one that spans a
+    # plane or a line; both agree with the reference subset search, and with
+    # the intersection oracle where it classifies the pair
+    coords, f1, f2 = pair
+    tests = _pair_tests(f1, f2)
+    D = _differences(tests, coords)
+    chart = _scan_chart(D)
+    assert (chart is None) == _unwitnessable(tests, coords)
+    assert chart is None or chart == _chart(D)
+    t1, t2 = (tuple(coords[v] for v in f) for f in (f1, f2))
+    try:
+        if 0 in f2:
+            separable = triangles_meet_only_at(t1, t2, coords[0])
+        else:
+            separable = triangles_disjoint(t1, t2)
+    except DegenerateConfiguration:
+        return
+    assert (chart is None) == (not separable)
+
+
+def test_the_subset_search_skips_differences_that_span_space(
+    candidate_surface, corrupt_surface, manual_normals, monkeypatch
+):
+    # every pair of both meshes has differences that span R³, so the rays
+    # decide them all, the 60 pairs of the corrupt mesh that meet included
+    calls = []
+    monkeypatch.setattr(certify_embed, "_origin_in_hull", calls.append)
+    certify_embeddedness(candidate_surface, manual_normals=manual_normals)
+    with pytest.raises(CertificationError):
+        certify_embeddedness(corrupt_surface, manual_normals=manual_normals)
+    assert calls == []
+
+
+def test_an_over_cap_manual_normal_fails_before_any_test(
+    candidate_surface, manual_normals, monkeypatch
+):
+    # the table's entries reach 12,086 to 64,316; the first pair in face
+    # order whose entry reaches the cap is named, with its normal
+    calls = []
+    monkeypatch.setattr(certify_embed, "_separating_sign", lambda *args: calls.append(args))
+    for cap, named in (
+        (10**4, r"\(-40, -67, 14035\) for \{\(0, 2, 1\), \(1, 3, 7\)\}"),
+        (64316, r"\(-442, 205, 64316\) for \{\(\d+, \d+, \d+\), \(\d+, \d+, \d+\)\}"),
+    ):
+        with pytest.raises(ValueError, match=rf"^manual normal {named} reaches the cap {cap}$"):
+            certify_embeddedness(candidate_surface, cap=cap, manual_normals=manual_normals)
+    assert calls == []
 
 
 def test_witness_invariants_are_enforced():

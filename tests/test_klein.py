@@ -182,6 +182,47 @@ def test_angle_right_angle_at_origin():
     assert abs(Fraction(theta) - Fraction(pi_hp(80)) / 2) <= Fraction(1, 10**50)
 
 
+def _origin_corner(t: Fraction, near_pi: bool):
+    """The corner at the origin between (1/2, 0, 0) and (±1/2, t, 0), and
+    its angle, atan(2t) or π − atan(2t), by mpmath at the working precision."""
+    far = Point3(Fraction(-1 if near_pi else 1, 2), t, Fraction(0))
+    theta = mpmath.atan(2 * mpmath.mpf(t.numerator) / t.denominator)
+    return lattice_corner(ORIGIN, HALF_X, far), mpmath.pi - theta if near_pi else theta
+
+
+@pytest.mark.parametrize("p", [12, 13, 50, 100])
+def test_angle_accuracy_holds_in_its_stated_range(p):
+    # corners from about 10⁻³ down to 10⁻⁴⁰ rad from 0 and from π, with
+    # cosines that are not short decimals; 10^(2−p) holds from 10⁻¹¹ on,
+    # and at every corner for p ≤ 13; below, the error stays within
+    # π·√(u/2) plus arccos_hp's rounding, u = 10^−(p+10)
+    with mpmath.workdps(p + 60):
+        accuracy = mpmath.mpf(10) ** (2 - p)
+        floor = mpmath.pi * mpmath.sqrt(mpmath.mpf(10) ** -(p + 10) / 2) + accuracy / 10
+        beyond = 0
+        for k in (3, 8, 10, 11, 12, 14, 20, 29, 31, 40):
+            for num, den in ((1, 3), (2, 7), (5, 11)):
+                t = Fraction(num, den * 10**k)
+                for near_pi in (False, True):
+                    corner, theta = _origin_corner(t, near_pi)
+                    error = abs(mpmath.mpf(str(angle(*corner, precision=p))) - theta)
+                    if min(theta, mpmath.pi - theta) >= mpmath.mpf(10) ** -11 or p <= 13:
+                        assert error <= accuracy, (k, num, near_pi)
+                    else:
+                        assert error <= floor, (k, num, near_pi)
+                        beyond += error > accuracy
+        # the range is not an artefact of the bound: outside it, at p = 50
+        # and 100, the contract fails on some of these corners
+        assert (beyond > 0) == (p > 13)
+
+
+def test_angle_of_a_corner_below_its_floor_reads_zero():
+    corner, theta = _origin_corner(Fraction(1, 10**30), near_pi=False)
+    assert angle(*corner, precision=50) == 0 < theta
+    corner, _ = _origin_corner(Fraction(1, 10**28), near_pi=False)
+    assert angle(*corner, precision=50) > 0
+
+
 def test_angle_agrees_with_cos_oracle():
     # Independent route: cos(angle(...)) must land in the oracle cosine
     # enclosure of the same configuration computed from exact rationals.
