@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 from .precision import (
     Bound,
     CertificationError,
-    DEFAULT_PRECISION,
     arccos_hp,
     exp_bounds,
     hyp_bounds,
@@ -36,7 +35,6 @@ __all__ = [
     "__version__",
     "Bound",
     "CertificationError",
-    "DEFAULT_PRECISION",
     "arccos_hp",
     "exp_bounds",
     "hyp_bounds",

@@ -45,7 +45,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from . import __version__
 from .certify_embed import certify_embeddedness
 from .certify_flat import LinkReference, LinkTable, certify_flatness
-from .jacobian import certify_surface_expansion, conclude_existence
+from .jacobian import JACOBIAN_DIGITS, certify_surface_expansion, conclude_existence
 from .klein import Point3
 from .mesh import EmbeddedSurface, Triangulation, validate
 from .precision import CertificationError, _round_significant
@@ -535,14 +535,14 @@ def _run_flatness(surface, links):
 
 def _run_embeddedness(surface):
     certificate = certify_embeddedness(surface, manual_normals=_load_manual_normals())
-    smallest = min(min(w.margins) for w in certificate.witnesses)
+    margins = [m for w in certificate.witnesses for m in w.margins]
     return {
         "pairs": {
             "disjoint": certificate.n_disjoint,
             "shared_vertex": certificate.n_shared_vertex,
             "shared_edge": certificate.n_shared_edge,
         },
-        "min_margin": _directed_text(Fraction(smallest), round_up=False),
+        "min_margin": _directed_text(Fraction(min(margins)), round_up=False) if margins else None,
         "robustness": fraction_to_text(certificate.robustness),
         "scale": certificate.scale,
         "delta": certificate.delta,
@@ -667,6 +667,8 @@ _FLAGS: Dict[str, dict] = {
     "--plane": dict(choices=("xy", "xz", "yz"), default="xy", help="slice plane"),
 }
 
+_JACOBIAN = {"jacobian_digits": str(JACOBIAN_DIGITS)}
+
 #: Each subcommand's handler and the flags it reads besides --mesh and --report.
 _COMMANDS = {
     "validate": (_cmd_validate, ()),
@@ -675,11 +677,9 @@ _COMMANDS = {
         ("--links",),
     ),
     "verify-embed": (_certify("embeddedness", {"arithmetic": "exact"}, _run_embeddedness), ()),
-    "verify-expansion": (_certify("expansion", {"jacobian_digits": "60"}, _run_expansion), ()),
+    "verify-expansion": (_certify("expansion", _JACOBIAN, _run_expansion), ()),
     "verify-all": (
-        _certify(
-            "existence", {"arithmetic": "exact", "jacobian_digits": "60"}, _run_existence
-        ),
+        _certify("existence", {"arithmetic": "exact", **_JACOBIAN}, _run_existence),
         ("--links",),
     ),
     "refine": (_cmd_refine, ()),

@@ -50,7 +50,6 @@ from .mesh import EmbeddedSurface, cone_angle
 from .precision import (
     Bound,
     CertificationError,
-    DEFAULT_PRECISION,
     _short_ratio,
     hyp_bounds,
     sqrt_bounds,
@@ -80,6 +79,7 @@ __all__ = [
     "certify_expansion",
     "certify_surface_expansion",
     "conclude_existence",
+    "JACOBIAN_DIGITS",
 ]
 
 RationalMatrix = Sequence[Sequence[Fraction]]
@@ -139,7 +139,7 @@ def _vertex_defect(S: EmbeddedSurface, i: int, precision: int) -> Decimal:
         return +(cone_angle(S, i, precision + 10) - two_pi(precision + 10))
 
 
-def theta_map(S: EmbeddedSurface, precision: int = DEFAULT_PRECISION) -> DefectVector:
+def theta_map(S: EmbeddedSurface, precision: int) -> DefectVector:
     """Cone defects Θ_i = (cone angle at vertex i) − 2π for every vertex.
 
     Each Θ_i is :func:`_vertex_defect`, the one definition of a vertex's
@@ -229,7 +229,7 @@ class JacobianEnclosure(list):
         self.surface_digest = surface_digest
 
 
-def dtheta_enclosure(S: EmbeddedSurface, precision: int = 60) -> JacobianEnclosure:
+def dtheta_enclosure(S: EmbeddedSurface, precision: int) -> JacobianEnclosure:
     """Certified enclosures of every Jacobian entry ∂Θ_i/∂z_l, with ``S.digest``.
 
     ``precision`` = p is the one accuracy parameter: every root, quotient
@@ -281,7 +281,7 @@ def dtheta_enclosure(S: EmbeddedSurface, precision: int = 60) -> JacobianEnclosu
     return JacobianEnclosure(rows, S.digest)
 
 
-def dtheta_analytic(S: EmbeddedSurface, precision: int = 60) -> JacobianMatrix:
+def dtheta_analytic(S: EmbeddedSurface, precision: int) -> JacobianMatrix:
     """The analytic Jacobian as midpoint scalars of the ``precision``-digit enclosures."""
     rows = dtheta_enclosure(S, precision=precision)
     return JacobianMatrix(
@@ -293,8 +293,8 @@ def dtheta_analytic(S: EmbeddedSurface, precision: int = 60) -> JacobianMatrix:
 
 def dtheta_fd(
     S: EmbeddedSurface,
+    precision: int,
     h: Fraction = Fraction(1, 10**20),
-    precision: int = 100,
     map_fn=None,
 ) -> JacobianMatrix:
     """Central-difference Jacobian (Θ(z + h·e_j) − Θ(z − h·e_j)) / (2h).
@@ -377,11 +377,11 @@ def crude_bounds(
     It reads ``S.lattice`` only: each edge's chord integer A from
     :mod:`kleincert.klein` decides the norm check exactly, one ``distance``
     per edge its length, and the surface's corner table the cosines.
-    The lengths are enclosed at ``distance``'s default width 10⁻⁸: the check
-    reads only whether each lies in [0.63, 2.08], and the candidate's lie
-    0.0087 or more inside it.  The two ``hyp_bounds`` run at a fixed 80
-    digits: the partial caps 15 and 42 they feed lie 0.19 and 1.0 above
-    the true values.
+    The lengths are enclosed to width 10⁻⁸: the check reads only whether
+    each lies in [0.63, 2.08], and the candidate's lie 0.0087 or more inside
+    it.  The two ``hyp_bounds`` run at 4 digits: the partial caps 15 and 42
+    they feed lie 0.19 and 1.0 above the true values, and 4 digits move the
+    checked quotients by under 0.01 and 0.03.
     """
     T = S.triangulation
     q, lattice = S.denominator, S.lattice
@@ -409,7 +409,7 @@ def crude_bounds(
     # hyperbolic edge lengths at the center, one certified distance each
     el_lo, el_hi = Fraction(63, 100), Fraction(208, 100)
     for ia, ib in edges:
-        d = distance(q, lattice[ia], lattice[ib])
+        d = distance(q, lattice[ia], lattice[ib], Fraction(1, 10**8))
         _req(
             el_lo <= Fraction(d.lo) and Fraction(d.hi) <= el_hi,
             f"hyperbolic length of edge {(ia, ib)}",
@@ -441,8 +441,8 @@ def crude_bounds(
     _req(cos_lo - cos_slack >= ball_lo and cos_hi + cos_slack <= ball_hi, "cosine range")
 
     # the law-of-cosines map is 70-Lipschitz on [0.6, 2.1]³
-    hyp_half = hyp_bounds(Fraction(1, 2), precision=80)
-    hyp_top = hyp_bounds(Fraction(21, 10), precision=80)
+    hyp_half = hyp_bounds(Fraction(1, 2), precision=4)
+    hyp_top = hyp_bounds(Fraction(21, 10), precision=4)
     sh_half_lo = Fraction(hyp_half.sinh.lo)
     th_half_lo = Fraction(hyp_half.tanh.lo)
     sh_top_hi = Fraction(hyp_top.sinh.hi)
@@ -724,14 +724,16 @@ def singular_lower_bound(M: RationalMatrix) -> Fraction:
     """Certified rational lower bound on the smallest singular value of M.
 
     The square root of the lower end of the smallest-eigenvalue bracket of
-    the Gram matrix, rounded down at :func:`sqrt_bounds`' default digits.
+    the Gram matrix, rounded down at 20 digits by :func:`sqrt_bounds`: eight
+    below the 12 significant digits at which reports quote the bound and
+    the angle sine bound derived from it.
     """
     lo, _ = smallest_gram_root_bracket(M)
     if lo < 0:
         raise CertificationError("negative root bracket for a Gram matrix")
     if lo == 0:
         return Fraction(0)
-    root = sqrt_bounds(lo)
+    root = sqrt_bounds(lo, 20)
     return Fraction(root.lo)
 
 
@@ -857,12 +859,16 @@ def certify_expansion(
     )
 
 
+JACOBIAN_DIGITS = 60  # of the center enclosure in certify_surface_expansion and its reports
+
+
 def certify_surface_expansion(S: EmbeddedSurface) -> ExpansionCertificate:
     """:func:`certify_expansion` on ``S``, with M and the cap derived from ``S``."""
     # M rounds the 60-digit center enclosure to 10⁻³: its ~1e-40 width is
     # invisible next to the 5e-4 rounding slack, so the deviation premise is decisive.
-    enclosure = dtheta_enclosure(S, precision=60)
-    M = [[Fraction(round(Fraction(b.midpoint(60)) * 1000), 1000) for b in row] for row in enclosure]
+    enclosure = dtheta_enclosure(S, JACOBIAN_DIGITS)
+    M = [[Fraction(round(Fraction(b.midpoint(JACOBIAN_DIGITS)) * 1000), 1000) for b in row]
+         for row in enclosure]
     cap = second_partial_bound(crude_bounds(S))
     return certify_expansion(M, dtheta_center=enclosure, second_order_cap=cap)
 

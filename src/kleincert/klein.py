@@ -41,7 +41,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from .precision import (
-    DEFAULT_PRECISION,
     Bound,
     _fraction_exponent,
     arccos_hp,
@@ -166,9 +165,7 @@ def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, in
     return Fraction(g_vw * g_vw, g_vv * g_ww), sigma
 
 
-def angle(
-    q: int, x: Point3, y: Point3, z: Point3, precision: int = DEFAULT_PRECISION
-) -> Decimal:
+def angle(q: int, x: Point3, y: Point3, z: Point3, precision: int) -> Decimal:
     """The angle θ = arccos(σ·√A) ∈ [0, π] at a lattice corner, accuracy
     10^(2−p) when min(θ, π − θ) ≥ 10⁻¹¹, and at every corner when p ≤ 13.
 
@@ -193,7 +190,7 @@ def angle(
     return arccos_hp(cos_theta.copy_negate() if sigma < 0 else cos_theta, precision)
 
 
-def distance(q: int, x: Point3, y: Point3, target_width: CoordLike = "1e-8") -> Bound:
+def distance(q: int, x: Point3, y: Point3, target_width: CoordLike) -> Bound:
     """Certified Bound, at most ``target_width`` wide, on the hyperbolic
     distance between lattice points x/q, y/q.
 

@@ -29,7 +29,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence, Tuple
 
 from .klein import Point3, angle, cos2_and_sign, dilate
-from .precision import DEFAULT_PRECISION
 
 __all__ = [
     "Triangulation",
@@ -225,7 +224,7 @@ class EmbeddedSurface:
         return MappingProxyType(out)
 
 
-def cone_angle(S: EmbeddedSurface, i: int, precision: int = DEFAULT_PRECISION) -> Decimal:
+def cone_angle(S: EmbeddedSurface, i: int, precision: int) -> Decimal:
     """The cone angle θ_i = Σ_j angle(X_i, X_{n_j}, X_{n_{j+1}}) at vertex i."""
     cycle = vertex_link(S.triangulation, i)
     q, lattice = S.denominator, S.lattice

@@ -3,9 +3,9 @@
 Three kinds of numbers flow through this package:
 
 * ``Scalar`` — an arbitrary-precision decimal float, realized by the standard
-  library's :class:`decimal.Decimal`.  Every public operation takes an explicit
-  ``precision`` argument (decimal digits, default ``DEFAULT_PRECISION``); there
-  is no ambient mutable precision state, so everything here is thread-safe.
+  library's :class:`decimal.Decimal`.  Every public operation takes its
+  accuracy (digits or a width) explicitly, with no default; there is no
+  ambient mutable precision state, so everything here is thread-safe.
 * ``Rational`` — an exact rational, realized by :class:`fractions.Fraction`.
   All trusted comparisons in the certification paths reduce to exact rational
   (ultimately integer) arithmetic.  A rational is rounded to p digits
@@ -22,7 +22,7 @@ On top of these sit certified enclosures of the transcendental functions used
 by the geometry layers:
 
 * :func:`exp_bounds` — enclosure of e^x from S_n(x) plus the remainder
-  a^(n+1)·3^a/(n+1)! valid on |x| ≤ a,
+  a^(n+1)·3^a/(n+1)! valid on |x| ≤ a; its one accuracy parameter is the width,
 * :func:`ln_bounds` — enclosure of ln x around the library logarithm, its two
   endpoints t certified via e^t ≶ x with exact rational comparisons; its
   one accuracy parameter is the width,
@@ -30,7 +30,7 @@ by the geometry layers:
   square root s = ⌊√x·10^k⌋, a point when s² matches x exactly; its one
   accuracy parameter is the digits of s,
 * :func:`hyp_bounds` — sinh/cosh/tanh enclosures on [−3, 3], combined
-  outward from the two :func:`exp_bounds` enclosures of e^x and e^−x,
+  outward from two :func:`exp_bounds` enclosures of e^±x, 10^−p wide at p digits,
 * :func:`arccos_hp` — a *non-certified* high-precision arccos used only by the
   search/evaluation paths (the certificates never evaluate arccos, they only
   Lipschitz-bound it); accuracy contract |err| ≤ 10^(2−p) at precision p.  It
@@ -49,7 +49,6 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 __all__ = [
-    "DEFAULT_PRECISION",
     "CertificationError",
     "Bound",
     "HypBounds",
@@ -63,9 +62,6 @@ __all__ = [
     "arccos_hp",
     "pi_hp",
 ]
-
-#: Default working precision in decimal digits.
-DEFAULT_PRECISION = 400
 
 ScalarLike = Union[Decimal, int, str]
 NumberLike = Union[Decimal, int, str, Fraction]
@@ -170,9 +166,7 @@ class Bound:
             raise ValueError(f"Bound endpoints out of order: {self.lo} > {self.hi}")
 
     @classmethod
-    def from_fraction_pair(
-        cls, lo: Fraction, hi: Fraction, precision: int = DEFAULT_PRECISION
-    ) -> "Bound":
+    def from_fraction_pair(cls, lo: Fraction, hi: Fraction, precision: int) -> "Bound":
         """Bound [lo, hi] from exact rational endpoints, rounded outward."""
         if lo > hi:
             raise ValueError(f"endpoints out of order: {lo} > {hi}")
@@ -181,7 +175,7 @@ class Bound:
             decimal_from_fraction(hi, precision, ROUND_CEILING),
         )
 
-    def midpoint(self, precision: int = DEFAULT_PRECISION) -> Decimal:
+    def midpoint(self, precision: int) -> Decimal:
         with localcontext(_context(precision)):
             return (self.lo + self.hi) / 2
 
@@ -223,82 +217,79 @@ def _exp_remainder(a: int, n: int) -> Fraction:
     return Fraction(a ** (n + 1) * 3**a, math.factorial(n + 1))
 
 
-def exp_bounds(
-    x: NumberLike, a: int, n: int = 20, precision: int = DEFAULT_PRECISION
-) -> Bound:
-    """Certified enclosure of e^x for |x| ≤ a, a a positive integer.
+def exp_bounds(x: NumberLike, target_width: NumberLike) -> Bound:
+    """Certified enclosure of e^x at most ``target_width`` = w wide, w its one
+    accuracy parameter.
 
-    The enclosure is S_n(x) ± a^(n+1)·3^a/(n+1)!, evaluated exactly and
-    rounded outward, its lower end down and its upper end up.  Both ends are
+    S_n(x) ± a^(n+1)·3^a/(n+1)!, a = max(1, ⌈|x|⌉), at the least order n
+    whose remainder :func:`_exp_remainder` (a, n) is at most w/4, found in
+    integers as the least with a^(n+1)·3^a·den ≤ (n+1)!·num for w/4 =
+    num/den, both sides grown one order at a time by a and n + 1.  The ends,
+    at most e^a + w/4 < 3^a + w in size, are rounded outward at the digits
+    whose ulp is at most 10^⌊log10(w/4)⌋: the width is at most w.  They are
     (T·(n+1) ∓ a^(n+1)·3^a·qⁿ) / ((n+1)!·qⁿ) over the unreduced integers of
     :func:`_exp_taylor_integers`; :func:`_short_ratio` rounds any
     representation of a value to the same Decimal, so no gcd is taken.
     """
-    if not isinstance(a, int) or a < 1:
-        raise ValueError(f"a must be a positive integer, got {a!r}")
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    xf = as_fraction(x)
-    if abs(xf) > a:
-        raise ValueError(f"|x| = {abs(xf)} exceeds the stated range bound a = {a}")
+    xf, tw = as_fraction(x), as_fraction(target_width)
+    if tw <= 0:
+        raise ValueError(f"target width must be positive, got {target_width}")
+    a = max(1, math.ceil(abs(xf)))
+    tn, td = tw.numerator, tw.denominator
+    n = 0
+    lhs, rhs = a * 3**a * 4 * td, tn
+    while lhs > rhs:
+        n += 1
+        lhs, rhs = lhs * a, rhs * (n + 1)
+    digits = max(1, _ratio_exponent(3**a * td + tn, td) - _ratio_exponent(tn, 4 * td) + 1)
     total, denominator = _exp_taylor_integers(xf, n)
     s = total * (n + 1)
     r = a ** (n + 1) * 3**a * xf.denominator**n
     den = denominator * (n + 1)
     return Bound(
-        _context(precision, ROUND_FLOOR).divide(*_short_ratio(s - r, den, precision)),
-        _context(precision, ROUND_CEILING).divide(*_short_ratio(s + r, den, precision)),
+        _context(digits, ROUND_FLOOR).divide(*_short_ratio(s - r, den, digits)),
+        _context(digits, ROUND_CEILING).divide(*_short_ratio(s + r, den, digits)),
     )
 
 
-def _classify_exp(t: Decimal, x: Fraction, tolerance: Fraction, precision: int) -> int:
+def _classify_exp(t: Decimal, x: Fraction, width: Fraction) -> int:
     """Certified comparison of e^t against x: -1 if e^t < x, +1 if e^t > x.
 
     The only rational point with rational exponential is t = 0, handled by
-    exact comparison (0 when e^0 = x exactly).  Elsewhere one enclosure
-    decides, at the least Taylor order n whose remainder
-    :func:`_exp_remainder` (a, n) is at most ``tolerance`` = num/den; raises
-    if it does not separate e^t from x.  That n is found in integers, as the
-    least with a^(n+1)·3^a·den ≤ (n+1)!·num, both sides grown one order at a
-    time by the factors a and n + 1.
+    exact comparison (0 when e^0 = x exactly).  Elsewhere one
+    :func:`exp_bounds` enclosure ``width`` wide decides; raises if it does
+    not separate e^t from x.
     """
     if t == 0:
         if x == 1:
             return 0
         return -1 if x > 1 else 1
-    a = max(1, math.ceil(abs(Fraction(t))))
-    n = 0
-    lhs, rhs = a * 3**a * tolerance.denominator, tolerance.numerator
-    while lhs > rhs:
-        n += 1
-        lhs, rhs = lhs * a, rhs * (n + 1)
-    enclosure = exp_bounds(t, a, n, precision)
+    enclosure = exp_bounds(t, width)
     if Fraction(enclosure.hi) <= x:
         return -1
     if Fraction(enclosure.lo) >= x:
         return 1
     raise CertificationError(
-        f"exp enclosure at t = {t} cannot separate e^t from {x} (raise the working precision)"
+        f"exp enclosure at t = {t}, {width} wide, cannot separate e^t from {x}"
     )
 
 
 def ln_bounds(x: NumberLike, target_width: NumberLike) -> Bound:
     """Certified enclosure [a, b] of ln x with b − a ≤ target_width.
 
-    ``target_width`` is the one accuracy parameter: it sets the digits
-    D = max(0, −⌊log10 w⌋) + 10, w = target_width, of the whole computation.
-    The untrusted candidate is the library logarithm h at D digits.  The
-    endpoints a = h − w/3 and b = h + w/3 are rounded outward at D digits
-    and certified by e^a ≤ x ≤ e^b through :func:`_classify_exp`, whose
-    enclosures are rounded at D digits too; if either check fails the
-    candidate is rejected with :class:`CertificationError`.
+    ``target_width`` = w is the one accuracy parameter: it sets the digits
+    D = max(0, −⌊log10 w⌋) + 10 of the candidate and the endpoints, and the
+    width of the checks.  The untrusted candidate is the library logarithm h
+    at D digits.  The endpoints a = h − w/3 and b = h + w/3 are rounded
+    outward at D digits and certified by e^a ≤ x ≤ e^b through
+    :func:`_classify_exp`; if either check fails the candidate is rejected
+    with :class:`CertificationError`.
 
-    Each check sums one Taylor series, of the least order whose remainder
-    cap is at most x·u/12 with u = min(w, 1), so its enclosure lies within
-    x·u/6 + x·10^(1−D) ≤ x·u/5 of e^t.  Both endpoints lie about w/3 ≥ u/3
-    from ln x, so e^a and e^b lie at least x·(1 − e^(−u/3)) ≥ x·u/4 from x:
-    the enclosure separates unless the candidate is off by about u/12, far
-    above its error.
+    Each check is one :func:`exp_bounds` enclosure x·u/3 wide, u = min(w, 1),
+    whose ends lie within 2·x·u/12 + x·u/12 = x·u/4 of e^t (remainder and
+    ulp each at most x·u/12).  The endpoints lie w/3 ≥ u/3 from ln x, give
+    or take the candidate's error δ, so e^a and e^b lie x·(1 − e^(δ−u/3)) or
+    more from x, above x·u/4 unless |δ| ≥ u/22: far above that error.
     """
     xf = as_fraction(x)
     if xf <= 0:
@@ -312,23 +303,24 @@ def ln_bounds(x: NumberLike, target_width: NumberLike) -> Bound:
         hint = Fraction((Decimal(xf.numerator) / Decimal(xf.denominator)).ln())
     lo = decimal_from_fraction(hint - tw / 3, digits, ROUND_FLOOR)
     hi = decimal_from_fraction(hint + tw / 3, digits, ROUND_CEILING)
-    tolerance = xf * min(tw, 1) / 12
-    if (
-        _classify_exp(lo, xf, tolerance, digits) > 0
-        or _classify_exp(hi, xf, tolerance, digits) < 0
-    ):
+    width = xf * min(tw, 1) / 3
+    if _classify_exp(lo, xf, width) > 0 or _classify_exp(hi, xf, width) < 0:
         raise CertificationError(f"candidate enclosure [{lo}, {hi}] of ln {x} failed verification")
     return Bound(lo, hi)
 
 
 def _fraction_exponent(x: Fraction) -> int:
-    """floor(log10 x) for a positive rational, exact: the bit lengths of
-    numerator and denominator set log10 x to within log10 2, so
-    e = ⌊(difference)·log10 2⌋ is within one of the answer, and exact
-    integer comparisons of x against 10^e and 10^(e+1) step it there."""
+    """floor(log10 x) for a positive rational, by :func:`_ratio_exponent`."""
     if x <= 0:
         raise ValueError("expected a positive rational")
-    n, d = x.numerator, x.denominator
+    return _ratio_exponent(x.numerator, x.denominator)
+
+
+def _ratio_exponent(n: int, d: int) -> int:
+    """floor(log10 x), x = n/d, for positive integers, exact: the bit lengths
+    of n and d set log10 x to within log10 2, so e = ⌊(difference)·log10 2⌋
+    is within one of the answer, and exact integer comparisons of x against
+    10^e and 10^(e+1) step it there."""
 
     def below(e: int) -> bool:  # x < 10^e
         return n < d * 10**e if e >= 0 else n * 10**-e < d
@@ -351,7 +343,7 @@ def _round_significant(x: Fraction, digits: int, up: bool) -> Fraction:
     return (math.ceil(steps) if up else math.floor(steps)) * quantum
 
 
-def sqrt_bounds(x: NumberLike, precision: int = DEFAULT_PRECISION) -> Bound:
+def sqrt_bounds(x: NumberLike, precision: int) -> Bound:
     """Certified enclosure [s, s + 1]·10^−k of √x from one integer square root.
 
     ``precision`` = p is the one accuracy parameter: s = ⌊√x·10^k⌋ =
@@ -385,22 +377,24 @@ def sqrt_bounds(x: NumberLike, precision: int = DEFAULT_PRECISION) -> Bound:
 # ---------------------------------------------------------------------------
 
 
-def hyp_bounds(x: NumberLike, precision: int = DEFAULT_PRECISION) -> HypBounds:
-    """Certified sinh/cosh/tanh enclosures for |x| ≤ 3.
+def hyp_bounds(x: NumberLike, precision: int) -> HypBounds:
+    """Certified sinh/cosh/tanh enclosures for |x| ≤ 3, ``precision`` = p
+    digits the one accuracy parameter.
 
-    Built from the enclosures [P⁻, P⁺] ∋ eˣ and [M⁻, M⁺] ∋ e⁻ˣ of
-    :func:`exp_bounds` (a = 3, n = 20), whose remainder is inside each by
-    construction: sinh ∈ [(P⁻ − M⁺)/2, (P⁺ − M⁻)/2], cosh ∈ [(P⁻ + M⁻)/2,
+    Built from :func:`exp_bounds` enclosures [P⁻, P⁺] ∋ eˣ and [M⁻, M⁺] ∋ e⁻ˣ
+    10^−max(p, 2) wide: sinh ∈ [(P⁻ − M⁺)/2, (P⁺ − M⁻)/2], cosh ∈ [(P⁻ + M⁻)/2,
     (P⁺ + M⁺)/2], and tanh ∈ [(P⁻ − M⁺)/(P⁻ + M⁺), (P⁺ − M⁻)/(P⁺ + M⁻)],
     since (u − v)/(u + v) rises in u and falls in v for u, v > 0 (both lower
-    ends are positive: e⁻³ far exceeds the remainder).  Arguments outside
-    [−3, 3] are rejected; the caller must rescale.
+    ends are positive: the width is below e⁻³).  Rounded outward at p digits,
+    each is under 3·10^(2−p) wide.  Arguments outside [−3, 3] are rejected;
+    the caller must rescale.
     """
     xf = as_fraction(x)
     if abs(xf) > 3:
         raise ValueError(f"hyp_bounds only covers [-3, 3], got {x}")
-    plus = exp_bounds(xf, 3, 20, precision)
-    minus = exp_bounds(-xf, 3, 20, precision)
+    width = Fraction(1, 10 ** max(precision, 2))
+    plus = exp_bounds(xf, width)
+    minus = exp_bounds(-xf, width)
     p_lo, p_hi = Fraction(plus.lo), Fraction(plus.hi)
     m_lo, m_hi = Fraction(minus.lo), Fraction(minus.hi)
     return HypBounds(
@@ -478,7 +472,7 @@ def _arctan_fixed(u: int, bits: int) -> int:
     return total << _HALVINGS
 
 
-def arccos_hp(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> Decimal:
+def arccos_hp(x: ScalarLike, precision: int) -> Decimal:
     """High-precision arccos with accuracy |err| ≤ 10^(2−p) at precision p.
 
     θ = atan2(√(1 − x²), x) in units of 2^−B, B = ⌈(p + 10)·log₂10⌉ + 64:

@@ -164,7 +164,7 @@ def prepare_from_lattice(
     return EmbeddedSurface(triangulation, coords)
 
 
-def objective(surface: EmbeddedSurface, precision: int = 50) -> Decimal:
+def objective(surface: EmbeddedSurface, precision: int) -> Decimal:
     """Maximum absolute cone defect, the quantity the hill climb minimises."""
     return theta_map(surface, precision).sup_norm()
 

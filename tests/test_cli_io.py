@@ -494,6 +494,19 @@ def test_cli_verify_expansion_certifies(tmp_path):
     assert Fraction(payload["details"]["angle_sine_bound"]) ** 2 < Fraction(3, 4)
 
 
+def test_cli_verify_embed_certifies_a_tetrahedron_without_witnesses(tmp_path):
+    # every face pair of a tetrahedron shares an edge, so no pair needs a
+    # separating normal and there is no margin to quote
+    mesh = tmp_path / "tetrahedron.json"
+    q = Fraction(1, 4)
+    save_mesh(_tetrahedron([(q, q, q), (q, -q, -q), (-q, q, -q), (-q, -q, q)]), mesh)
+    report = tmp_path / "report.json"
+    assert main(["verify-embed", "--mesh", str(mesh), "--report", str(report)]) == 0
+    details = json.loads(report.read_text())["details"]
+    assert details["pairs"] == {"disjoint": 0, "shared_edge": 6, "shared_vertex": 0}
+    assert details["min_margin"] is None
+
+
 def test_cli_verify_expansion_checks_second_order_premise(tmp_path, candidate_bytes):
     # scaling by 1.03 puts vertex 0 at norm ≈ 0.81, outside the 0.79 ball the
     # second-order chain is proved on; the Jacobian floor alone would pass

@@ -447,7 +447,7 @@ def test_fd_truncation_error_is_second_order(candidate_surface):
 
 def test_fd_rejects_nonpositive_step(tetrahedron_surface):
     with pytest.raises(ValueError, match="positive"):
-        dtheta_fd(tetrahedron_surface, h=Fraction(0))
+        dtheta_fd(tetrahedron_surface, h=Fraction(0), precision=30)
 
 
 # ---------------------------------------------------------------------------
@@ -558,14 +558,14 @@ def test_crude_bounds_rejects_oversized_ball(candidate_surface):
 
 
 def test_crude_lengths_at_the_default_width_clear_their_range(candidate_surface):
-    # crude_bounds encloses each edge length at distance's default width
-    # 10⁻⁸; every enclosure lies at least 10⁻³ inside [0.63, 2.08]
+    # crude_bounds encloses each edge length at the width it states, 10⁻⁸;
+    # every enclosure lies at least 10⁻³ inside [0.63, 2.08]
     q, lattice = candidate_surface.denominator, candidate_surface.lattice
     faces = candidate_surface.triangulation.faces
     edges = {tuple(sorted((f[r], f[(r + 1) % 3]))) for f in faces for r in range(3)}
     margin = Fraction(1, 1000)
     for a, b in sorted(edges):
-        d = distance(q, lattice[a], lattice[b])
+        d = distance(q, lattice[a], lattice[b], Fraction(1, 10**8))
         assert Fraction(63, 100) + margin <= Fraction(d.lo), (a, b)
         assert Fraction(d.hi) <= Fraction(208, 100) - margin, (a, b)
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kleincert
-from kleincert import certify_embed, certify_flat, jacobian, klein
+from kleincert import certify_embed, certify_flat, jacobian, klein, precision
 from kleincert.klein import (
     Point3,
     angle,
@@ -260,7 +260,7 @@ def test_distance_chord_through_origin():
 
 def test_distance_rejects_equal_points():
     with pytest.raises(ValueError, match=r"^distance requires X != Y$"):
-        distance(*lattice_corner(ORIGIN, ORIGIN))
+        distance(*lattice_corner(ORIGIN, ORIGIN), Fraction(1, 10**8))
 
 
 def test_distance_rejects_points_outside_ball_like_klein_inner():
@@ -269,7 +269,7 @@ def test_distance_rejects_points_outside_ball_like_klein_inner():
         klein_inner(sphere, inside, inside)
     for pair in ((sphere, inside), (inside, sphere), (sphere, sphere)):
         with pytest.raises(ValueError) as chord_error:
-            distance(*lattice_corner(*pair))
+            distance(*lattice_corner(*pair), Fraction(1, 10**8))
         assert str(chord_error.value) == str(inner_error.value)
 
 
@@ -391,19 +391,45 @@ def test_surface_geometry_reads_only_the_lattice():
         assert ".coords" not in inspect.getsource(function), function.__qualname__
 
 
+def _accuracy_parameters(function) -> dict:
+    params = inspect.signature(function).parameters
+    return {
+        name: param
+        for name, param in params.items()
+        if any(word in name for word in ("precision", "digits", "width"))
+    }
+
+
 def test_accuracy_comes_from_one_parameter():
     # design rule: no public callable takes both a width and a digits count,
-    # and Newton's digits follow its tolerance alone
+    # none outside cli_io (whose digits are output formats) defaults its
+    # accuracy, public methods included, and Newton's digits follow its
+    # tolerance alone
+    checked = []
     for info in pkgutil.iter_modules(kleincert.__path__):
         module = importlib.import_module(f"kleincert.{info.name}")
         for name in module.__all__:
             obj = getattr(module, name)
             if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
                 continue
-            params = inspect.signature(obj).parameters
-            widths = [p for p in params if "width" in p]
-            digits = [p for p in params if "precision" in p or "digits" in p]
+            accuracy = _accuracy_parameters(obj)
+            widths = [p for p in accuracy if "width" in p]
+            digits = [p for p in accuracy if "width" not in p]
             assert not (widths and digits), (module.__name__, name, widths, digits)
+            if info.name == "cli_io":
+                continue
+            # a class's settings are its fields; its methods state their accuracy
+            functions = [(name, obj)] if not isinstance(obj, type) else [
+                (f"{name}.{attr}", getattr(obj, attr))
+                for attr in vars(obj)
+                if not attr.startswith("_") and callable(getattr(obj, attr))
+            ]
+            for label, function in functions:
+                for param in _accuracy_parameters(function).values():
+                    checked.append(label)
+                    assert param.default is inspect.Parameter.empty, (module.__name__, label)
+    assert {"Bound.midpoint", "Bound.from_fraction_pair", "hyp_bounds", "distance"} <= set(checked)
+    assert list(_accuracy_parameters(precision.exp_bounds)) == ["target_width"]
     tol = Fraction(1, 10**300)
     for field in dataclasses.fields(SearchConfig):
         if field.name != "newton_tol":

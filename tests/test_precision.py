@@ -36,7 +36,6 @@ from kleincert.jacobian import crude_bounds, dtheta_enclosure
 from kleincert.mesh import cone_angle
 from kleincert.search import SearchConfig, newton_refine
 from kleincert.precision import (
-    DEFAULT_PRECISION,
     Bound,
     CertificationError,
     arccos_hp,
@@ -73,32 +72,29 @@ def contains_enclosure(bound: Bound, lo: Fraction, hi: Fraction) -> bool:
 
 
 def test_exp_bounds_at_zero():
-    b = exp_bounds(0, 1, 20)
+    b = exp_bounds(0, Fraction(1, 10**30))
     assert Fraction(b.lo) <= 1 <= Fraction(b.hi)
-    # Stated remainder 3/21! each side, plus a sliver for rounding each end outward.
-    width = Fraction(b.hi) - Fraction(b.lo)
-    assert width <= 2 * Fraction(3, math.factorial(21)) + Fraction(1, 10**390)
+    assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(1, 10**30)
 
 
 def test_exp_bounds_at_two_contains_e_squared():
-    b = exp_bounds(2, 2, 20)
+    b = exp_bounds(2, Fraction(2, 10**10))
     lo, hi = oracles.exp_enclosure(Fraction(2), n=200)
     assert contains_enclosure(b, lo, hi)
     assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(2, 10**10)
 
 
 def test_exp_bounds_at_three_contains_e_cubed():
-    b = exp_bounds(3, 3, 20)
+    b = exp_bounds(3, Fraction(2, 10**8))
     lo, hi = oracles.exp_enclosure(Fraction(3), n=200)
     assert contains_enclosure(b, lo, hi)
     assert Fraction(b.hi) - Fraction(b.lo) <= Fraction(2, 10**8)
 
 
-def test_exp_bounds_rejects_x_outside_range():
-    with pytest.raises(ValueError):
-        exp_bounds("2.5", 2, 20)
-    with pytest.raises(ValueError):
-        exp_bounds(1, 0, 20)
+def test_exp_bounds_rejects_a_nonpositive_width():
+    for width in (0, -1, "-1e-8"):
+        with pytest.raises(ValueError):
+            exp_bounds(1, width)
 
 
 def test_exp_bounds_overlap_ordering_is_monotone():
@@ -107,13 +103,8 @@ def test_exp_bounds_overlap_ordering_is_monotone():
     for _ in range(50):
         x = Fraction(rng.randint(-300, 300), 100)
         y = x + Fraction(rng.randint(0, 200), 100)
-        bx = exp_bounds(Decimal(x.numerator) / Decimal(x.denominator), 3, 20) if abs(
-            x
-        ) <= 3 else None
-        # Keep both arguments inside [-3, 3].
-        if bx is None or abs(y) > 3:
-            continue
-        by = exp_bounds(Decimal(y.numerator) / Decimal(y.denominator), 3, 20)
+        bx = exp_bounds(Decimal(x.numerator) / Decimal(x.denominator), Fraction(1, 10**8))
+        by = exp_bounds(Decimal(y.numerator) / Decimal(y.denominator), Fraction(1, 10**8))
         assert bx.lo <= by.hi
 
 
@@ -242,24 +233,30 @@ def test_ln_bounds_certifies_exactly_two_endpoints(monkeypatch):
     calls = []
     real = precision_module._classify_exp
 
-    def counting(t, x, tolerance, precision):
+    def counting(t, x, width):
         calls.append(t)
-        return real(t, x, tolerance, precision)
+        return real(t, x, width)
 
     monkeypatch.setattr(precision_module, "_classify_exp", counting)
     b = ln_bounds(2, "1e-30")
     assert calls == [b.lo, b.hi]
 
 
-def test_ln_bounds_sums_one_taylor_series_per_endpoint(monkeypatch):
+def _record_taylor_orders(monkeypatch) -> list:
+    """Record (a, n) of every Taylor sum ``exp_bounds`` takes, a = max(1, ⌈|x|⌉)."""
     orders = []
-    real = precision_module.exp_bounds
+    real = precision_module._exp_taylor_integers
 
-    def counting(x, a, n=20, precision=precision_module.DEFAULT_PRECISION):
-        orders.append((a, n))
-        return real(x, a, n, precision)
+    def recording(x, n):
+        orders.append((max(1, math.ceil(abs(x))), n))
+        return real(x, n)
 
-    monkeypatch.setattr(precision_module, "exp_bounds", counting)
+    monkeypatch.setattr(precision_module, "_exp_taylor_integers", recording)
+    return orders
+
+
+def test_ln_bounds_sums_one_taylor_series_per_endpoint(monkeypatch):
+    orders = _record_taylor_orders(monkeypatch)
     ln_bounds(2, Fraction(1, 10**30))
     # ln 2 < 1, so both endpoints sum at a = 1, to the least order n with
     # 3/(n+1)! <= 2·10⁻³⁰/12
@@ -269,21 +266,15 @@ def test_ln_bounds_sums_one_taylor_series_per_endpoint(monkeypatch):
 
 
 def _order_of_the_remainder_loop(a, tolerance):
-    """The order search ``_classify_exp`` replaced: one Fraction per order."""
+    """The order search ``exp_bounds`` replaced: one Fraction per order."""
     n = 0
     while precision_module._exp_remainder(a, n) > tolerance:
         n += 1
     return n
 
 
-def test_classify_exp_picks_the_order_of_the_remainder_loop(monkeypatch):
-    orders = []
-
-    def recording(x, a, n=20, precision=precision_module.DEFAULT_PRECISION):
-        orders.append((a, n))
-        return Bound(Decimal(0), Decimal(0))  # below x = 1: e^t < x is decided
-
-    monkeypatch.setattr(precision_module, "exp_bounds", recording)
+def test_exp_bounds_picks_the_order_of_the_remainder_loop(monkeypatch):
+    orders = _record_taylor_orders(monkeypatch)
     tolerances = {a: [Fraction(1, 10**k) for k in range(1, 81)] for a in range(1, 6)}
     for a in range(1, 6):
         # the boundary: tolerance equal to a remainder, and just either side of it
@@ -293,7 +284,7 @@ def test_classify_exp_picks_the_order_of_the_remainder_loop(monkeypatch):
     expected = []
     for a, values in tolerances.items():
         for tolerance in values:
-            assert precision_module._classify_exp(Decimal(a), Fraction(1), tolerance, 30) == -1
+            exp_bounds(Decimal(a), 4 * tolerance)
             expected.append((a, _order_of_the_remainder_loop(a, tolerance)))
     assert orders == expected
 
@@ -302,16 +293,22 @@ def test_classify_exp_picks_the_order_of_the_remainder_loop(monkeypatch):
 @given(
     a=st.integers(min_value=1, max_value=6),
     data=st.data(),
-    n=st.integers(min_value=0, max_value=60),
-    p=st.sampled_from([1, 5, 30, 80, 400]),
+    w=st.sampled_from(
+        [Fraction(30), Fraction(1, 3), Fraction(7, 10**5), Fraction(1, 10**30), Fraction(1, 10**80)]
+    ),
 )
-def test_exp_bounds_equals_the_reduced_fraction_rounding(a, data, n, p):
-    # the body exp_bounds replaced: S_n ∓ R as reduced Fractions, rounded
-    # outward; as_tuple tells Decimals of equal value apart
+def test_exp_bounds_equals_the_reduced_fraction_rounding(a, data, w):
+    # S_n ∓ R as reduced Fractions, at the order of the remainder loop,
+    # rounded outward at the digits that put the ulp of 3^a + w at or below
+    # 10^⌊log10(w/4)⌋; as_tuple tells Decimals of equal value apart
     x = data.draw(st.fractions(min_value=-a, max_value=a, max_denominator=10**30))
+    a = max(1, math.ceil(abs(x)))
+    n = _order_of_the_remainder_loop(a, w / 4)
+    p = max(1, oracles.fraction_exponent(3**a + w) - oracles.fraction_exponent(w / 4) + 1)
     s = oracles.exp_partial_sum(x, n)
     r = precision_module._exp_remainder(a, n)
-    got = exp_bounds(x, a, n, p)
+    got = exp_bounds(x, w)
+    assert Fraction(got.hi) - Fraction(got.lo) <= w
     lo, hi = s - r, s + r
     want_lo = oracles.decimal_quotient_reference(lo.numerator, lo.denominator, p, ROUND_FLOOR)
     want_hi = oracles.decimal_quotient_reference(hi.numerator, hi.denominator, p, ROUND_CEILING)
@@ -321,7 +318,7 @@ def test_exp_bounds_equals_the_reduced_fraction_rounding(a, data, n, p):
 
 def test_ln_bounds_rejects_a_candidate_that_fails_verification(monkeypatch):
     # claim e^t > x for every t: the lower endpoint can no longer be certified
-    monkeypatch.setattr(precision_module, "_classify_exp", lambda t, x, tolerance, precision: 1)
+    monkeypatch.setattr(precision_module, "_classify_exp", lambda t, x, width: 1)
     with pytest.raises(CertificationError, match="ln 2"):
         ln_bounds(2, "1e-10")
 
@@ -330,8 +327,8 @@ def test_ln_exp_roundtrip():
     rng = random.Random(7)
     for _ in range(10):
         x = Fraction(rng.randint(-200, 200), 100)
-        ex = exp_bounds(Decimal(x.numerator) / Decimal(x.denominator), 2, 40)
-        back = ln_bounds(ex.midpoint(), "1e-9")
+        ex = exp_bounds(Decimal(x.numerator) / Decimal(x.denominator), Fraction(1, 10**30))
+        back = ln_bounds(ex.midpoint(40), "1e-9")
         # The round trip must land within 1e-8 of x.
         assert Fraction(back.lo) - Fraction(1, 10**8) <= x <= Fraction(back.hi) + Fraction(
             1, 10**8
@@ -349,7 +346,7 @@ def test_sqrt_bounds_exact_square_collapses():
 
 
 def test_sqrt_bounds_zero():
-    b = sqrt_bounds(0)
+    b = sqrt_bounds(0, 30)
     assert b.lo == b.hi == Decimal(0)
 
 
@@ -366,13 +363,13 @@ def test_sqrt_bounds_defining_inequality_holds_exactly():
     rng = random.Random(11)
     for _ in range(50):
         x = Fraction(rng.randint(1, 10**12), rng.randint(1, 10**6))
-        b = sqrt_bounds(x)
+        b = sqrt_bounds(x, 30)
         assert Fraction(b.lo) ** 2 <= x <= Fraction(b.hi) ** 2
 
 
 def test_sqrt_bounds_rejects_negative():
     with pytest.raises(ValueError):
-        sqrt_bounds(-1)
+        sqrt_bounds(-1, 30)
 
 
 def _digits_for(x: Fraction, width: Fraction | None, p: int) -> int:
@@ -485,7 +482,7 @@ def test_sqrt_bounds_agrees_with_the_stepped_reference_on_the_candidate(
     site = {}
 
     def recorder(module):
-        def recording(x, p=DEFAULT_PRECISION):
+        def recording(x, p):
             calls.append((site[module], Fraction(x), p))
             return sqrt_bounds(x, p)
 
@@ -646,21 +643,21 @@ def test_short_ratio_rounds_as_the_whole_quotient(quotient, digits):
 
 
 def test_hyp_bounds_at_zero():
-    h = hyp_bounds(0)
+    h = hyp_bounds(0, 30)
     assert Fraction(h.sinh.lo) <= 0 <= Fraction(h.sinh.hi)
     assert Fraction(h.cosh.lo) <= 1 <= Fraction(h.cosh.hi)
     assert Fraction(h.tanh.lo) <= 0 <= Fraction(h.tanh.hi)
 
 
 def test_hyp_bounds_at_half():
-    h = hyp_bounds("0.5")
+    h = hyp_bounds("0.5", 6)
     assert Fraction("0.521") <= Fraction(h.sinh.lo) and Fraction(h.sinh.hi) <= Fraction("0.522")
     assert Fraction("1.127") <= Fraction(h.cosh.lo) and Fraction(h.cosh.hi) <= Fraction("1.128")
     assert Fraction("0.462") <= Fraction(h.tanh.lo) and Fraction(h.tanh.hi) <= Fraction("0.463")
 
 
 def test_hyp_bounds_at_two_point_one():
-    h = hyp_bounds("2.1")
+    h = hyp_bounds("2.1", 6)
     assert Fraction("4.021") <= Fraction(h.sinh.lo) and Fraction(h.sinh.hi) <= Fraction("4.022")
     assert Fraction("4.144") <= Fraction(h.cosh.lo) and Fraction(h.cosh.hi) <= Fraction("4.145")
     assert Fraction("0.970") <= Fraction(h.tanh.lo) and Fraction(h.tanh.hi) <= Fraction("0.971")
@@ -668,7 +665,7 @@ def test_hyp_bounds_at_two_point_one():
 
 def test_hyp_bounds_rejects_outside_range():
     with pytest.raises(ValueError):
-        hyp_bounds("3.1")
+        hyp_bounds("3.1", 30)
 
 
 def test_hyp_identity_cosh_sq_minus_sinh_sq():
@@ -676,7 +673,7 @@ def test_hyp_identity_cosh_sq_minus_sinh_sq():
     for k in range(100):
         x = Fraction(-3) + Fraction(6 * k, 99)
         xd = Decimal(x.numerator) / Decimal(x.denominator)
-        h = hyp_bounds(xd)
+        h = hyp_bounds(xd, 20)
         s_lo, s_hi = Fraction(h.sinh.lo), Fraction(h.sinh.hi)
         sinh_sq_lo = 0 if s_lo <= 0 <= s_hi else min(s_lo**2, s_hi**2)
         sinh_sq_hi = max(s_lo**2, s_hi**2)
@@ -690,7 +687,7 @@ def test_hyp_identity_cosh_sq_minus_sinh_sq():
 
 
 def test_arccos_of_one_is_zero():
-    assert arccos_hp(1) == Decimal(0)
+    assert arccos_hp(1, 30) == Decimal(0)
 
 
 def test_arccos_of_zero_is_half_pi():
@@ -707,7 +704,7 @@ def test_arccos_of_half():
 
 def test_arccos_rejects_outside_domain():
     with pytest.raises(ValueError):
-        arccos_hp("1.0000001")
+        arccos_hp("1.0000001", 30)
 
 
 def test_arccos_cos_consistency():
@@ -838,28 +835,30 @@ def _exact_interval(iv, x: Fraction):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    data=st.integers(min_value=1, max_value=3).flatmap(
-        lambda a: st.tuples(
-            st.just(a), st.fractions(min_value=-a, max_value=a, max_denominator=10**20)
-        )
-    ),
-    n=st.integers(min_value=0, max_value=40),
-    p=st.sampled_from([10, 30, 60]),
+    x=st.fractions(min_value=-6, max_value=6, max_denominator=10**20),
+    m=st.integers(min_value=1, max_value=9),
+    k=st.sampled_from([-1, 0, 1, 10, 30, 60]),
 )
-def test_exp_bounds_contain_the_mpmath_interval(data, n, p):
-    a, x = data
-    bound = exp_bounds(x, a, n, p)
-    with _interval_digits(p + 40) as iv:
+def test_exp_bounds_contain_the_mpmath_interval(x, m, k):
+    w = m * Fraction(10) ** -k
+    bound = exp_bounds(x, w)
+    assert Fraction(bound.hi) - Fraction(bound.lo) <= w
+    with _interval_digits(max(k, 0) + 40) as iv:
         assert _contains_interval(bound, iv.exp(_exact_interval(iv, x)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     x=st.fractions(min_value=-3, max_value=3, max_denominator=10**20),
-    p=st.sampled_from([10, 30, 60]),
+    p=st.sampled_from([2, 5, 10, 30, 60]),
 )
+@example(x=Fraction(3), p=1)
+@example(x=Fraction(-3), p=1)
 def test_hyp_bounds_contain_the_mpmath_intervals(x, p):
+    # p digits make each enclosure less than 3·10^(2−p) wide
     h = hyp_bounds(x, p)
+    for bound in h:
+        assert Fraction(bound.hi) - Fraction(bound.lo) < 3 * Fraction(10) ** (2 - p)
     with _interval_digits(p + 40) as iv:
         e = iv.exp(_exact_interval(iv, x))
         e2 = iv.exp(2 * _exact_interval(iv, x))
@@ -872,13 +871,18 @@ def test_hyp_bounds_combines_two_exp_enclosures(monkeypatch):
     calls = []
     real = precision_module.exp_bounds
 
-    def counting(x, a, n=20, precision=precision_module.DEFAULT_PRECISION):
-        calls.append((x, a, n, precision))
-        return real(x, a, n, precision)
+    def counting(x, target_width):
+        calls.append((x, target_width))
+        return real(x, target_width)
 
     monkeypatch.setattr(precision_module, "exp_bounds", counting)
     hyp_bounds(Fraction(1, 2), 30)
-    assert calls == [(Fraction(1, 2), 3, 20, 30), (Fraction(-1, 2), 3, 20, 30)]
+    hyp_bounds(Fraction(1, 2), 1)  # 10⁻² at most: e⁻³'s lower end stays positive
+    width = Fraction(1, 10**30)
+    assert calls == [
+        (Fraction(1, 2), width), (Fraction(-1, 2), width),
+        (Fraction(1, 2), Fraction(1, 100)), (Fraction(-1, 2), Fraction(1, 100)),
+    ]
 
 
 # ---------------------------------------------------------------------------
