@@ -143,11 +143,22 @@ def _chord(q: int, x: Point3, y: Point3) -> Tuple[int, int, int]:
 def _gram(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[int, int, int]:
     """(G_vw, G_vv, G_ww) of the lattice corner at x: a′²·⟨·,·⟩_X of its rays.
 
-    G_vv and G_ww are positive; raises the errors of :func:`_rays`.
+    G_vv and G_ww are positive; raises the errors of :func:`_rays` in its
+    order.  Every corner kernel and the climb's filter call this, so it
+    works on unpacked integer coordinates.
     """
-    v, w, a = _rays(q, x, y, z)
-    xv, xw = x.dot(v), x.dot(w)
-    return a * v.dot(w) + xv * xw, a * v.norm_sq() + xv * xv, a * w.norm_sq() + xw * xw
+    x0, x1, x2 = x
+    v0, v1, v2 = y[0] - x0, y[1] - x1, y[2] - x2
+    w0, w1, w2 = z[0] - x0, z[1] - x1, z[2] - x2
+    if not (v0 or v1 or v2) or not (w0 or w1 or w2):
+        raise ValueError("angle is undefined when Y = X or Z = X")
+    a = _require_in_ball(q, x)
+    xv, xw = x0 * v0 + x1 * v1 + x2 * v2, x0 * w0 + x1 * w1 + x2 * w2
+    return (
+        a * (v0 * w0 + v1 * w1 + v2 * w2) + xv * xw,
+        a * (v0 * v0 + v1 * v1 + v2 * v2) + xv * xv,
+        a * (w0 * w0 + w1 * w1 + w2 * w2) + xw * xw,
+    )
 
 
 def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, int]:

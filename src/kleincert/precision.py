@@ -280,16 +280,18 @@ def ln_bounds(x: NumberLike, target_width: NumberLike) -> Bound:
     ``target_width`` = w is the one accuracy parameter: it sets the digits
     D = max(0, −⌊log10 w⌋) + 10 of the candidate and the endpoints, and the
     width of the checks.  The untrusted candidate is the library logarithm h
-    at D digits.  The endpoints a = h − w/3 and b = h + w/3 are rounded
-    outward at D digits and certified by e^a ≤ x ≤ e^b through
-    :func:`_classify_exp`; if either check fails the candidate is rejected
-    with :class:`CertificationError`.
+    at D digits.  With u = min(w, 1), the endpoints a = h − u/3 and
+    b = h + u/3 are rounded outward at D digits and certified by
+    e^a ≤ x ≤ e^b through :func:`_classify_exp`; if either check fails the
+    candidate is rejected with :class:`CertificationError`.  The cap keeps
+    both checks within 1/3 of ln x, as the cost of :func:`exp_bounds` at t
+    grows with 3^⌈|t|⌉.
 
-    Each check is one :func:`exp_bounds` enclosure x·u/3 wide, u = min(w, 1),
-    whose ends lie within 2·x·u/12 + x·u/12 = x·u/4 of e^t (remainder and
-    ulp each at most x·u/12).  The endpoints lie w/3 ≥ u/3 from ln x, give
-    or take the candidate's error δ, so e^a and e^b lie x·(1 − e^(δ−u/3)) or
-    more from x, above x·u/4 unless |δ| ≥ u/22: far above that error.
+    Each check is one :func:`exp_bounds` enclosure x·u/3 wide, whose ends
+    lie within 2·x·u/12 + x·u/12 = x·u/4 of e^t (remainder and ulp each at
+    most x·u/12).  The endpoints lie u/3 from ln x, give or take the
+    candidate's error δ, so e^a and e^b lie x·(1 − e^(δ−u/3)) or more from
+    x, above x·u/4 unless |δ| ≥ u/22: far above that error.
     """
     xf = as_fraction(x)
     if xf <= 0:
@@ -301,9 +303,10 @@ def ln_bounds(x: NumberLike, target_width: NumberLike) -> Bound:
     digits = max(0, -_fraction_exponent(tw)) + 10
     with localcontext(_context(digits)):
         hint = Fraction((Decimal(xf.numerator) / Decimal(xf.denominator)).ln())
-    lo = decimal_from_fraction(hint - tw / 3, digits, ROUND_FLOOR)
-    hi = decimal_from_fraction(hint + tw / 3, digits, ROUND_CEILING)
-    width = xf * min(tw, 1) / 3
+    u = min(tw, Fraction(1))
+    lo = decimal_from_fraction(hint - u / 3, digits, ROUND_FLOOR)
+    hi = decimal_from_fraction(hint + u / 3, digits, ROUND_CEILING)
+    width = xf * u / 3
     if _classify_exp(lo, xf, width) > 0 or _classify_exp(hi, xf, width) < 0:
         raise CertificationError(f"candidate enclosure [{lo}, {hi}] of ln {x} failed verification")
     return Bound(lo, hi)

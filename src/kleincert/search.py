@@ -19,9 +19,9 @@ certification modules then verify rigorously.  Three stages:
    first vertex whose |Θ_i| reaches the best objective.  Each defect is
    first taken in double precision from the exact Gram integers, and only
    a defect within a proven margin of the best objective is taken in
-   Decimal; an accepted proposal has every defect taken in Decimal.  So
-   most proposals cost a few float corner angles, and every decision is
-   the one the Decimal defects make.
+   Decimal; an accepted proposal takes Decimal defects only at the
+   vertices where its maximum can be.  So most proposals cost a few float
+   corner angles, and every decision is the one the Decimal defects make.
 3. ``newton_refine`` runs Newton's method on the vertex heights at the
    working precision its tolerance needs (``SearchConfig.newton_digits``),
    solving each linear system by LU with partial pivoting, and records the
@@ -183,16 +183,21 @@ def _perturbed(surface: EmbeddedSurface, deltas: Sequence[Fraction]) -> Embedded
 _GUARD = 1 - 2.0**-20
 
 
-def _float_defect(S: EmbeddedSurface, i: int) -> Optional[float]:
+def _float_defect(
+    S: EmbeddedSurface, i: int, cycle: Optional[Sequence[int]] = None
+) -> Optional[float]:
     """Θ_f = Σ arccos(σ·√A_f) − 2π at vertex i in doubles, or None past the guard.
 
     A_f = G_vw²/(G_vv·G_ww) is one int/int true division of the exact Gram
     integers of the corner (:func:`klein._gram`): correctly rounded, and
     free of overflow however long the integers; σ is the sign of G_vw.
-    Returns None as soon as a corner has √A_f > :data:`_GUARD`.
+    Returns None as soon as a corner has √A_f > :data:`_GUARD`.  ``cycle``
+    is the link of vertex i (:func:`mesh.vertex_link`), which
+    :func:`hill_climb` builds once per climb; left out, it is built here.
     :func:`hill_climb` proves the error bound its margin rests on.
     """
-    cycle = vertex_link(S.triangulation, i)
+    if cycle is None:
+        cycle = vertex_link(S.triangulation, i)
     q, lattice = S.denominator, S.lattice
     x = lattice[i]
     thetas = []
@@ -233,10 +238,14 @@ def hill_climb(
     rejected at the first vertex with |Θ_i| ≥ the best objective b, since
     its maximum cannot then be smaller.  Vertices are tried in a kept order:
     ``range(n)`` at first, re-sorted after each acceptance by that
-    proposal's |Θ_i|, largest first (a stable sort), so the vertex most
-    likely to reject comes first.  Θ_i here is the Decimal defect
-    ``jacobian._vertex_defect`` at p = ``config.climb_precision``, the one
-    :func:`objective` takes.
+    proposal's |Θ_i| where it was taken and its |Θ_f| (below) elsewhere,
+    largest first (a stable sort; a Decimal and a float compare exactly),
+    so the vertex most likely to reject comes first.  Θ_i here is the
+    Decimal defect ``jacobian._vertex_defect`` at p =
+    ``config.climb_precision``, the one :func:`objective` takes.  The order
+    changes only the cost, never a decision: any rejecting vertex rejects,
+    an accepted proposal passes every vertex, and the float path raises
+    only where the Decimal path would.
 
     Each vertex is first filtered in doubles (Shewchuk's adaptive
     predicates, 1997; Brönnimann, Burnikel and Pion's interval filters,
@@ -244,10 +253,15 @@ def hill_climb(
     M = (d + 1)·(2⁻⁴⁰ + 2·10^(−8−p)).  The proposal is rejected there if
     |Θ_f| ≥ b + M; the vertex passes if |Θ_f| < b − M; otherwise, or if a
     corner is past the guard, Θ_i is computed and rejects if |Θ_i| ≥ b.
-    A proposal that passes every vertex has every Θ_i computed and is
-    accepted only if their maximum, taken in vertex order as
-    ``DefectVector.sup_norm`` takes it, is < b.  Floats never accept, and
-    the thresholds b ± M are exact Fractions compared exactly with Θ_f.
+    A proposal that passes every vertex takes the Decimal Θ_j of the
+    vertices the filter passed in descending |Θ_f| order, skipping j once
+    |Θ_f,j| + M_j ≤ L, the largest |Θ_i| taken so far.  It is accepted
+    only if the maximum of the taken |Θ_i|, in vertex order as
+    ``DefectVector.sup_norm`` takes it, is < b.  A skipped j has |Θ_j| <
+    |Θ_f,j| + M_j ≤ L (below), so it is neither the maximum nor tied with
+    it, and that maximum is :func:`objective` of the proposal in value and
+    in representation.  Floats never accept, and b ± M and |Θ_f| + M are
+    exact Fractions compared exactly with Θ_f and the Decimals.
 
     Why |Θ_f − Θ_i| < M at a vertex whose corners all pass the guard, so
     that each float decision is the one Θ_i makes.  Let u = 2⁻⁵³, c = √A ≤ 1
@@ -272,9 +286,12 @@ def hill_climb(
 
     The two add to under M.  Hence |Θ_f| ≥ b + M gives |Θ_i| > b, and
     |Θ_f| < b − M gives |Θ_i| < b; a vertex past the guard, or within M of
-    b, is decided by Θ_i itself.  The float path raises only where
-    ``klein._rays`` raises, which Θ_i would too, and a proposal on which a
-    vertex the early exit never reaches would raise is rejected either way.
+    b, is decided by Θ_i itself.  Both paths raise only where
+    ``klein._gram`` raises at a corner (Θ_i's square root and arccos take
+    A in [0, 1]), and the filter passes a vertex only after taking
+    ``_gram`` at each of its corners, so a skipped Θ_j would not have
+    raised; a proposal on which a vertex the early exit never reaches
+    would raise is rejected either way.
     So every decision, ``record``, ``history``, the order and the result
     are those of evaluating :func:`objective` on every proposal.
     """
@@ -292,9 +309,10 @@ def hill_climb(
     rejections = 0
     accepts = 0
     order = list(range(n))
+    cycles = [vertex_link(start.triangulation, i) for i in range(n)]
     # the filter's margin M = (d + 1)·(2⁻⁴⁰ + 2·10^(−8−p)) at each vertex
     unit = Fraction(1, 2**40) + Fraction(2, 10 ** (8 + precision))
-    margins = [(len(vertex_link(start.triangulation, i)) + 1) * unit for i in range(n)]
+    margins = [(len(cycle) + 1) * unit for cycle in cycles]
     below = [Fraction(best_objective) - m for m in margins]
     above = [Fraction(best_objective) + m for m in margins]
     for iteration in range(budget):
@@ -308,29 +326,39 @@ def hill_climb(
         accepted = False
         try:
             proposal = _perturbed(best, deltas)
-            defects = [None] * n
+            # |Θ_i| in Decimal where taken, else the |Θ_f| the filter passed
+            defects, floats = [None] * n, [None] * n
             for i in order:
-                theta = _float_defect(proposal, i)
-                if theta is not None and abs(theta) >= above[i]:
-                    break
-                if theta is None or abs(theta) >= below[i]:
-                    defects[i] = _vertex_defect(proposal, i, precision).copy_abs()
-                    if defects[i] >= best_objective:
+                theta = _float_defect(proposal, i, cycles[i])
+                if theta is not None:
+                    if abs(theta) >= above[i]:
                         break
+                    if abs(theta) < below[i]:
+                        floats[i] = abs(theta)
+                        continue
+                defects[i] = _vertex_defect(proposal, i, precision).copy_abs()
+                if defects[i] >= best_objective:
+                    break
             else:
-                defects = [
-                    _vertex_defect(proposal, i, precision).copy_abs() if d is None else d
-                    for i, d in enumerate(defects)
-                ]
-                # max over the defects in vertex order is objective(proposal)
-                accepted = max(defects) < best_objective
+                top = max((d for d in defects if d is not None), default=Decimal(0))
+                passed = [i for i in range(n) if defects[i] is None]
+                for i in sorted(passed, key=floats.__getitem__, reverse=True):
+                    # else |Θ_i| < |Θ_f| + M ≤ top: neither the maximum nor tied with it
+                    if Fraction(floats[i]) + margins[i] > top:
+                        defects[i] = _vertex_defect(proposal, i, precision).copy_abs()
+                        top = max(top, defects[i])
+                # max over the taken defects in vertex order is objective(proposal)
+                value = max(d for d in defects if d is not None)
+                accepted = value < best_objective
         except (CertificationError, ValueError, ZeroDivisionError):
             pass  # escaped the ball or degenerate geometry: a rejection
         if accepted:
-            best, best_objective = proposal, max(defects)
+            best, best_objective = proposal, value
             below = [Fraction(best_objective) - m for m in margins]
             above = [Fraction(best_objective) + m for m in margins]
-            order.sort(key=defects.__getitem__, reverse=True)
+            order.sort(
+                key=lambda i: floats[i] if defects[i] is None else defects[i], reverse=True
+            )
             accepts += 1
             rejections = 0
             if history is not None:

@@ -178,7 +178,8 @@ def test_ln_bounds_contains_ln_at_widths_above_one(x, tw):
 
 def test_ln_bounds_of_two_at_width_thirty():
     b = ln_bounds(2, 30)
-    assert b.lo < 0 < b.hi and Fraction(b.hi) - Fraction(b.lo) <= 30
+    # above width 1 the endpoints lie 1/3 from ln 2, as at width 1
+    assert 0 < b.lo and Fraction(b.hi) - Fraction(b.lo) <= 1
     assert contains_enclosure(b, LN2_LO, LN2_HI)
 
 
@@ -202,9 +203,10 @@ def test_ln_bounds_of_two_at_width_thirty():
 @example(x=Fraction(2), width=Fraction(1, 10**70), precision=80)
 def test_ln_bounds_equals_the_reference_body(x, width, precision):
     # the replaced body, which also took precision, wherever it accepts the
-    # width: both certify, and their endpoints are equal digit for digit
+    # width: both certify, and their endpoints are equal digit for digit;
+    # above width 1 ln_bounds is that body's enclosure of width 1
     try:
-        want = oracles.ln_bounds_reference(x, width, precision)
+        want = oracles.ln_bounds_reference(x, min(width, Fraction(1)), precision)
     except ValueError:
         assume(False)  # a width below what that precision could resolve
     got = ln_bounds(x, width)
@@ -263,6 +265,21 @@ def test_ln_bounds_sums_one_taylor_series_per_endpoint(monkeypatch):
     tolerance = Fraction(2, 12 * 10**30)
     assert precision_module._exp_remainder(1, 29) <= tolerance < precision_module._exp_remainder(1, 28)
     assert orders == [(1, 29), (1, 29)]
+
+
+def test_ln_bounds_above_width_one_sums_the_series_of_width_one(monkeypatch):
+    orders = _record_taylor_orders(monkeypatch)
+    at_one = ln_bounds(2, 1)
+    width_one_orders = list(orders)
+    # at h ± w/3 the upper check would sum e^t at t = ⌈ln 2 + 1000⌉
+    for w in (2, 300, 3000):
+        orders.clear()
+        b = ln_bounds(2, w)
+        assert orders == width_one_orders
+        assert max(a for a, _ in orders) == 2
+        assert (str(b.lo), str(b.hi)) == (str(at_one.lo), str(at_one.hi))
+        assert mpmath.mpf(str(b.lo)) < mpmath.log(2) < mpmath.mpf(str(b.hi))
+        assert Fraction(b.hi) - Fraction(b.lo) <= 1
 
 
 def _order_of_the_remainder_loop(a, tolerance):

@@ -441,10 +441,11 @@ def test_climb_computes_a_defect_only_until_it_rejects(prepared_sketch, monkeypa
     calls = _counted_cone_angles(monkeypatch)
     record: dict = {}
     out = hill_climb(prepared_sketch, SearchConfig(), steps=40, record=record)
-    # the start and the 3 accepted proposals take every Decimal defect; the
-    # float filter decides every vertex of the 37 rejected ones
+    # the start takes every Decimal defect and each of the 3 accepted
+    # proposals only its largest, as no other |Θ_f| comes within its margin
+    # of that one; the float filter decides every vertex of the 37 rejected
     n = prepared_sketch.triangulation.n_vertices
-    assert len(calls) == (1 + record["accepts"]) * n == 40
+    assert len(calls) == n + record["accepts"] == 13
     monkeypatch.undo()
     assert record["final_objective"] == objective(out, SearchConfig().climb_precision)
 
@@ -455,12 +456,67 @@ def test_climb_takes_the_decimal_path_past_the_guard(prepared_sketch, monkeypatc
     # every vertex past the guard: each proposal takes Decimal defects until
     # its first rejecting vertex, 138 cone angles in all, and decides the same
     calls = _counted_cone_angles(monkeypatch)
-    monkeypatch.setattr(search, "_float_defect", lambda S, i: None)
+    monkeypatch.setattr(search, "_float_defect", lambda S, i, cycle: None)
     guarded: dict = {}
     out_guarded = hill_climb(prepared_sketch, SearchConfig(), steps=40, record=guarded)
     assert len(calls) == 138
     assert out_guarded.coords == out.coords
     assert repr(guarded) == repr(record)
+
+
+@pytest.mark.parametrize("toward", [True, False], ids=["toward-b", "away-from-b"])
+@pytest.mark.parametrize(
+    "case",
+    [("sketch", seed) for seed in range(2026, 2031)] + [("near_flat", 5), ("below_b", 5)],
+    ids=lambda case: f"{case[0]}-{case[1]}",
+)
+def test_climb_equals_the_reference_with_the_float_defect_off_by_almost_its_margin(
+    case, toward, prepared_sketch, newton_run, monkeypatch
+):
+    """Each |Θ_f| is |Θ_i| moved 0.99·M toward the best objective b, or away
+    from it (but not below 0): the climb must decide as the full evaluation
+    does for any Θ_f within the margin, not only for the one today's libm
+    returns."""
+    kind, seed = case
+    if kind == "sketch":
+        start, cfg, steps = prepared_sketch, SearchConfig(rng_seed=seed), 40
+    elif kind == "near_flat":
+        start, steps = newton_run[0], 10
+        cfg = SearchConfig(rng_seed=seed, initial_step=F(1, 10**20))
+    else:
+        # at 80 digits b is about 6·10⁻⁶⁴ and steps of 10⁻⁷⁰ move a defect by
+        # far less than M, so every vertex below b lies within M of it; 3 of
+        # the 10 proposals are accepted
+        start, steps = newton_run[0], 10
+        cfg = SearchConfig(rng_seed=seed, initial_step=F(1, 10**70), climb_precision=80)
+    p = cfg.climb_precision
+    unit = F(1, 2**40) + F(2, 10 ** (8 + p))
+    start_objective = objective(start, p)
+    history: list = []
+    real = search._float_defect
+
+    def adversarial(S, i, cycle):
+        if real(S, i, cycle) is None:
+            return None
+        b = history[-1][1] if history else start_objective
+        theta = F(jacobian._vertex_defect(S, i, p).copy_abs())
+        shift = F(99, 100) * (len(cycle) + 1) * unit
+        return float(max(theta + (shift if (theta < b) == toward else -shift), 0))
+
+    monkeypatch.setattr(search, "_float_defect", adversarial)
+    record: dict = {}
+    out = hill_climb(start, cfg, steps=steps, record=record, history=history)
+    monkeypatch.undo()
+    ref_record: dict = {}
+    ref_history: list = []
+    ref = oracles.hill_climb_reference(
+        start, cfg, objective, search._perturbed,
+        (CertificationError, ValueError, ZeroDivisionError),
+        steps=steps, record=ref_record, history=ref_history,
+    )
+    assert out.coords == ref.coords
+    assert repr(record) == repr(ref_record)
+    assert repr(history) == repr(ref_history)
 
 
 def _star(center: Point3, link: tuple) -> EmbeddedSurface:
