@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .mesh import CornerKey, EmbeddedSurface, vertex_link
+from .mesh import CornerKey, EmbeddedSurface
 from .precision import CertificationError, _round_significant
 
 __all__ = [
@@ -224,7 +224,7 @@ def certify_flatness(S: EmbeddedSurface, L: LinkReference) -> FlatnessCertificat
     joint_lo = _round_significant(min(all_values), 1, up=False)
     joint_hi = _round_significant(max(all_values), 2, up=True)
     K = lipschitz_on_range(joint_lo, joint_hi)
-    max_degree = max(len(vertex_link(S.triangulation, i)) for i in range(S.triangulation.n_vertices))
+    max_degree = max(map(len, S.triangulation.links))
     epsilon = max_degree * K * max_delta
     return FlatnessCertificate(
         max_delta=max_delta,

@@ -7,12 +7,13 @@ defect 0; the certified search for an exactly-flat surface near the candidate
 runs through four stages that live in this module:
 
 1. `dtheta_enclosure` / `dtheta_analytic` — the analytic Jacobian ∂Θ_i/∂z_l.
-   Every angle partial reduces to (exact rational) / √(exact rational):
-   writing u = ⟨V,W⟩_X, v² = ⟨V,V⟩_X, w² = ⟨W,W⟩_X for the metric quantities
-   of one triangle corner, the derivative of θ = arccos(u/(vw)) in any of the
-   three heights is [u·(P_v·w² + P_w·v²)/(v²w²) − P_u] / √(v²w² − u²), where
-   P_u, P_v, P_w are the rational polynomials assembled below.  Only the
-   single square root needs an enclosure.
+   Every angle partial reduces to (exact rational) / √(exact rational): a
+   corner's cos θ is G_vw/√(G_vv·G_ww), the G's polynomials in the six
+   integers β(a, b) = q² − a·b of its lattice points (:mod:`kleincert.klein`),
+   and each β is linear in each height, ∂β(a, b)/∂h_l = −([l = a]·h_b +
+   [l = b]·h_a).  The product rule gives every ∂G, and the derivative of
+   θ = arccos(G_vw/√(G_vv·G_ww)) is a ratio of integers over
+   √(G_vv·G_ww − G_vw²).  Only that single square root needs an enclosure.
 
 2. `crude_bounds` — certified coarse geometry on a height-ball around the
    candidate: Euclidean edge norms, metric tangent norms, hyperbolic edge
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .certify_flat import FlatnessCertificate
 from .certify_embed import EmbeddingCertificate
-from .klein import Point3, _chord, _rays, distance, norm_comparison_factor
+from .klein import Point3, _betas, _gram, distance, norm_comparison_factor
 from .mesh import EmbeddedSurface, cone_angle
 from .precision import (
     Bound,
@@ -178,44 +179,37 @@ def _corner_partials(
     thousands of digits.
 
     Integer form, on the surface's lattice (denominator q, heights h = q·z;
-    see :mod:`kleincert.klein`): u, v², w² = G_vw, G_vv, G_ww over a′², so
-    d and gg are G_vv·G_ww − G_vw² and G_vv·G_ww, a4 = a′⁴, and the height
-    partials of u, and the half-partials v·∂v, w·∂w, are q·P_u, q·P_v, q·P_w
-    over a′³ with integer P's.  Hence
-    N_l = q·[G_vw·(P_v·G_ww + P_w·G_vv) − P_u·G_vv·G_ww], den = a′³·G_vv·G_ww.
+    see :mod:`kleincert.klein`): u, v², w² = G_vw, G_vv, G_ww over β_xx²,
+    so d and gg are G_vv·G_ww − G_vw² and G_vv·G_ww, and a4 = β_xx⁴.  As
+    cos θ = G_vw/√(G_vv·G_ww),
+
+        ∂θ/∂z_l = q·[G_vw·(½∂G_vv·G_ww + ½∂G_ww·G_vv) − ∂G_vw·G_vv·G_ww]
+                  / (G_vv·G_ww·√(G_vv·G_ww − G_vw²)),
+
+    ∂ in h_l, which is N_l/den over √D with den = β_xx²·G_vv·G_ww.  Each
+    ∂G is the product rule on the G's of :func:`klein._gram`, with
+    ∂β(a, b)/∂h_l = −([l = a]·h_b + [l = b]·h_a); the diagonal ∂β(a, a)
+    are even, so the half-partials ½∂G_vv and ½∂G_ww are integers.
     """
     q, lattice = S.denominator, S.lattice
-    x = lattice[i]
-    v, w, a = _rays(q, x, lattice[j], lattice[k])
-    hi = x[2]
-    hj = hi + v[2]
-    hk = hi + w[2]
-    t1, t2, t3, t4, t5 = x.dot(v), x.dot(w), v.dot(w), v.norm_sq(), w.norm_sq()
-    g_vw = a * t3 + t1 * t2
-    g_vv = a * t4 + t1 * t1
-    g_ww = a * t5 + t2 * t2
-
-    # a′³/q times the height partials of u, and of the half-partials
-    # P_v[l] = v·∂_l v, P_w[l] = w·∂_l w; P_v[k] = P_w[j] = 0
-    pu_j = a * (a * (hk - hi) + hi * t2)
-    pu_k = a * (a * (hj - hi) + hi * t1)
-    pu_i = (
-        a * a * (2 * hi - hj - hk)
-        + a * (2 * hi * t3 + (hj - 2 * hi) * t2 + (hk - 2 * hi) * t1)
-        + 4 * hi * t1 * t2
-    )
-    pv_j = pu_k
-    pw_k = pu_j
-    pv_i = a * a * (hi - hj) + a * (hi * t4 + (hj - 2 * hi) * t1) + 2 * hi * t1 * t1
-    pw_i = a * a * (hi - hk) + a * (hi * t5 + (hk - 2 * hi) * t2) + 2 * hi * t2 * t2
-
+    x, y, z = lattice[i], lattice[j], lattice[k]
+    betas = _betas(q, x, y, z)
+    bxx, bxy, bxz, byy, byz, bzz = betas
+    g_vw, g_vv, g_ww = _gram(betas)
     gg = g_vv * g_ww
-    numerators = {
-        i: q * (g_vw * (pv_i * g_ww + pw_i * g_vv) - pu_i * gg),
-        j: q * (g_vw * pv_j * g_ww - pu_j * gg),
-        k: q * (g_vw * pw_k * g_vv - pu_k * gg),
-    }
-    return numerators, a**3 * gg, gg - g_vw * g_vw, gg, a**4
+    hx, hy, hz = x[2], y[2], z[2]
+    numerators = {}
+    # ∂β in h_l, in the order of _betas, with ∂β_xx, ∂β_yy, ∂β_zz halved
+    for l, (exx, dxy, dxz, eyy, dyz, ezz) in (
+        (i, (-hx, -hy, -hz, 0, 0, 0)),
+        (j, (0, -hx, 0, -hy, -hz, 0)),
+        (k, (0, 0, -hx, 0, -hy, -hz)),
+    ):
+        d_vw = dxy * bxz + bxy * dxz - 2 * exx * byz - bxx * dyz
+        half_vv = bxy * dxy - exx * byy - bxx * eyy
+        half_ww = bxz * dxz - exx * bzz - bxx * ezz
+        numerators[l] = q * (g_vw * (half_vv * g_ww + half_ww * g_vv) - d_vw * gg)
+    return numerators, bxx * bxx * gg, gg - g_vw * g_vw, gg, bxx**4
 
 
 _SIN_FLOOR_GUARD = Fraction(1, 10**6)
@@ -374,9 +368,9 @@ def crude_bounds(
     [−0.01, 0.961] over the ball via the 70-Lipschitz law-of-cosines map;
     finally |sin θ| ≥ 0.24 over the ball.
 
-    It reads ``S.lattice`` only: each edge's chord integer A from
-    :mod:`kleincert.klein` decides the norm check exactly, one ``distance``
-    per edge its length, and the surface's corner table the cosines.
+    It reads ``S.lattice`` only: each edge's integer |y − x|² decides the
+    norm check exactly, one ``distance`` per edge its length, and the
+    surface's corner table the cosines.
     The lengths are enclosed to width 10⁻⁸: the check reads only whether
     each lies in [0.63, 2.08], and the candidate's lie 0.0087 or more inside
     it.  The two ``hyp_bounds`` run at 4 digits: the partial caps 15 and 42
@@ -394,11 +388,11 @@ def crude_bounds(
 
     edges = sorted(tuple(sorted(e)) for e in T.edges())
 
-    # Euclidean edge norms (exact squares: the chord's A is q²·‖Y − X‖²)
+    # Euclidean edge norms (exact squares: |y − x|² is q²·‖Y − X‖²)
     eu_lo, eu_hi = Fraction(509, 1000), Fraction(1561, 1000)
     for ia, ib in edges:
-        A = _chord(q, lattice[ia], lattice[ib])[0]
-        _req(eu_lo**2 * q2 <= A <= eu_hi**2 * q2, f"Euclidean norm of edge {(ia, ib)}")
+        chord_sq = lattice[ib].sub(lattice[ia]).norm_sq()
+        _req(eu_lo**2 * q2 <= chord_sq <= eu_hi**2 * q2, f"Euclidean norm of edge {(ia, ib)}")
 
     # metric tangent norms over the ball, via ‖V‖² ≤ ‖V‖²_X ≤ ‖V‖²/(1−r²)²
     tn_lo, tn_hi = Fraction(1, 2), Fraction(13)

@@ -9,21 +9,28 @@ tangent vectors V, W is
 a rational function of rational inputs — so inner products, squared cosines
 and sign decisions are computed *exactly* here.
 
-The corner kernels (:func:`cos2_and_sign`, the Jacobian's corner partials)
-and the chord kernel compute in integers.  A surface keeps its vertices on one
-integer lattice (:func:`dilate`): Q is the lcm of every coordinate denominator
-and x = Q·X is an integer point.  For a corner with lattice points x, y, z let
-v = y − x, w = z − x and a′ = Q² − |x|² = Q²·a_X.  Every dot product of the
-lattice vectors carries Q² and a_X² = a′²/Q⁴, so
+Every corner and chord integer comes from one form.  A surface keeps its
+vertices on one integer lattice (:func:`dilate`): Q is the lcm of every
+coordinate denominator and x = Q·X is an integer point.  X lifts to (Q, x),
+and for lattice points a, b
 
-    ⟨V, W⟩_X = G_vw / a′² ,   G_vw = a′·(v·w) + (x·v)·(x·w) ,
+    β(a, b) = Q² − a·b
 
-with G_vw an integer.  All three metric products share the denominator a′²,
-so it cancels in A = G_vw² / (G_vv·G_ww) and the sign of ⟨V, W⟩_X is the sign
-of G_vw; one Fraction is built at the end.  A chord x → y has the integers
-(A, B, C) = Q²·(a, b, c) of :func:`distance`, formed here only.  Two steps
-are irrational, and both return certified objects or carry an explicit
-accuracy contract:
+is the Minkowski form of the lifts (Q, a) and (Q, b) (Ratcliffe,
+*Foundations of Hyperbolic Manifolds*, the hyperboloid and projective
+models); β(x, x) = Q²·a_X is positive inside the ball.  For a corner with
+lattice points x, y, z, rays V = Y − X and W = Z − X, and β_xy = β(x, y)
+and so on (:func:`_betas`),
+
+    ⟨V, W⟩_X = G_vw / β_xx² ,   G_vw = β_xy·β_xz − β_xx·β_yz ,
+    ⟨V, V⟩_X = G_vv / β_xx² ,   G_vv = β_xy² − β_xx·β_yy ,
+
+and likewise G_ww (:func:`_gram`).  The three share the denominator β_xx²,
+so it cancels in A = G_vw² / (G_vv·G_ww), and the sign of ⟨V, W⟩_X is the
+sign of G_vw; one Fraction is built at the end.  A chord x → y reads
+β_xx, β_xy and β_yy, and the Jacobian's corner partials differentiate the
+six β values of a corner in its heights.  Two steps are irrational, and
+both return certified objects or carry an explicit accuracy contract:
 
 * :func:`distance` returns a :class:`~kleincert.precision.Bound` on the
   hyperbolic distance between lattice points, built from certified sqrt/ln
@@ -86,9 +93,6 @@ class Point3(NamedTuple):
     def norm_sq(self) -> Fraction:
         return self.dot(self)
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
-
 
 def dilate(points: Sequence[Point3]) -> Tuple[int, Tuple[Point3, ...]]:
     """The lattice (Q, (Q·P for each P)) of rational points.
@@ -109,7 +113,7 @@ def klein_inner(X: Point3, V: Point3, W: Point3) -> Fraction:
 
 
 def _require_in_ball(q: int, x: Point3) -> int:
-    """Return a′ = q² − |x|², rejecting (and naming) a point x/q outside the ball."""
+    """Return β(x, x) = q² − |x|², rejecting (and naming) a point x/q outside the ball."""
     a = q * q - x.norm_sq()
     if a <= 0:
         apex = Point3(*(Fraction(c, q) for c in x))
@@ -117,48 +121,38 @@ def _require_in_ball(q: int, x: Point3) -> int:
     return a
 
 
-def _rays(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[Point3, Point3, int]:
-    """(v, w, a′) = (y − x, z − x, q² − |x|²) of the lattice corner at x.
+def _betas(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[int, int, int, int, int, int]:
+    """(β_xx, β_xy, β_xz, β_yy, β_yz, β_zz) of the lattice corner at x.
 
     Raises the errors of the rational formulas, in their order: a zero ray
-    first, then an apex x/q outside the open unit ball.
+    (y = x or z = x) first, then an apex x/q outside the open unit ball.
+    Every corner kernel and the climb's filter call this once per corner,
+    so it works on unpacked integer coordinates.
     """
-    v, w = y.sub(x), z.sub(x)
-    if v.is_zero() or w.is_zero():
+    if y == x or z == x:
         raise ValueError("angle is undefined when Y = X or Z = X")
-    return v, w, _require_in_ball(q, x)
-
-
-def _chord(q: int, x: Point3, y: Point3) -> Tuple[int, int, int]:
-    """(A, B, C) = (|y − x|², 2x·(y − x), |x|² − q²) = q²·(a, b, c) of :func:`distance`.
-
-    Raises for x/q, then y/q, outside the open unit ball; A = 0 iff x = y.
-    """
-    c = -_require_in_ball(q, x)
-    _require_in_ball(q, y)
-    d = y.sub(x)
-    return d.norm_sq(), 2 * x.dot(d), c
-
-
-def _gram(q: int, x: Point3, y: Point3, z: Point3) -> Tuple[int, int, int]:
-    """(G_vw, G_vv, G_ww) of the lattice corner at x: a′²·⟨·,·⟩_X of its rays.
-
-    G_vv and G_ww are positive; raises the errors of :func:`_rays` in its
-    order.  Every corner kernel and the climb's filter call this, so it
-    works on unpacked integer coordinates.
-    """
+    bxx = _require_in_ball(q, x)
+    q2 = q * q
     x0, x1, x2 = x
-    v0, v1, v2 = y[0] - x0, y[1] - x1, y[2] - x2
-    w0, w1, w2 = z[0] - x0, z[1] - x1, z[2] - x2
-    if not (v0 or v1 or v2) or not (w0 or w1 or w2):
-        raise ValueError("angle is undefined when Y = X or Z = X")
-    a = _require_in_ball(q, x)
-    xv, xw = x0 * v0 + x1 * v1 + x2 * v2, x0 * w0 + x1 * w1 + x2 * w2
+    y0, y1, y2 = y
+    z0, z1, z2 = z
     return (
-        a * (v0 * w0 + v1 * w1 + v2 * w2) + xv * xw,
-        a * (v0 * v0 + v1 * v1 + v2 * v2) + xv * xv,
-        a * (w0 * w0 + w1 * w1 + w2 * w2) + xw * xw,
+        bxx,
+        q2 - x0 * y0 - x1 * y1 - x2 * y2,
+        q2 - x0 * z0 - x1 * z1 - x2 * z2,
+        q2 - y0 * y0 - y1 * y1 - y2 * y2,
+        q2 - y0 * z0 - y1 * z1 - y2 * z2,
+        q2 - z0 * z0 - z1 * z1 - z2 * z2,
     )
+
+
+def _gram(betas: Tuple[int, int, int, int, int, int]) -> Tuple[int, int, int]:
+    """(G_vw, G_vv, G_ww) = β_xx²·⟨·,·⟩_X of a corner's rays, from its :func:`_betas`.
+
+    G_vv and G_ww are positive for a corner :func:`_betas` accepts.
+    """
+    bxx, bxy, bxz, byy, byz, bzz = betas
+    return bxy * bxz - bxx * byz, bxy * bxy - bxx * byy, bxz * bxz - bxx * bzz
 
 
 def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, int]:
@@ -171,7 +165,7 @@ def cos2_and_sign(q: int, x: Point3, y: Point3, z: Point3) -> tuple[Fraction, in
     arccos branch must never rest on a rounded dot product.  Computed in
     integers: A = G_vw² / (G_vv·G_ww).
     """
-    g_vw, g_vv, g_ww = _gram(q, x, y, z)
+    g_vw, g_vv, g_ww = _gram(_betas(q, x, y, z))
     sigma = 0 if g_vw == 0 else (1 if g_vw > 0 else -1)
     return Fraction(g_vw * g_vw, g_vv * g_ww), sigma
 
@@ -205,46 +199,48 @@ def distance(q: int, x: Point3, y: Point3, target_width: CoordLike) -> Bound:
     """Certified Bound, at most ``target_width`` wide, on the hyperbolic
     distance between lattice points x/q, y/q.
 
-    With a = ⟨Y−X, Y−X⟩, b = 2⟨X, Y−X⟩, c = ⟨X, X⟩ − 1 and Δ = b² − 4ac,
-    the distance along the chord (Ratcliffe, *Foundations of Hyperbolic
-    Manifolds*, the projective disk model) is
+    The lifts (q, x) and (q, y) give cosh d = β_xy/√(β_xx·β_yy) (Ratcliffe,
+    *Foundations of Hyperbolic Manifolds*, the hyperboloid and projective
+    models), so with the integer δ = β_xy² − β_xx·β_yy,
 
-        d = ln(√Δ − b − 2c) − ½·ln(4c(a + b + c)),
+        d = ln(2(β_xy + √δ)/q²) − ½·ln(4·β_xx·β_yy/q⁴).
 
-    as a + b + c = ‖Y‖² − 1.  With (A, B, C) = q²·(a, b, c) from :func:`_chord`,
-    Δ = (B² − 4AC)/q⁴ > 0 since A > 0 > C.  √Δ and both logarithms are
-    certified enclosures of exact rationals, combined outward, so the result
-    contains the true distance.  The first argument lies in [u, v] from
-    √Δ's enclosure, and one ln enclosure of u serves both ends: ln is
-    concave, so ln v ≤ ln u + (v − u)/u.
+    As δ = (β_xy − β_xx)² + β_xx·|y − x|², the first argument exceeds
+    2β_xx/q² > 0 for x ≠ y.  Its root 2√δ/q² = √(4δ/q⁴) and both
+    logarithms are certified enclosures of exact rationals, combined
+    outward, so the result contains the true distance.  The first argument
+    lies in [u, v] from the root's enclosure, and one ln enclosure of u
+    serves both ends: ln is concave, so ln v ≤ ln u + (v − u)/u.
 
     ``target_width`` = w is the one accuracy parameter.  Each logarithm is
-    enclosed to width w/4.  √Δ is enclosed to width L = m·(−c)/2 or less,
-    m = min(w, 1): the first argument exceeds −2c > 0 as Δ > b², so
-    u > −2c − L ≥ −3c/2 and (v − u)/u ≤ m/3.  The ends are rounded outward
-    at the digits whose unit in the last place of the larger end is at most
-    w/8.  In all, the width is at most w/4 + w/3 + w/8 + 2·w/8 < w.
+    enclosed to width w/4.  The root is enclosed to width L = m·β_xx/(2q²)
+    or less, m = min(w, 1), so u > 2β_xx/q² − L ≥ 3β_xx/(2q²) and
+    (v − u)/u ≤ m/3.  The ends are rounded outward at the digits whose unit
+    in the last place of the larger end is at most w/8.  In all, the width
+    is at most w/4 + w/3 + w/8 + 2·w/8 < w.
     """
-    A, B, C = _chord(q, x, y)
-    if A == 0:
+    bxx = _require_in_ball(q, x)
+    byy = _require_in_ball(q, y)
+    if x == y:
         raise ValueError("distance requires X != Y")
     tw = as_fraction(target_width)
     if tw <= 0:
         raise ValueError(f"target width must be positive, got {target_width}")
     q2 = q * q
-    delta = Fraction(B * B - 4 * A * C, q2 * q2)
-    # sqrt_bounds at p digits is 10^(⌊log10 √Δ⌋ + 1 − p) ≤ L wide
-    root_width = min(tw, 1) * Fraction(-C, 2 * q2)
-    root_digits = _fraction_exponent(delta) // 2 + 1 - _fraction_exponent(root_width)
-    root = sqrt_bounds(delta, max(1, root_digits))
-    s = Fraction(B + 2 * C, q2)
-    arg1_lo = Fraction(root.lo) - s
-    arg1_hi = Fraction(root.hi) - s
+    bxy = q2 - x.dot(y)
+    root_arg = Fraction(4 * (bxy * bxy - bxx * byy), q2 * q2)
+    # sqrt_bounds at p digits is 10^(⌊log10 √(4δ/q⁴)⌋ + 1 − p) ≤ L wide
+    root_width = min(tw, 1) * Fraction(bxx, 2 * q2)
+    root_digits = _fraction_exponent(root_arg) // 2 + 1 - _fraction_exponent(root_width)
+    root = sqrt_bounds(root_arg, max(1, root_digits))
+    s = Fraction(2 * bxy, q2)
+    arg1_lo = Fraction(root.lo) + s
+    arg1_hi = Fraction(root.hi) + s
     if arg1_lo <= 0:
         raise ValueError("logarithm arguments must be positive for model points")
 
     ln1 = ln_bounds(arg1_lo, tw / 4)
-    ln2 = ln_bounds(Fraction(4 * C * (A + B + C), q2 * q2), tw / 4)
+    ln2 = ln_bounds(Fraction(4 * bxx * byy, q2 * q2), tw / 4)
     lo = Fraction(ln1.lo) - Fraction(ln2.hi) / 2
     hi = Fraction(ln1.hi) + (arg1_hi - arg1_lo) / arg1_lo - Fraction(ln2.lo) / 2
     # hi ≥ d > 0; an ulp of the larger end at these digits is at most w/8

@@ -59,6 +59,12 @@ class Triangulation:
             if not all(isinstance(v, int) and 0 <= v < self.n_vertices for v in f):
                 raise ValueError(f"face {f} references vertices outside 0..{self.n_vertices - 1}")
 
+    @cached_property
+    def links(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every vertex's :func:`vertex_link`, derived on first use; raises
+        the first ``ValueError`` that :func:`vertex_link` raises, in vertex order."""
+        return tuple(vertex_link(self, i) for i in range(self.n_vertices))
+
     def edges(self) -> set[frozenset[int]]:
         out: set[frozenset[int]] = set()
         for a, b, c in self.faces:
@@ -214,8 +220,7 @@ class EmbeddedSurface:
         """
         q, lattice = self.denominator, self.lattice
         out = {}
-        for i in range(self.triangulation.n_vertices):
-            cycle = vertex_link(self.triangulation, i)
+        for i, cycle in enumerate(self.triangulation.links):
             for j, n_j in enumerate(cycle):
                 n_next = cycle[(j + 1) % len(cycle)]
                 out[(i, (n_j, n_next))] = cos2_and_sign(
@@ -226,7 +231,7 @@ class EmbeddedSurface:
 
 def cone_angle(S: EmbeddedSurface, i: int, precision: int) -> Decimal:
     """The cone angle θ_i = Σ_j angle(X_i, X_{n_j}, X_{n_{j+1}}) at vertex i."""
-    cycle = vertex_link(S.triangulation, i)
+    cycle = S.triangulation.links[i]
     q, lattice = S.denominator, S.lattice
     with localcontext(Context(prec=precision + 10)):
         total = Decimal(0)

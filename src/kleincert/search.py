@@ -41,8 +41,8 @@ from fractions import Fraction
 from typing import List, MutableMapping, Optional, Sequence, Tuple
 
 from .jacobian import _vertex_defect, dtheta_analytic, surface_with_heights, theta_map
-from .klein import Point3, _gram
-from .mesh import EmbeddedSurface, Triangulation, vertex_link
+from .klein import Point3, _betas, _gram
+from .mesh import EmbeddedSurface, Triangulation
 from .precision import CertificationError, _fraction_exponent
 
 __all__ = [
@@ -183,26 +183,23 @@ def _perturbed(surface: EmbeddedSurface, deltas: Sequence[Fraction]) -> Embedded
 _GUARD = 1 - 2.0**-20
 
 
-def _float_defect(
-    S: EmbeddedSurface, i: int, cycle: Optional[Sequence[int]] = None
-) -> Optional[float]:
+def _float_defect(S: EmbeddedSurface, i: int) -> Optional[float]:
     """Θ_f = Σ arccos(σ·√A_f) − 2π at vertex i in doubles, or None past the guard.
 
     A_f = G_vw²/(G_vv·G_ww) is one int/int true division of the exact Gram
-    integers of the corner (:func:`klein._gram`): correctly rounded, and
-    free of overflow however long the integers; σ is the sign of G_vw.
-    Returns None as soon as a corner has √A_f > :data:`_GUARD`.  ``cycle``
-    is the link of vertex i (:func:`mesh.vertex_link`), which
-    :func:`hill_climb` builds once per climb; left out, it is built here.
-    :func:`hill_climb` proves the error bound its margin rests on.
+    integers of the corner (:func:`klein._gram` of :func:`klein._betas`):
+    correctly rounded, and free of overflow however long the integers; σ
+    is the sign of G_vw.  Returns None as soon as a corner has
+    √A_f > :data:`_GUARD`.  The corners are those of the link of vertex i
+    (``Triangulation.links``).  :func:`hill_climb` proves the error bound
+    its margin rests on.
     """
-    if cycle is None:
-        cycle = vertex_link(S.triangulation, i)
+    cycle = S.triangulation.links[i]
     q, lattice = S.denominator, S.lattice
     x = lattice[i]
     thetas = []
     for y, z in zip(cycle, cycle[1:] + cycle[:1]):
-        g_vw, g_vv, g_ww = _gram(q, x, lattice[y], lattice[z])
+        g_vw, g_vv, g_ww = _gram(_betas(q, x, lattice[y], lattice[z]))
         c = math.sqrt(g_vw * g_vw / (g_vv * g_ww))
         if c > _GUARD:
             return None
@@ -287,9 +284,9 @@ def hill_climb(
     The two add to under M.  Hence |Θ_f| ≥ b + M gives |Θ_i| > b, and
     |Θ_f| < b − M gives |Θ_i| < b; a vertex past the guard, or within M of
     b, is decided by Θ_i itself.  Both paths raise only where
-    ``klein._gram`` raises at a corner (Θ_i's square root and arccos take
+    ``klein._betas`` raises at a corner (Θ_i's square root and arccos take
     A in [0, 1]), and the filter passes a vertex only after taking
-    ``_gram`` at each of its corners, so a skipped Θ_j would not have
+    ``_betas`` at each of its corners, so a skipped Θ_j would not have
     raised; a proposal on which a vertex the early exit never reaches
     would raise is rejected either way.
     So every decision, ``record``, ``history``, the order and the result
@@ -309,10 +306,9 @@ def hill_climb(
     rejections = 0
     accepts = 0
     order = list(range(n))
-    cycles = [vertex_link(start.triangulation, i) for i in range(n)]
     # the filter's margin M = (d + 1)·(2⁻⁴⁰ + 2·10^(−8−p)) at each vertex
     unit = Fraction(1, 2**40) + Fraction(2, 10 ** (8 + precision))
-    margins = [(len(cycle) + 1) * unit for cycle in cycles]
+    margins = [(len(cycle) + 1) * unit for cycle in start.triangulation.links]
     below = [Fraction(best_objective) - m for m in margins]
     above = [Fraction(best_objective) + m for m in margins]
     for iteration in range(budget):
@@ -329,7 +325,7 @@ def hill_climb(
             # |Θ_i| in Decimal where taken, else the |Θ_f| the filter passed
             defects, floats = [None] * n, [None] * n
             for i in order:
-                theta = _float_defect(proposal, i, cycles[i])
+                theta = _float_defect(proposal, i)
                 if theta is not None:
                     if abs(theta) >= above[i]:
                         break

@@ -15,6 +15,7 @@ bodies of replaced kernels (:func:`exp_partial_sum`, :func:`corner_partials`,
 :func:`decimal_quotient_reference`,
 :func:`dtheta_enclosure_reference`, :func:`hill_climb_reference`,
 :func:`newton_refine_reference`, :func:`rays_reference`,
+:func:`gram_reference`, :func:`distance_reference`,
 :func:`gram_root_bracket_bisection`), which return the value the old code
 returned.
 """
@@ -711,6 +712,70 @@ def rays_reference(D: Sequence[Tuple[int, int, int]]) -> list:
             if max(dots) <= 0:
                 rays.append((-r[0], -r[1], -r[2]))
     return rays
+
+
+def _ball_factor(q: int, x: Vec3) -> int:
+    """a′ = q² − |x|², raising for a point x/q outside the open unit ball."""
+    a = q * q - _dot(x, x)
+    if a <= 0:
+        apex = tuple(Fraction(c, q) for c in x)
+        raise ValueError(f"point {apex} lies outside the open unit ball")
+    return a
+
+
+def gram_reference(q: int, x: Vec3, y: Vec3, z: Vec3) -> Tuple[int, int, int]:
+    """(G_vw, G_vv, G_ww) of the lattice corner at x, from the body
+    ``klein._gram`` replaced: with the rays v = y − x, w = z − x and
+    a′ = q² − |x|², G_vw = a′·(v·w) + (x·v)·(x·w), and likewise G_vv, G_ww.
+    Raises for a zero ray, then for an apex x/q outside the ball."""
+    v, w = _sub(y, x), _sub(z, x)
+    if not any(v) or not any(w):
+        raise ValueError("angle is undefined when Y = X or Z = X")
+    a = _ball_factor(q, x)
+    xv, xw = _dot(x, v), _dot(x, w)
+    return a * _dot(v, w) + xv * xw, a * _dot(v, v) + xv * xv, a * _dot(w, w) + xw * xw
+
+
+def distance_reference(
+    q: int,
+    x: Vec3,
+    y: Vec3,
+    target_width: Fraction,
+    sqrt_bounds: Callable,
+    ln_bounds: Callable,
+    from_fraction_pair: Callable,
+):
+    """The Bound of the body ``klein.distance`` replaced, from the chord
+    quadratic of the line X + t(Y − X) against the unit sphere.
+
+    With a = ⟨Y−X, Y−X⟩, b = 2⟨X, Y−X⟩, c = ⟨X, X⟩ − 1, (A, B, C) =
+    q²·(a, b, c) and Δ = (B² − 4AC)/q⁴, d = ln(√Δ − b − 2c) −
+    ½·ln(4c(a + b + c)); √Δ is enclosed to width min(w, 1)·(−c)/2 and each
+    logarithm to w/4, and the upper end takes ln v ≤ ln u + (v − u)/u.
+    ``sqrt_bounds(x, digits)``, ``ln_bounds(x, width)`` and
+    ``from_fraction_pair(lo, hi, digits)`` are the package's enclosures and
+    outward rounding.
+    """
+    C = -_ball_factor(q, x)
+    _ball_factor(q, y)
+    d = _sub(y, x)
+    A, B = _dot(d, d), 2 * _dot(x, d)
+    if A == 0:
+        raise ValueError("distance requires X != Y")
+    w = target_width
+    q2 = q * q
+    delta = Fraction(B * B - 4 * A * C, q2 * q2)
+    root_width = min(w, 1) * Fraction(-C, 2 * q2)
+    root_digits = fraction_exponent(delta) // 2 + 1 - fraction_exponent(root_width)
+    root = sqrt_bounds(delta, max(1, root_digits))
+    s = Fraction(B + 2 * C, q2)
+    arg_lo, arg_hi = Fraction(root.lo) - s, Fraction(root.hi) - s
+    ln1 = ln_bounds(arg_lo, w / 4)
+    ln2 = ln_bounds(Fraction(4 * C * (A + B + C), q2 * q2), w / 4)
+    lo = Fraction(ln1.lo) - Fraction(ln2.hi) / 2
+    hi = Fraction(ln1.hi) + (arg_hi - arg_lo) / arg_lo - Fraction(ln2.lo) / 2
+    digits = fraction_exponent(max(-lo, hi)) + 1 - fraction_exponent(w / 8)
+    return from_fraction_pair(lo, hi, max(1, digits))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kleincert
-from kleincert import certify_embed, certify_flat, jacobian, klein, precision
+from kleincert import certify_embed, certify_flat, jacobian, klein, precision, search
 from kleincert.klein import (
     Point3,
     angle,
@@ -106,7 +107,7 @@ def test_inner_positive_definite():
         x = rand_point(rng, max_radius_pct=99)
         v = rand_vector(rng)
         q = klein_inner(x, v, v)
-        assert q > 0 or v.is_zero()
+        assert q > 0 or not any(v)
 
 
 def test_inner_rejects_points_outside_ball():
@@ -378,6 +379,60 @@ def test_distance_contains_the_mpmath_arccosh(pair, width):
     assert Fraction(b.hi) - Fraction(b.lo) <= w
 
 
+# a Newton iterate's heights: a lattice denominator of about 300 digits
+_LONG = Point3.of("0.1", "-0.2", Fraction(3 * 10**299 + 7, 10**300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(corner=corners)
+@example(corner=(_LONG, Point3.of("0.5", 0, 0), Point3.of(0, "-0.4", "0.2")))
+def test_gram_integers_equal_the_reference_body(corner):
+    q, x, y, z = lattice_corner(*corner)
+    assert klein._gram(klein._betas(q, x, y, z)) == oracles.gram_reference(q, x, y, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=st.tuples(ball_points(), ball_points()).filter(lambda p: p[0] != p[1]),
+    width=st.tuples(st.integers(1, 9), st.integers(2, 40)),
+)
+@example(pair=(_LONG, Point3.of("-0.4", "0.1", 0)), width=(1, 40))
+@example(pair=(Point3.of("0.1", "0.2", "0.3"), Point3.of("-0.4", "0.1", 0)), width=(9, 2))
+@example(pair=(Point3.of("0.99999", 0, 0), Point3.of("-0.599994", "0.799992", 0)), width=(1, 40))
+def test_distance_equals_the_reference_body(pair, width):
+    # w = m·10⁻ᵏ from 9·10⁻² down to 10⁻⁴⁰: the same Bound, digit for digit
+    q, x, y = lattice_corner(*pair)
+    w = Fraction(width[0], 10 ** width[1])
+    got = distance(q, x, y, w)
+    want = oracles.distance_reference(
+        q, x, y, w, precision.sqrt_bounds, precision.ln_bounds, precision.Bound.from_fraction_pair
+    )
+    assert (got.lo.as_tuple(), got.hi.as_tuple()) == (want.lo.as_tuple(), want.hi.as_tuple())
+
+
+def test_corner_integers_come_from_one_beta_call_per_corner(candidate_surface, monkeypatch):
+    # design rule: klein._betas forms every corner's integers, once per
+    # corner, for the corner table, the Jacobian and the climb's filter alike
+    real, calls = klein._betas, []
+
+    def counting(q, x, y, z):
+        calls.append((x, y, z))
+        return real(q, x, y, z)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kleincert") and getattr(module, "_betas", None) is real:
+            monkeypatch.setattr(module, "_betas", counting)
+    S = EmbeddedSurface(candidate_surface.triangulation, candidate_surface.coords)
+    for run in (
+        lambda: S.corners,
+        lambda: jacobian.dtheta_enclosure(S, 60),
+        lambda: [search._float_defect(S, i) for i in range(len(S.coords))],
+    ):
+        calls.clear()
+        run()
+        assert len(calls) == len(set(calls)) == 72
+
+
 def test_surface_geometry_reads_only_the_lattice():
     # design rule: the surface-geometry kernels read S.lattice, never S.coords
     for function in (
@@ -465,7 +520,7 @@ def test_factor_bounds_metric_norm():
     for _ in range(100):
         x = rand_point(rng, max_radius_pct=80)
         v = rand_vector(rng)
-        if v.is_zero():
+        if not any(v):
             continue
         q = klein_inner(x, v, v)
         e = v.norm_sq()

@@ -112,6 +112,19 @@ def test_tetrahedron_links(tetrahedron):
         assert sorted(cycle) == sorted(set(range(4)) - {i})
 
 
+def test_links_are_every_vertex_link_derived_once(candidate_surface):
+    T = candidate_surface.triangulation
+    assert T.links == tuple(vertex_link(T, i) for i in range(T.n_vertices))
+    assert T.links is T.links
+
+
+def test_links_raise_the_first_vertex_link_error(tetrahedron):
+    # a tetrahedron on vertices 0..3, then two isolated vertices
+    T = Triangulation(6, tetrahedron.faces)
+    with pytest.raises(ValueError, match=r"^vertex 4 is isolated$"):
+        T.links
+
+
 # ---------------------------------------------------------------------------
 # cone_angle
 # ---------------------------------------------------------------------------

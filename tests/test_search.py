@@ -456,7 +456,7 @@ def test_climb_takes_the_decimal_path_past_the_guard(prepared_sketch, monkeypatc
     # every vertex past the guard: each proposal takes Decimal defects until
     # its first rejecting vertex, 138 cone angles in all, and decides the same
     calls = _counted_cone_angles(monkeypatch)
-    monkeypatch.setattr(search, "_float_defect", lambda S, i, cycle: None)
+    monkeypatch.setattr(search, "_float_defect", lambda S, i: None)
     guarded: dict = {}
     out_guarded = hill_climb(prepared_sketch, SearchConfig(), steps=40, record=guarded)
     assert len(calls) == 138
@@ -495,12 +495,12 @@ def test_climb_equals_the_reference_with_the_float_defect_off_by_almost_its_marg
     history: list = []
     real = search._float_defect
 
-    def adversarial(S, i, cycle):
-        if real(S, i, cycle) is None:
+    def adversarial(S, i):
+        if real(S, i) is None:
             return None
         b = history[-1][1] if history else start_objective
         theta = F(jacobian._vertex_defect(S, i, p).copy_abs())
-        shift = F(99, 100) * (len(cycle) + 1) * unit
+        shift = F(99, 100) * (len(S.triangulation.links[i]) + 1) * unit
         return float(max(theta + (shift if (theta < b) == toward else -shift), 0))
 
     monkeypatch.setattr(search, "_float_defect", adversarial)
@@ -520,10 +520,12 @@ def test_climb_equals_the_reference_with_the_float_defect_off_by_almost_its_marg
 
 
 def _star(center: Point3, link: tuple) -> EmbeddedSurface:
-    """The fan of triangles (0, j, j + 1) about vertex 0, whose link is ``link``."""
+    """The fans (0, j, j + 1) and (d + 1, j + 1, j) of a closed sphere in
+    which the link of vertex 0 is ``link``; the far apex d + 1 is the origin."""
     d = len(link)
     faces = tuple((0, j, j % d + 1) for j in range(1, d + 1))
-    return EmbeddedSurface(Triangulation(d + 1, faces), (center,) + link)
+    faces += tuple((d + 1, j % d + 1, j) for j in range(1, d + 1))
+    return EmbeddedSurface(Triangulation(d + 2, faces), (center,) + link + (Point3.of(0, 0, 0),))
 
 
 def _exact_cos2_and_dot(S: EmbeddedSurface, i: int) -> list:
